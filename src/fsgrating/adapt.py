@@ -45,8 +45,7 @@ class AdaptResult:
 
 def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
         max_iter: int, h0: float, dof_cap: int = 500_000,
-        exact=None, mesh: Mesh | None = None, observer=None,
-        check_mesh: bool = True) -> AdaptResult:
+        exact=None, mesh: Mesh | None = None, observer=None) -> AdaptResult:
     """Run the adaptive refinement loop.
 
     Parameters
@@ -71,10 +70,9 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     status = "budget"
     t_start = time.perf_counter()
     for it in range(max_iter):
-        if check_mesh:
-            problems = audit(mesh)
-            if problems:
-                raise GeometryError("mesh audit failed: " + "; ".join(problems))
+        problems = audit(mesh)
+        if problems:
+            raise GeometryError("mesh audit failed: " + "; ".join(problems))
         system = assembly.assemble(mesh, cfg, pml)
         state, report = solver.solve(system, mesh)
         field = estimator.indicators(mesh, state, cfg, pml)

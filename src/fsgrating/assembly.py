@@ -29,9 +29,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature as quad
+from . import spectral
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
-from .mesh import INTERFACE, Mesh, _is_fluid
+from .mesh import Mesh, _is_fluid, edge_points, interface_edges
 
 __all__ = [
     "stretch", "stretch_derivative", "DofMap", "LinearSystem",
@@ -124,21 +125,21 @@ def build_dofmap(mesh: Mesh, cfg: ProblemConfig) -> DofMap:
 
     d = derive(cfg)
     multiplier = cmath.exp(1j * d.alpha * cfg.period)
-    for node in np.nonzero(on_right)[0]:
-        partner = top.node_partner[node]
-        if partner < 0:
-            raise GeometryError(f"right-boundary node {node} has no partner")
-        pairs = [(fluid_dof[node], fluid_dof[partner]),
-                 (solid_dof[node, 0], solid_dof[partner, 0]),
-                 (solid_dof[node, 1], solid_dof[partner, 1])]
-        for raw, src in pairs:
-            if raw < 0 or kind[raw] == DIRICHLET:
-                continue
-            if src < 0:
-                raise GeometryError(
-                    f"partner of node {node} lacks the mirrored dof")
-            kind[raw] = PERIODIC_SLAVE
-            master[raw] = src
+    right = np.nonzero(on_right)[0]
+    partner = top.node_partner[right]
+    if (partner < 0).any():
+        raise GeometryError(
+            f"right-boundary node {right[partner < 0][0]} has no partner")
+    # (node, field) tables of the slave candidates and their mirrored dofs
+    raw = np.column_stack([fluid_dof[right], solid_dof[right]])
+    src = np.column_stack([fluid_dof[partner], solid_dof[partner]])
+    use = (raw >= 0) & (kind[raw] != DIRICHLET)
+    lacking = use & (src < 0)
+    if lacking.any():
+        node = right[np.nonzero(lacking)[0][0]]
+        raise GeometryError(f"partner of node {node} lacks the mirrored dof")
+    kind[raw[use]] = PERIODIC_SLAVE
+    master[raw[use]] = src[use]
 
     free = kind == FREE
     n_free = int(free.sum())
@@ -181,42 +182,41 @@ def _p1_gradients(corners):
 
 def _stretch_sums(corners, cfg, pml, bary, w):
     """Quadrature sums of s, 1/s and the s-weighted mass over each element."""
-    pts = np.einsum("qk,ekd->eqd", bary, corners)
-    s = stretch(pts[..., 1], cfg, pml)
+    s = stretch(quad.triangle_points(corners, bary)[..., 1], cfg, pml)
     s_avg = np.einsum("q,eq->e", w, s)
     sinv_avg = np.einsum("q,eq->e", w, 1.0 / s)
-    mass = np.einsum("eq,q,qi,qj->eij", s, w, bary, bary)
+    # mass[e, i, j] = sum_q s[e, q] * w[q] * bary[q, i] * bary[q, j]
+    table = (w[:, None, None] * bary[:, :, None] * bary[:, None, :]).reshape(w.size, 9)
+    mass = (s @ table).reshape(-1, 3, 3)
     return s_avg, sinv_avg, mass
 
 
-def _fluid_matrices(corners, cfg, pml, bary=quad.TRI5_BARY, w=quad.TRI5_W):
+def _element_terms(corners, cfg, pml, bary, w, side):
+    """Areas, stretch sums, outer products gx gx^T and gy gy^T and the P1
+    gradient components shared by the fluid and solid element matrices."""
     grads, area = _p1_gradients(corners)
     if (area <= 0).any():
-        raise GeometryError("degenerate fluid element")
+        raise GeometryError(f"degenerate {side} element")
     s_avg, sinv_avg, mass = _stretch_sums(corners, cfg, pml, bary, w)
     gx = grads[..., 0]
     gy = grads[..., 1]
     kxx = np.einsum("ei,ej->eij", gx, gx)
     kyy = np.einsum("ei,ej->eij", gy, gy)
-    return area[:, None, None] * (s_avg[:, None, None] * kxx
-                                  + sinv_avg[:, None, None] * kyy
-                                  - cfg.kappa ** 2 * mass)
+    return (area[:, None, None], s_avg[:, None, None], sinv_avg[:, None, None],
+            mass, kxx, kyy, gx, gy)
+
+
+def _fluid_matrices(corners, cfg, pml, bary=quad.TRI5_BARY, w=quad.TRI5_W):
+    a, s1, s2, mass, kxx, kyy, _, _ = _element_terms(corners, cfg, pml, bary,
+                                                     w, "fluid")
+    return a * (s1 * kxx + s2 * kyy - cfg.kappa ** 2 * mass)
 
 
 def _solid_matrices(corners, cfg, pml, bary=quad.TRI5_BARY, w=quad.TRI5_W):
-    grads, area = _p1_gradients(corners)
-    if (area <= 0).any():
-        raise GeometryError("degenerate solid element")
-    s_avg, sinv_avg, mass = _stretch_sums(corners, cfg, pml, bary, w)
-    gx = grads[..., 0]
-    gy = grads[..., 1]
-    kxx = np.einsum("ei,ej->eij", gx, gx)
-    kyy = np.einsum("ei,ej->eij", gy, gy)
+    a, s1, s2, mass, kxx, kyy, gx, gy = _element_terms(corners, cfg, pml, bary,
+                                                       w, "solid")
     mu, lam = cfg.mu, cfg.lam
     w2r = cfg.omega ** 2 * cfg.rho
-    a = area[:, None, None]
-    s1 = s_avg[:, None, None]
-    s2 = sinv_avg[:, None, None]
     m = w2r * a * mass
     k11 = a * ((2 * mu + lam) * s1 * kxx + mu * s2 * kyy) - m
     k22 = a * ((2 * mu + lam) * s2 * kyy + mu * s1 * kxx) - m
@@ -234,95 +234,56 @@ def _solid_matrices(corners, cfg, pml, bary=quad.TRI5_BARY, w=quad.TRI5_W):
 
 
 def fluid_element_matrix(corners, cfg: ProblemConfig, pml: PmlConfig,
-                         rule=None) -> np.ndarray:
-    """3x3 pressure element matrix for one triangle given its corners."""
-    bary, w = rule if rule is not None else (quad.TRI5_BARY, quad.TRI5_W)
-    return _fluid_matrices(np.asarray(corners, float)[None], cfg, pml, bary, w)[0]
+                         rule=(quad.TRI5_BARY, quad.TRI5_W)) -> np.ndarray:
+    """3x3 pressure element matrix for one triangle given its corners;
+    rule is a (barycentric points, weights) triangle rule."""
+    return _fluid_matrices(np.asarray(corners, float)[None], cfg, pml, *rule)[0]
 
 
 def solid_element_matrix(corners, cfg: ProblemConfig, pml: PmlConfig,
-                         rule=None) -> np.ndarray:
+                         rule=(quad.TRI5_BARY, quad.TRI5_W)) -> np.ndarray:
     """6x6 displacement element matrix, dofs interleaved (u1, u2) per node."""
-    bary, w = rule if rule is not None else (quad.TRI5_BARY, quad.TRI5_W)
-    return _solid_matrices(np.asarray(corners, float)[None], cfg, pml, bary, w)[0]
+    return _solid_matrices(np.asarray(corners, float)[None], cfg, pml, *rule)[0]
 
 
 # ----------------------------------------------------------------------
 # interface terms
 
-def _interface_geometry(mesh: Mesh):
-    """Interface edges with their fluid/solid neighbours and fluid-directed
-    unit normals."""
-    top = mesh.topology
-    ids = np.nonzero(top.edge_tags == INTERFACE)[0]
-    nodes = top.edge_nodes[ids]
-    el = top.edge_elems[ids]
-    fluid0 = _is_fluid(mesh.regions[el[:, 0]])
-    efluid = np.where(fluid0, el[:, 0], el[:, 1])
-    esolid = np.where(fluid0, el[:, 1], el[:, 0])
-    xa = mesh.nodes[nodes[:, 0]]
-    xb = mesh.nodes[nodes[:, 1]]
-    tang = xb - xa
-    length = np.sqrt((tang ** 2).sum(-1))
-    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / length[:, None]
-    mid = 0.5 * (xa + xb)
-    cf = mesh.centroids()[efluid]
-    flip = ((cf - mid) * normal).sum(-1) < 0
-    normal[flip] *= -1
-    if (((cf - mid) * normal).sum(-1) <= 0).any():
-        raise GeometryError("fluid element not on the normal side of an "
-                            "interface edge")
-    return ids, nodes, efluid, esolid, normal, length, xa, xb
+def interface_coupling(edge_coords, normals, cfg: ProblemConfig):
+    """Local interface blocks for straight edges.
 
-
-def interface_coupling(edge_coords, normal, cfg: ProblemConfig):
-    """Local interface blocks for one straight edge.
-
-    Returns (solid_rows_by_fluid_cols, fluid_rows_by_solid_cols): the 4x2
-    block of int_e p (n . conj(psi)) and the 2x4 block of
-    rho_f*omega^2 int_e (u . n) conj(phi), both exact for linear traces.
-    Solid dofs are interleaved (u1, u2) per edge node.
+    edge_coords has shape (E, 2, 2) and normals, the unit normals pointing
+    into the fluid, shape (E, 2).  Returns (solid_rows_by_fluid_cols,
+    fluid_rows_by_solid_cols): the (E, 4, 2) blocks of int_e p (n . conj(psi))
+    and the (E, 2, 4) blocks of rho_f*omega^2 int_e (u . n) conj(phi), both
+    exact for linear traces.  Solid dofs are interleaved (u1, u2) per edge
+    node.
     """
-    xa, xb = np.asarray(edge_coords, float)
-    h = float(np.hypot(*(xb - xa)))
-    me = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-    n = np.asarray(normal, float)
-    b1 = np.zeros((4, 2), dtype=complex)   # row (node i, comp c), col node j
-    for i in range(2):
-        for c in range(2):
-            for j in range(2):
-                b1[2 * i + c, j] = n[c] * me[i, j]
-    b2 = np.zeros((2, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for c in range(2):
-                b2[i, 2 * j + c] = cfg.rho_f * cfg.omega ** 2 * n[c] * me[i, j]
-    return b1, b2
+    edge_coords = np.asarray(edge_coords, float)
+    normals = np.asarray(normals, float)
+    tang = edge_coords[:, 1] - edge_coords[:, 0]
+    length = np.sqrt((tang ** 2).sum(-1))
+    me = (length[:, None, None] / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    # pressure trial against displacement test: n_c * me[i, j]
+    b1 = normals[:, None, :, None] * me[:, :, None, :]            # (E, i, c, j)
+    # displacement trial against pressure test: rho_f omega^2 n_c me[i, j]
+    b2 = (cfg.rho_f * cfg.omega ** 2
+          * normals[:, None, None, :] * me[:, :, :, None])        # (E, i, j, c)
+    return (b1.reshape(-1, 4, 2).astype(complex),
+            b2.reshape(-1, 2, 4).astype(complex))
 
 
-def _incident(cfg, x):
-    d = derive(cfg)
-    ph = np.exp(1j * (d.alpha * x[..., 0] - d.beta * x[..., 1]))
-    grad = np.stack([1j * d.alpha * ph, -1j * d.beta * ph], axis=-1)
-    return ph, grad
-
-
-def load_vector(mesh: Mesh, cfg: ProblemConfig) -> np.ndarray:
+def load_vector(mesh: Mesh, cfg: ProblemConfig, dofmap: DofMap) -> np.ndarray:
     """Raw incident-wave load: dn(p_in) against pressure tests and
     -p_in n against displacement tests, 4-point Gauss per interface edge."""
-    dofmap = build_dofmap(mesh, cfg)
-    return _load_raw(mesh, cfg, dofmap)
-
-
-def _load_raw(mesh, cfg, dofmap):
     b = np.zeros(dofmap.n_raw, dtype=complex)
-    ids, nodes, efluid, esolid, normal, length, xa, xb = _interface_geometry(mesh)
+    ids, _, _, normal = interface_edges(mesh)
+    nodes = mesh.topology.edge_nodes[ids]
     tq, wq = quad.EDGE4_X, quad.EDGE4_W
-    pts = xa[:, None, :] + tq[None, :, None] * (xb - xa)[:, None, :]
-    ph, grad = _incident(cfg, pts)
+    ph, grad = spectral.incident_wave(cfg, edge_points(mesh, ids, tq))
     dn = (grad * normal[:, None, :]).sum(-1)            # (E, Q)
     shape = np.stack([1.0 - tq, tq], axis=1)            # (Q, 2)
-    wl = wq[None, :] * length[:, None]
+    wl = wq[None, :] * mesh.topology.edge_lengths[ids, None]
     fluid_loads = np.einsum("eq,qi,eq->ei", dn, shape, np.broadcast_to(wl, dn.shape))
     solid_loads = -np.einsum("eq,qi,eq,ec->eic", ph, shape,
                              np.broadcast_to(wl, ph.shape), normal)
@@ -342,54 +303,30 @@ class LinearSystem:
     rhs_raw: np.ndarray
 
 
-def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig,
-             rule=None) -> LinearSystem:
+def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig) -> LinearSystem:
     """Assemble the reduced complex sparse system of the truncated problem."""
-    bary, w = rule if rule is not None else (quad.TRI5_BARY, quad.TRI5_W)
     dofmap = build_dofmap(mesh, cfg)
     corners = mesh.corner_coords()
     fluid_sel = _is_fluid(mesh.regions)
+    fdofs = dofmap.fluid_dof[mesh.elems[fluid_sel]]                    # (Ef, 3)
+    sdofs = dofmap.solid_dof[mesh.elems[~fluid_sel]].reshape(-1, 6)    # (Es, 6)
+    ids, _, _, normal = interface_edges(mesh)
+    nodes = mesh.topology.edge_nodes[ids]
+    b1, b2 = interface_coupling(mesh.nodes[nodes], normal, cfg)
+    ifdofs = dofmap.fluid_dof[nodes]                                   # (E, 2)
+    isdofs = dofmap.solid_dof[nodes].reshape(-1, 4)                    # (E, 4)
 
-    rows, cols, vals = [], [], []
-
-    fcorners = corners[fluid_sel]
-    if len(fcorners):
-        kf = _fluid_matrices(fcorners, cfg, pml, bary, w)
-        fdofs = dofmap.fluid_dof[mesh.elems[fluid_sel]]          # (Ef, 3)
-        rows.append(np.repeat(fdofs, 3, axis=1).ravel())
-        cols.append(np.tile(fdofs, (1, 3)).ravel())
-        vals.append(kf.ravel())
-
-    scorners = corners[~fluid_sel]
-    if len(scorners):
-        ks = _solid_matrices(scorners, cfg, pml, bary, w)
-        snodes = mesh.elems[~fluid_sel]
-        sdofs = dofmap.solid_dof[snodes].reshape(-1, 6)          # (Es, 6)
-        rows.append(np.repeat(sdofs, 6, axis=1).ravel())
-        cols.append(np.tile(sdofs, (1, 6)).ravel())
-        vals.append(ks.ravel())
-
-    ids, nodes, efluid, esolid, normal, length, xa, xb = _interface_geometry(mesh)
-    me = (length[:, None, None] / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
-    fdofs = dofmap.fluid_dof[nodes]                              # (E, 2)
-    sdofs = dofmap.solid_dof[nodes]                              # (E, 2, 2)
-    # pressure trial against displacement test: n_c * me[i, j]
-    b1 = normal[:, None, :, None] * me[:, :, None, :]            # (E, i, c, j)
-    rows.append(sdofs[:, :, :, None].repeat(2, axis=3).ravel())
-    cols.append(fdofs[:, None, None, :].repeat(2, 1).repeat(2, 2).ravel())
-    vals.append(b1.astype(complex).ravel())
-    # displacement trial against pressure test: rho_f omega^2 n_c me[i, j]
-    b2 = (cfg.rho_f * cfg.omega ** 2
-          * normal[:, None, None, :] * me[:, :, :, None])        # (E, i, j, c)
-    rows.append(fdofs[:, :, None, None].repeat(2, 2).repeat(2, 3).ravel())
-    cols.append(sdofs[:, None, :, :].repeat(2, 1).ravel())
-    vals.append(b2.astype(complex).ravel())
-
+    # (row dofs, column dofs, local blocks) of each family of local matrices
+    blocks = [(fdofs, fdofs, _fluid_matrices(corners[fluid_sel], cfg, pml)),
+              (sdofs, sdofs, _solid_matrices(corners[~fluid_sel], cfg, pml)),
+              (isdofs, ifdofs, b1), (ifdofs, isdofs, b2)]
+    rows = [np.broadcast_to(r[:, :, None], k.shape).ravel() for r, _, k in blocks]
+    cols = [np.broadcast_to(c[:, None, :], k.shape).ravel() for _, c, k in blocks]
     a_raw = sp.coo_matrix(
-        (np.concatenate(vals),
+        (np.concatenate([k.ravel() for _, _, k in blocks]),
          (np.concatenate(rows), np.concatenate(cols))),
         shape=(dofmap.n_raw, dofmap.n_raw)).tocsr()
-    b_raw = _load_raw(mesh, cfg, dofmap)
+    b_raw = load_vector(mesh, cfg, dofmap)
 
     ch = dofmap.C.conj().T.tocsr()
     a_red = (ch @ a_raw @ dofmap.C).tocsr()

@@ -37,7 +37,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,14 +56,12 @@ RUN_DEFAULTS = {"tol": "1e-3", "tau": "0.5", "max_iter": "20",
 
 @dataclass
 class RunSpec:
-    """Parsed invocation: subcommand, configuration values, output target."""
+    """Parsed invocation: configuration values and output target."""
 
-    subcommand: str
     problem: ProblemConfig
     pml: PmlConfig
     run: dict
     out_dir: str
-    overrides: list = field(default_factory=list)
 
 
 def _parse_profile(text: str):
@@ -287,8 +285,7 @@ def main(argv=None) -> int:
             sys.stdout.write(dump_config(problem, pml, run))
             return 0
         os.makedirs(args.out, exist_ok=True)
-        spec = RunSpec(subcommand=args.subcommand, problem=problem, pml=pml,
-                       run=run, out_dir=args.out, overrides=list(args.set))
+        spec = RunSpec(problem=problem, pml=pml, run=run, out_dir=args.out)
         if args.subcommand == "solve":
             return _cmd_solve(spec)
         if args.subcommand == "adapt":

@@ -33,8 +33,8 @@ from .assembly import _p1_gradients, stretch, stretch_derivative
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, FLUID, GAMMA_MINUS,
-                   GAMMA_PLUS, INTERFACE, INTERIOR, LEFT, SOLID, Mesh,
-                   _is_fluid)
+                   GAMMA_PLUS, INTERIOR, LEFT, SOLID, Mesh, _is_fluid,
+                   edge_points, interface_edges, outward_normals)
 from .solver import SystemState
 
 __all__ = ["IndicatorField", "EdgeJumps", "element_residuals",
@@ -79,7 +79,7 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     """
     corners = mesh.corner_coords()
     grads, area = _p1_gradients(corners)
-    pts = np.einsum("qk,ekd->eqd", quad.TRI5_BARY, corners)
+    pts = quad.triangle_points(corners)
     s = stretch(pts[..., 1], cfg, pml)
     dsinv = -stretch_derivative(pts[..., 1], cfg, pml) / s ** 2
 
@@ -87,18 +87,14 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     out = np.zeros(mesh.n_elems)
 
     if fluid.any():
-        gp = np.einsum("ei,eid->ed", state.p[mesh.elems[fluid]],
-                       grads[fluid].astype(complex))
-        pq = np.einsum("qi,ei->eq", quad.TRI5_BARY, state.p[mesh.elems[fluid]])
+        gp, pq = _p1_field(state.p[mesh.elems[fluid]], grads[fluid])
         r = dsinv[fluid] * gp[:, None, 1] + cfg.kappa ** 2 * s[fluid] * pq
         out[fluid] = np.sqrt(area[fluid]
                              * np.einsum("q,eq->e", quad.TRI5_W, np.abs(r) ** 2))
 
     solid = ~fluid
     if solid.any():
-        un = state.u[mesh.elems[solid]]                       # (E, 3, 2)
-        gu = np.einsum("eic,eid->ecd", un, grads[solid].astype(complex))
-        uq = np.einsum("qi,eic->eqc", quad.TRI5_BARY, un)
+        gu, uq = _p1_field(state.u[mesh.elems[solid]], grads[solid])
         w2r = cfg.omega ** 2 * cfg.rho
         r1 = cfg.mu * dsinv[solid] * gu[:, None, 0, 1] + w2r * s[solid] * uq[..., 0]
         r2 = ((2 * cfg.mu + cfg.lam) * dsinv[solid] * gu[:, None, 1, 1]
@@ -109,10 +105,16 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     return out
 
 
-def _edge_points(mesh, edge_ids, tq):
-    xa = mesh.nodes[mesh.topology.edge_nodes[edge_ids, 0]]
-    xb = mesh.nodes[mesh.topology.edge_nodes[edge_ids, 1]]
-    return xa[:, None, :] + tq[None, :, None] * (xb - xa)[:, None, :]
+def _p1_field(nodal, grads):
+    """Gradients and degree-5 quadrature-point values of a P1 field.
+
+    nodal holds the corner values per element, shape (E, 3) for the
+    pressure or (E, 3, 2) for the displacement; returns the constant
+    gradients, (E, 2) or (E, 2, 2) with d/dx_d last, and the values at the
+    quadrature points, (E, Q) or (E, Q, 2).
+    """
+    grad = np.einsum("ei...,eid->e...d", nodal, grads.astype(complex))
+    return grad, np.einsum("qi,ei...->eq...", quad.TRI5_BARY, nodal)
 
 
 def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
@@ -134,12 +136,7 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     gu = np.einsum("eic,eid->ecd", state.u[mesh.elems], grads_all.astype(complex))
 
     en = top.edge_nodes
-    xa = mesh.nodes[en[:, 0]]
-    xb = mesh.nodes[en[:, 1]]
-    tang = xb - xa
     lengths = top.edge_lengths
-    nvec = np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / lengths[:, None]
-    centroids = mesh.centroids()
 
     def flux_p(elems, normals, pts):
         """Stretched pressure flux s*px1*n1 + (1/s)*px2*n2 at edge points."""
@@ -168,9 +165,11 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
             + ((2 * mu + lam) * g22 / s + lam * g11) * n2
         return np.stack([f1, f2], axis=-1)
 
-    def l2norm(vals2, eids):
-        """sqrt(int_e |.|^2) from squared magnitudes at the edge points."""
-        return np.sqrt(lengths[eids] * np.einsum("q,eq->e", wq, vals2))
+    def l2norm(jump, eids):
+        """sqrt(int_e |jump|^2) from the jump at the edge points, shape
+        (E, Q) or (E, Q, 2)."""
+        mag = (np.abs(np.atleast_3d(jump)) ** 2).sum(-1)
+        return np.sqrt(lengths[eids] * np.einsum("q,eq->e", wq, mag))
 
     # interior edges (including the band-boundary lines inside each side)
     inner = np.isin(top.edge_tags, (INTERIOR, GAMMA_PLUS, GAMMA_MINUS))
@@ -179,37 +178,20 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
         e0, e1 = top.edge_elems[ids, 0], top.edge_elems[ids, 1]
         if (e1 < 0).any():
             raise GeometryError("interior edge with a single element")
-        pts = _edge_points(mesh, ids, tq)
+        pts = edge_points(mesh, ids, tq)
         isf = fluid_elem[e0]
-        fids = ids[isf]
-        if fids.size:
-            j = (flux_p(top.edge_elems[fids, 0], _orient(
-                    centroids[top.edge_elems[fids, 0]], mesh, fids, nvec), pts[isf])
-                 + flux_p(top.edge_elems[fids, 1], _orient(
-                    centroids[top.edge_elems[fids, 1]], mesh, fids, nvec), pts[isf]))
-            norm_f[fids] = l2norm(np.abs(j) ** 2, fids)
-        sids = ids[~isf]
-        if sids.size:
-            n0 = _orient(centroids[top.edge_elems[sids, 0]], mesh, sids, nvec)
-            n1 = _orient(centroids[top.edge_elems[sids, 1]], mesh, sids, nvec)
-            j = (flux_u(top.edge_elems[sids, 0], n0, pts[~isf])
-                 + flux_u(top.edge_elems[sids, 1], n1, pts[~isf]))
-            norm_s[sids] = l2norm((np.abs(j) ** 2).sum(-1), sids)
+        for sel, flux, norm in ((isf, flux_p, norm_f), (~isf, flux_u, norm_s)):
+            sub, t0, t1 = ids[sel], e0[sel], e1[sel]
+            j = (flux(t0, outward_normals(mesh, sub, t0), pts[sel])
+                 + flux(t1, outward_normals(mesh, sub, t1), pts[sel]))
+            norm[sub] = l2norm(j, sub)
 
     # interface edges: transmission mismatch against the incident wave
-    ids = np.nonzero(top.edge_tags == INTERFACE)[0]
+    ids, ef, es, n = interface_edges(mesh)
     if ids.size:
-        e0, e1 = top.edge_elems[ids, 0], top.edge_elems[ids, 1]
-        isf0 = fluid_elem[e0]
-        ef = np.where(isf0, e0, e1)
-        es = np.where(isf0, e1, e0)
-        mid = 0.5 * (xa[ids] + xb[ids])
-        n = nvec[ids].copy()
-        flip = ((centroids[ef] - mid) * n).sum(-1) < 0
-        n[flip] *= -1
-        pts = _edge_points(mesh, ids, tq)
+        pts = edge_points(mesh, ids, tq)
         if incident:
-            pin, gin = _incident_vals(cfg, pts)
+            pin, gin = spectral.incident_wave(cfg, pts)
         else:
             pin = np.zeros(pts.shape[:-1], dtype=complex)
             gin = np.zeros(pts.shape, dtype=complex)
@@ -218,12 +200,12 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
         u_q = np.einsum("qi,eic->eqc", np.stack([1 - tq, tq], 1), state.u[en[ids]])
         un = (u_q * n[:, None, :]).sum(-1)
         jf = 2.0 * (dn_in + dn_ph - cfg.rho_f * cfg.omega ** 2 * un)
-        norm_f[ids] = l2norm(np.abs(jf) ** 2, ids)
+        norm_f[ids] = l2norm(jf, ids)
 
         p_q = np.einsum("qi,ei->eq", np.stack([1 - tq, tq], 1), state.p[en[ids]])
         tr = flux_u(es, n, pts)
         js = -2.0 * ((pin + p_q)[..., None] * n[:, None, :] + tr)
-        norm_s[ids] = l2norm((np.abs(js) ** 2).sum(-1), ids)
+        norm_s[ids] = l2norm(js, ids)
 
     # periodic pairs: left edge against phase-shifted mirror partner
     ids = np.nonzero(top.edge_tags == LEFT)[0]
@@ -234,47 +216,15 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
         t1 = top.edge_elems[ids, 0]
         t2 = top.edge_elems[mates, 0]
         phase = np.exp(-1j * derive(cfg).alpha * cfg.period)
-        n1 = np.array([-1.0, 0.0])
-        n2 = np.array([1.0, 0.0])
-        pts = _edge_points(mesh, ids, tq)
-        s = stretch(pts[..., 1], cfg, pml)
+        pts = edge_points(mesh, ids, tq)
         isf = fluid_elem[t1]
-        f = ids[isf]
-        if f.size:
-            sf = s[isf]
-            j = (-(sf * grad_p[t1[isf], None, 0] * n1[0]
-                   + phase * sf * grad_p[t2[isf], None, 0] * n2[0]))
-            val = l2norm(np.abs(j) ** 2, f)
-            norm_f[f] = val
-            norm_f[mates[isf]] = val
-        sl = ids[~isf]
-        if sl.size:
-            nn1 = np.broadcast_to(n1, (sl.size, 2))
-            nn2 = np.broadcast_to(n2, (sl.size, 2))
-            j = -(flux_u(t1[~isf], nn1, pts[~isf])
-                  + phase * flux_u(t2[~isf], nn2, pts[~isf]))
-            val = l2norm((np.abs(j) ** 2).sum(-1), sl)
-            norm_s[sl] = val
-            norm_s[mates[~isf]] = val
+        for sel, flux, norm in ((isf, flux_p, norm_f), (~isf, flux_u, norm_s)):
+            # outward normals: (-1, 0) on the left edge, (1, 0) on its mate
+            n = np.broadcast_to([-1.0, 0.0], (int(sel.sum()), 2))
+            j = -(flux(t1[sel], n, pts[sel]) + phase * flux(t2[sel], -n, pts[sel]))
+            norm[ids[sel]] = norm[mates[sel]] = l2norm(j, ids[sel])
 
     return EdgeJumps(norm_fluid=norm_f, norm_solid=norm_s)
-
-
-def _orient(cent, mesh, eids, nvec):
-    """Outward normal of the element with centroid cent on each edge."""
-    top = mesh.topology
-    mid = mesh.nodes[top.edge_nodes[eids]].mean(axis=1)
-    n = nvec[eids].copy()
-    flip = ((cent - mid) * n).sum(-1) > 0
-    n[flip] *= -1
-    return n
-
-
-def _incident_vals(cfg, pts):
-    d = derive(cfg)
-    ph = np.exp(1j * (d.alpha * pts[..., 0] - d.beta * pts[..., 1]))
-    grad = np.stack([1j * d.alpha * ph, -1j * d.beta * ph], axis=-1)
-    return ph, grad
 
 
 def indicators(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
@@ -299,7 +249,7 @@ def indicators(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     eps_f = float(np.sqrt((eta ** 2).sum()))
 
     trace_p = _trace_norm(mesh, state.p, GAMMA_PLUS)
-    trace_u = _trace_norm_vec(mesh, state.u, GAMMA_MINUS)
+    trace_u = _trace_norm(mesh, state.u, GAMMA_MINUS)
     eps_p = float(spectral.bound_F1(cfg, pml) * trace_p
                   + spectral.bound_F2(cfg, pml) * trace_u)
     return IndicatorField(eta=eta, fluid_side=fluid_elem, eps_f=eps_f,
@@ -307,25 +257,16 @@ def indicators(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
 
 
 def _trace_norm(mesh, values, tag):
+    """L2 norm over the edges tagged tag of a P1 field given by its nodal
+    values, shape (N,) for a scalar or (N, C) for a C-component field."""
     top = mesh.topology
     ids = np.nonzero(top.edge_tags == tag)[0]
     if not ids.size:
         return 0.0
     en = top.edge_nodes[ids]
     tq, wq = quad.EDGE3_X, quad.EDGE3_W
-    vq = np.einsum("qi,ei->eq", np.stack([1 - tq, tq], 1), values[en])
-    return float(np.sqrt((top.edge_lengths[ids]
-                          * np.einsum("q,eq->e", wq, np.abs(vq) ** 2)).sum()))
-
-
-def _trace_norm_vec(mesh, values, tag):
-    top = mesh.topology
-    ids = np.nonzero(top.edge_tags == tag)[0]
-    if not ids.size:
-        return 0.0
-    en = top.edge_nodes[ids]
-    tq, wq = quad.EDGE3_X, quad.EDGE3_W
-    vq = np.einsum("qi,eic->eqc", np.stack([1 - tq, tq], 1), values[en])
+    nodal = values.reshape(values.shape[0], -1)[en]                 # (E, 2, C)
+    vq = np.einsum("qi,eic->eqc", np.stack([1 - tq, tq], 1), nodal)
     mag = (np.abs(vq) ** 2).sum(-1)
     return float(np.sqrt((top.edge_lengths[ids]
                           * np.einsum("q,eq->e", wq, mag)).sum()))
@@ -342,14 +283,12 @@ def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
     """
     corners = mesh.corner_coords()
     grads, area = _p1_gradients(corners)
-    pts = np.einsum("qk,ekd->eqd", quad.TRI5_BARY, corners)
+    pts = quad.triangle_points(corners)
     total = 0.0
 
     fl = mesh.regions == FLUID
     if fl.any():
-        gp = np.einsum("ei,eid->ed", state.p[mesh.elems[fl]],
-                       grads[fl].astype(complex))
-        pq = np.einsum("qi,ei->eq", quad.TRI5_BARY, state.p[mesh.elems[fl]])
+        gp, pq = _p1_field(state.p[mesh.elems[fl]], grads[fl])
         eg = gp[:, None, :] - exact.pressure_gradient(pts[fl])
         ev = pq - exact.pressure(pts[fl])
         dens = (np.abs(eg) ** 2).sum(-1) + np.abs(ev) ** 2
@@ -357,9 +296,7 @@ def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
 
     so = mesh.regions == SOLID
     if so.any():
-        gu = np.einsum("eic,eid->ecd", state.u[mesh.elems[so]],
-                       grads[so].astype(complex))
-        uq = np.einsum("qi,eic->eqc", quad.TRI5_BARY, state.u[mesh.elems[so]])
+        gu, uq = _p1_field(state.u[mesh.elems[so]], grads[so])
         ge = gu[:, None, :, :] - exact.displacement_gradient(pts[so])
         ue = uq - exact.displacement(pts[so])
         mu, lam = cfg.mu, cfg.lam

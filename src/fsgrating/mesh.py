@@ -24,6 +24,7 @@ from .errors import GeometryError
 
 __all__ = [
     "Mesh", "MeshTopology", "generate_initial_mesh", "bisect", "audit",
+    "edge_points", "outward_normals", "interface_edges",
     "FLUID", "FLUID_PML", "SOLID", "SOLID_PML",
     "INTERIOR", "INTERFACE", "LEFT", "RIGHT", "GAMMA_PLUS", "GAMMA_MINUS",
     "DIRICHLET_TOP", "DIRICHLET_BOTTOM",
@@ -214,6 +215,48 @@ def _build_topology(mesh: Mesh) -> MeshTopology:
                         edge_elems=edge_elems, edge_tags=tags,
                         edge_partner=edge_partner, node_partner=node_partner,
                         edge_lengths=lengths)
+
+
+# ----------------------------------------------------------------------
+# edge geometry
+
+def edge_points(mesh: Mesh, edge_ids, t):
+    """Points at parameters t in [0, 1] along each edge, shape (E, len(t), 2),
+    running from the lower to the higher node id."""
+    xa = mesh.nodes[mesh.topology.edge_nodes[edge_ids, 0]]
+    xb = mesh.nodes[mesh.topology.edge_nodes[edge_ids, 1]]
+    return xa[:, None, :] + t[None, :, None] * (xb - xa)[:, None, :]
+
+
+def outward_normals(mesh: Mesh, edge_ids, elem_ids):
+    """Unit normal of each edge edge_ids[k] pointing out of element
+    elem_ids[k], shape (E, 2)."""
+    top = mesh.topology
+    xa = mesh.nodes[top.edge_nodes[edge_ids, 0]]
+    xb = mesh.nodes[top.edge_nodes[edge_ids, 1]]
+    tang = xb - xa
+    n = np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / top.edge_lengths[edge_ids, None]
+    cent = mesh.nodes[mesh.elems[elem_ids]].mean(axis=1)
+    n[((cent - 0.5 * (xa + xb)) * n).sum(-1) > 0] *= -1
+    return n
+
+
+def interface_edges(mesh: Mesh):
+    """Interface edge ids, their fluid and solid neighbours and the unit
+    normals pointing into the fluid."""
+    top = mesh.topology
+    ids = np.nonzero(top.edge_tags == INTERFACE)[0]
+    el = top.edge_elems[ids]
+    fluid0 = _is_fluid(mesh.regions[el[:, 0]])
+    efluid = np.where(fluid0, el[:, 0], el[:, 1])
+    esolid = np.where(fluid0, el[:, 1], el[:, 0])
+    normal = -outward_normals(mesh, ids, efluid)
+    mid = mesh.nodes[top.edge_nodes[ids]].mean(axis=1)
+    cf = mesh.nodes[mesh.elems[efluid]].mean(axis=1)
+    if (((cf - mid) * normal).sum(-1) <= 0).any():
+        raise GeometryError("fluid element not on the normal side of an "
+                            "interface edge")
+    return ids, efluid, esolid, normal
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,12 @@ def solve(system: LinearSystem, mesh: Mesh) -> tuple:
     except RuntimeError as exc:
         raise SingularSystemError(f"factorization failed: {exc}") from exc
     amax = max(np.abs(a.data).max(), np.finfo(float).tiny)
-    udiag = np.abs(lu.U.diagonal())
+    # every access to lu.U copies the factor, so take it once and drop it
+    # before the triangular solve
+    u_factor = lu.U
+    udiag = np.abs(u_factor.diagonal())
+    growth = float(np.abs(u_factor.data).max() / amax)
+    del u_factor
     if udiag.min() <= PIVOT_RTOL * amax:
         raise SingularSystemError(
             f"tiny pivot {udiag.min():.3e} against max entry {amax:.3e}")
@@ -66,7 +71,6 @@ def solve(system: LinearSystem, mesh: Mesh) -> tuple:
 
     bnorm = np.linalg.norm(system.rhs)
     residual = float(np.linalg.norm(a @ x - system.rhs) / max(bnorm, 1e-300))
-    growth = float(np.abs(lu.U.data).max() / amax)
 
     raw = system.dofmap.C @ x
     # rewrite the slave entries with one vectorized multiply so the

@@ -46,6 +46,7 @@ __all__ = [
     "bound_F2",
     "flat_interface_solution",
     "FlatSolution",
+    "incident_wave",
     "spectral_selfcheck",
     "mode_table",
 ]
@@ -445,18 +446,13 @@ def flat_interface_solution(cfg: ProblemConfig) -> FlatSolution:
                         alpha=a, beta0=b0, beta1=b1, beta2=b2)
 
 
-def incident_pressure(cfg: ProblemConfig, x):
-    """Incoming plane wave exp(i(alpha*x1 - beta*x2)) at points x."""
+def incident_wave(cfg: ProblemConfig, x):
+    """Incoming plane wave p_in = exp(i(alpha*x1 - beta*x2)) at points x of
+    shape (..., 2) and its gradient i*(alpha, -beta)*p_in, shape (..., 2)."""
     d = derive(cfg)
     x = np.asarray(x, dtype=float)
-    return np.exp(1j * (d.alpha * x[..., 0] - d.beta * x[..., 1]))
-
-
-def incident_pressure_gradient(cfg: ProblemConfig, x):
-    """Gradient i*(alpha, -beta)*p_in of the incoming wave, shape (..., 2)."""
-    d = derive(cfg)
-    p = incident_pressure(cfg, x)
-    return np.stack([1j * d.alpha * p, -1j * d.beta * p], axis=-1)
+    p = np.exp(1j * (d.alpha * x[..., 0] - d.beta * x[..., 1]))
+    return p, np.stack([1j * d.alpha * p, -1j * d.beta * p], axis=-1)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fsgrating import assembly as asm
 from fsgrating import mesh as msh
 from fsgrating import quadrature as quad
 from fsgrating import solver, spectral
+from fsgrating.errors import GeometryError
 
 
 def _signed_area(tri):
@@ -146,7 +147,7 @@ def test_quadrature_insensitivity_in_layers(ex1_cfg):
 def test_interface_coupling_blocks(ex1_cfg):
     edge = np.array([[0.2, 0.0], [0.5, 0.0]])
     n = np.array([0.0, 1.0])
-    b1, b2 = asm.interface_coupling(edge, n, ex1_cfg)
+    b1, b2 = (b[0] for b in asm.interface_coupling(edge[None], n[None], ex1_cfg))
     h = 0.3
     me = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
     # pressure couples only to the vertical displacement component
@@ -156,7 +157,8 @@ def test_interface_coupling_blocks(ex1_cfg):
     assert np.allclose(b2[:, 1::2],
                        ex1_cfg.rho_f * ex1_cfg.omega ** 2 * me, rtol=1e-14)
     # endpoint swap permutes rows/columns consistently
-    b1r, b2r = asm.interface_coupling(edge[::-1], n, ex1_cfg)
+    b1r, b2r = (b[0] for b in
+                asm.interface_coupling(edge[None, ::-1], n[None], ex1_cfg))
     perm2 = [1, 0]
     perm4 = [2, 3, 0, 1]
     assert np.allclose(b1r, b1[perm4][:, perm2], rtol=1e-14)
@@ -167,10 +169,10 @@ def test_interface_coupling_density_scaling(ex1_cfg):
     edge = np.array([[0.2, 0.0], [0.5, 0.0]])
     n = np.array([0.0, 1.0])
     heavy = ProblemConfig(**{**ex1_cfg.__dict__, "rho_f": 2.0})
-    _, b2a = asm.interface_coupling(edge, n, ex1_cfg)
-    b1a, b2b = asm.interface_coupling(edge, n, heavy)
+    _, b2a = asm.interface_coupling(edge[None], n[None], ex1_cfg)
+    b1a, b2b = asm.interface_coupling(edge[None], n[None], heavy)
     assert np.allclose(b2b, 2 * b2a, rtol=1e-14)
-    b1b, _ = asm.interface_coupling(edge, n, heavy)
+    b1b, _ = asm.interface_coupling(edge[None], n[None], heavy)
     assert np.allclose(b1a, b1b, rtol=1e-14)   # pressure block has no rho_f
 
 
@@ -181,7 +183,7 @@ def test_load_vector_limits(ex1_cfg, pml_mild):
     # near-zero wavenumber: fluid rows vanish, solid rows reduce to the
     # constant-pressure geometric load
     cfg0 = ProblemConfig(**{**ex1_cfg.__dict__, "kappa": 1e-9})
-    b0 = asm.load_vector(m, cfg0)
+    b0 = asm.load_vector(m, cfg0, asm.build_dofmap(m, cfg0))
     fluid_rows = dofmap.fluid_dof[dofmap.fluid_dof >= 0]
     assert np.max(np.abs(b0[fluid_rows])) <= 1e-8
     top = m.topology
@@ -191,7 +193,7 @@ def test_load_vector_limits(ex1_cfg, pml_mild):
     assert total_u2 == pytest.approx(-ex1_cfg.period, rel=1e-6)
 
     # unit-modulus incident wave: per-row magnitude bounded by edge length
-    b = asm.load_vector(m, ex1_cfg)
+    b = asm.load_vector(m, ex1_cfg, dofmap)
     hmax = top.edge_lengths[iface].max()
     rows = dofmap.fluid_dof[np.unique(top.edge_nodes[iface])]
     assert np.max(np.abs(b[rows])) <= 2 * hmax * ex1_cfg.kappa
@@ -199,14 +201,15 @@ def test_load_vector_limits(ex1_cfg, pml_mild):
 
 def test_load_quadrature_refinement(ex1_cfg, pml_mild):
     m = msh.generate_initial_mesh(ex1_cfg, pml_mild, 0.25)
-    b4 = asm.load_vector(m, ex1_cfg)
+    dofmap = asm.build_dofmap(m, ex1_cfg)
+    b4 = asm.load_vector(m, ex1_cfg, dofmap)
     saved = (quad.EDGE4_X.copy(), quad.EDGE4_W.copy())
     try:
         x8, w8 = quad.edge_rule(8)
         quad.EDGE4_X[:], quad.EDGE4_W[:] = 0, 0  # guard against silent reuse
         quad.EDGE4_X, quad.EDGE4_W = x8, w8
         asm.quad.EDGE4_X, asm.quad.EDGE4_W = x8, w8
-        b8 = asm.load_vector(m, ex1_cfg)
+        b8 = asm.load_vector(m, ex1_cfg, dofmap)
     finally:
         quad.EDGE4_X, quad.EDGE4_W = saved
         asm.quad.EDGE4_X, asm.quad.EDGE4_W = saved
@@ -239,6 +242,30 @@ def test_interface_nodes_carry_three_dofs(corner_cfg, pml_mild):
     on_top = np.abs(m.nodes[:, 1] - (m.h1 + m.delta1)) < 1e-12
     top_dofs = dofmap.fluid_dof[on_top & (dofmap.fluid_dof >= 0)]
     assert (dofmap.kind[top_dofs] == asm.DIRICHLET).all()
+
+
+@pytest.mark.parametrize("partner, message", [
+    ("none", "has no partner"),
+    # a solid-band node carries no pressure dof to mirror
+    ("solid", "lacks the mirrored dof"),
+    # the top-left pressure dof is Dirichlet, so it cannot be a master
+    ("top", "periodic master dof is not free"),
+])
+def test_dofmap_rejects_corrupted_periodic_pairing(ex1_cfg, pml_mild,
+                                                   partner, message):
+    m = msh.generate_initial_mesh(ex1_cfg, pml_mild, 0.25)
+    x1, x2 = m.nodes[:, 0], m.nodes[:, 1]
+    on_left = np.abs(x1) < 1e-12
+    slave = np.nonzero((np.abs(x1 - m.period) < 1e-12)
+                       & (x2 > 0.1) & (x2 < m.h1 + m.delta1 - 0.1))[0][0]
+    m.topology.node_partner[slave] = {
+        "none": -1,
+        "solid": np.nonzero(on_left & (x2 < -0.1))[0][0],
+        "top": np.nonzero(on_left
+                          & (np.abs(x2 - m.h1 - m.delta1) < 1e-12))[0][0],
+    }[partner]
+    with pytest.raises(GeometryError, match=message):
+        asm.build_dofmap(m, ex1_cfg)
 
 
 def test_assemble_normal_incidence_multiplier_one(ex1_cfg, pml_mild):

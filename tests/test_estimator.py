@@ -297,6 +297,8 @@ def test_trace_norms_against_direct_quadrature(flat_setup):
     rng = np.random.default_rng(8)
     state = solver.SystemState.zeros(m)
     state.p[:] = rng.normal(size=m.n_nodes) + 1j * rng.normal(size=m.n_nodes)
+    state.u[:] = (rng.normal(size=(m.n_nodes, 2))
+                  + 1j * rng.normal(size=(m.n_nodes, 2)))
     field = est.indicators(m, state, cfg, pml)
     top = m.topology
     total = 0.0
@@ -308,6 +310,16 @@ def test_trace_norms_against_direct_quadrature(flat_setup):
         vals = (1 - tq) * pa + tq * pb
         total += h * (wq * np.abs(vals) ** 2).sum()
     assert field.trace_p == pytest.approx(np.sqrt(total), rel=1e-12)
+    total = 0.0
+    for e in np.nonzero(top.edge_tags == msh.GAMMA_MINUS)[0]:
+        a, b = top.edge_nodes[e]
+        ua, ub = state.u[a], state.u[b]
+        h = top.edge_lengths[e]
+        tq, wq = quad.EDGE3_X, quad.EDGE3_W
+        vals = (1 - tq)[:, None] * ua + tq[:, None] * ub
+        total += h * (wq * (np.abs(vals) ** 2).sum(-1)).sum()
+    assert total > 0
+    assert field.trace_u == pytest.approx(np.sqrt(total), rel=1e-12)
 
 
 def test_apriori_error_interpolant_halves(ex1_cfg, pml_mild):

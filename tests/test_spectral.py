@@ -259,8 +259,7 @@ def test_bounds_monotone_and_vanishing(ex1_cfg):
 def test_flat_solution_satisfies_interface_conditions(ex1_cfg):
     sol = spectral.flat_interface_solution(ex1_cfg)
     x = np.stack([np.linspace(0.05, 0.95, 7), np.zeros(7)], axis=-1)
-    p_in = spectral.incident_pressure(ex1_cfg, x)
-    g_in = spectral.incident_pressure_gradient(ex1_cfg, x)
+    p_in, g_in = spectral.incident_wave(ex1_cfg, x)
     g_sc = sol.pressure_gradient(x)
     u = sol.displacement(x)
     gu = sol.displacement_gradient(x)
