@@ -67,7 +67,6 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     if mesh is None:
         mesh = generate_initial_mesh(cfg, pml, h0)
     records = []
-    status = "budget"
     t_start = time.perf_counter()
     for it in range(max_iter):
         problems = audit(mesh)
@@ -82,21 +81,16 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
             iteration=it, dof=system.dofmap.n_free, eps_f=field.eps_f,
             eps_p=field.eps_p, e_h=e_h,
             seconds=time.perf_counter() - t_start))
-        if field.eps_f <= tol:
-            status = "converged"
-            if observer is not None:
-                observer(it, mesh, state, field, None)
-            break
-        if it == max_iter - 1 or system.dofmap.n_free >= dof_cap:
-            if observer is not None:
-                observer(it, mesh, state, field, None)
-            break
-        marked = np.nonzero(field.eta > tau * field.eta.max())[0]
+        last = (field.eps_f <= tol or it == max_iter - 1
+                or system.dofmap.n_free >= dof_cap)
+        marked = None if last else np.nonzero(field.eta > tau * field.eta.max())[0]
         if observer is not None:
             observer(it, mesh, state, field, marked)
+        if last:
+            break
         mesh = bisect(mesh, marked)
-    return AdaptResult(records=records, mesh=mesh, state=state,
-                       indicators=field, status=status)
+    return AdaptResult(records=records, mesh=mesh, state=state, indicators=field,
+                       status="converged" if field.eps_f <= tol else "budget")
 
 
 def records_to_csv(records) -> str:

@@ -12,8 +12,9 @@ side traces such that for all admissible (phi, psi)
 with s = s(x2) the complex layer stretch (identically one in the physical
 bands) and n the interface normal pointing into the fluid.  P1 elements on
 both fields; interface nodes carry one pressure and two displacement
-unknowns.  Quasi-periodic constraints are eliminated by folding each
-right-boundary column into its left master with multiplier exp(i*alpha*L)
+unknowns.  The constraints are folded in while the local blocks are
+scattered: outer-boundary unknowns are dropped, and each right-boundary
+column is added to its left partner's with the multiplier exp(i*alpha*L)
 and each row with the conjugate multiplier, which preserves the
 sesquilinear pairing.  Volume terms use the 7-point degree-5 triangle rule;
 interface integrals use 4-point Gauss lines (the incident wave
@@ -32,15 +33,14 @@ from . import quadrature as quad
 from . import spectral
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
-from .mesh import Mesh, _is_fluid, edge_points, interface_edges
+from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, RIGHT, Mesh, _is_fluid,
+                   edge_points, interface_edges)
 
 __all__ = [
     "stretch", "stretch_derivative", "DofMap", "LinearSystem",
     "build_dofmap", "fluid_element_matrix", "solid_element_matrix",
-    "interface_coupling", "load_vector", "assemble", "dump_matrix_market",
+    "interface_coupling", "load_vector", "assemble",
 ]
-
-FREE, DIRICHLET, PERIODIC_SLAVE = 0, 1, 2
 
 
 def stretch(x2, cfg: ProblemConfig, pml: PmlConfig):
@@ -74,96 +74,68 @@ def stretch_derivative(x2, cfg: ProblemConfig, pml: PmlConfig):
 
 @dataclass
 class DofMap:
-    """Raw nodal unknowns and their constraint classification.
+    """Free unknowns per node, with the constraints folded into the numbering.
 
-    Raw numbering: one pressure dof per fluid-side node followed by an
-    (x1, x2) displacement pair per solid-side node.  kind marks each raw
-    dof FREE, DIRICHLET (outer layer boundaries) or PERIODIC_SLAVE (right
-    boundary, folded onto its left partner with multiplier
-    exp(i*alpha*period)).  C is the (n_raw x n_free) elimination matrix:
-    solving the reduced system and expanding with C reproduces the
-    constrained solution.
+    fluid_dof[n] is the free pressure index of node n and solid_dof[n] its
+    free (u1, u2) pair, -1 where node n carries no such unknown.  Free
+    indices run over the fluid nodes by id, then the solid pairs by id.
+    Nodes on the outer layer boundaries carry -1 (homogeneous Dirichlet).
+    A right-boundary node off those boundaries is a slave: it shares the
+    indices of its left partner, and its values are multiplier =
+    exp(i*alpha*period) times the partner's.
     """
 
-    fluid_dof: np.ndarray   # (N,) raw id or -1
-    solid_dof: np.ndarray   # (N, 2) raw ids or -1
-    n_raw: int
-    kind: np.ndarray        # (n_raw,)
-    master: np.ndarray      # (n_raw,) raw master id for slaves, else -1
+    fluid_dof: np.ndarray   # (N,) free index or -1
+    solid_dof: np.ndarray   # (N, 2) free indices or -1
+    slave: np.ndarray       # (N,) right-boundary nodes folded onto their partner
     multiplier: complex
-    C: sp.csr_matrix
     n_free: int
 
 
 def build_dofmap(mesh: Mesh, cfg: ProblemConfig) -> DofMap:
     top = mesh.topology
-    fmask = mesh.fluid_node_mask()
-    smask = mesh.solid_node_mask()
-    n_fluid = int(fmask.sum())
-
-    fluid_dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    fluid_dof[fmask] = np.arange(n_fluid)
-    solid_dof = np.full((mesh.n_nodes, 2), -1, dtype=np.int64)
-    sids = np.nonzero(smask)[0]
-    solid_dof[sids, 0] = n_fluid + 2 * np.arange(sids.size)
-    solid_dof[sids, 1] = n_fluid + 2 * np.arange(sids.size) + 1
-    n_raw = n_fluid + 2 * sids.size
-
-    scale = max(1.0, mesh.period, mesh.h1 - mesh.h2)
-    tol = 1e-12 * scale
-    on_top = np.abs(mesh.nodes[:, 1] - (mesh.h1 + mesh.delta1)) <= tol
-    on_bottom = np.abs(mesh.nodes[:, 1] - (mesh.h2 - mesh.delta2)) <= tol
-    on_right = np.abs(mesh.nodes[:, 0] - mesh.period) <= tol
-
-    kind = np.full(n_raw, FREE, dtype=np.int8)
-    master = np.full(n_raw, -1, dtype=np.int64)
-
-    fd = fluid_dof[fmask & on_top]
-    kind[fd] = DIRICHLET
-    sd = solid_dof[smask & on_bottom].ravel()
-    kind[sd] = DIRICHLET
-
-    d = derive(cfg)
-    multiplier = cmath.exp(1j * d.alpha * cfg.period)
-    right = np.nonzero(on_right)[0]
+    outer = np.zeros(mesh.n_nodes, dtype=bool)
+    outer[top.edge_nodes[np.isin(top.edge_tags, (DIRICHLET_TOP, DIRICHLET_BOTTOM))]] = True
+    right = np.unique(top.edge_nodes[top.edge_tags == RIGHT])
     partner = top.node_partner[right]
     if (partner < 0).any():
         raise GeometryError(
             f"right-boundary node {right[partner < 0][0]} has no partner")
-    # (node, field) tables of the slave candidates and their mirrored dofs
-    raw = np.column_stack([fluid_dof[right], solid_dof[right]])
-    src = np.column_stack([fluid_dof[partner], solid_dof[partner]])
-    use = (raw >= 0) & (kind[raw] != DIRICHLET)
-    lacking = use & (src < 0)
+    keep = ~outer[right]
+    right, partner = right[keep], partner[keep]
+    slave = np.zeros(mesh.n_nodes, dtype=bool)
+    slave[right] = True
+    # (node, field) tables: does the node carry a pressure, a displacement
+    fields = np.column_stack([mesh.fluid_node_mask(), mesh.solid_node_mask()])
+    lacking = fields[right] & ~fields[partner]
     if lacking.any():
         node = right[np.nonzero(lacking)[0][0]]
         raise GeometryError(f"partner of node {node} lacks the mirrored dof")
-    kind[raw[use]] = PERIODIC_SLAVE
-    master[raw[use]] = src[use]
-
-    free = kind == FREE
-    n_free = int(free.sum())
-    free_index = np.full(n_raw, -1, dtype=np.int64)
-    free_index[free] = np.arange(n_free)
-
-    rows, cols, vals = [], [], []
-    raw_ids = np.arange(n_raw)
-    rows.append(raw_ids[free])
-    cols.append(free_index[free])
-    vals.append(np.ones(n_free, dtype=complex))
-    slaves = kind == PERIODIC_SLAVE
-    mast = master[slaves]
-    if (kind[mast] != FREE).any():
+    if (outer | slave)[partner].any():
         raise GeometryError("periodic master dof is not free")
-    rows.append(raw_ids[slaves])
-    cols.append(free_index[mast])
-    vals.append(np.full(int(slaves.sum()), multiplier, dtype=complex))
-    C = sp.csr_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n_raw, n_free))
-    return DofMap(fluid_dof=fluid_dof, solid_dof=solid_dof, n_raw=n_raw,
-                  kind=kind, master=master, multiplier=multiplier,
-                  C=C, n_free=n_free)
+
+    owned = fields & ~(outer | slave)[:, None]
+    n_fluid, n_solid = (int(n) for n in owned.sum(axis=0))
+    fluid_dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
+    fluid_dof[owned[:, 0]] = np.arange(n_fluid)
+    solid_dof = np.full((mesh.n_nodes, 2), -1, dtype=np.int64)
+    solid_dof[owned[:, 1]] = n_fluid + np.arange(2 * n_solid).reshape(-1, 2)
+    fluid_dof[right] = np.where(fields[right, 0], fluid_dof[partner], -1)
+    solid_dof[right] = np.where(fields[right, 1, None], solid_dof[partner], -1)
+    return DofMap(fluid_dof=fluid_dof, solid_dof=solid_dof, slave=slave,
+                  multiplier=cmath.exp(1j * derive(cfg).alpha * cfg.period),
+                  n_free=n_fluid + 2 * n_solid)
+
+
+def _unknowns(dofmap: DofMap, nodes, solid: bool):
+    """Free indices of the unknowns at the rows of nodes, (u1, u2)
+    interleaved per node for the solid, and 1 where the unknown sits on a
+    slave node, else 0."""
+    on_slave = dofmap.slave[nodes].astype(np.int8)
+    if not solid:
+        return dofmap.fluid_dof[nodes], on_slave
+    return (dofmap.solid_dof[nodes].reshape(len(nodes), -1),
+            np.repeat(on_slave, 2, axis=1))
 
 
 # ----------------------------------------------------------------------
@@ -274,9 +246,10 @@ def interface_coupling(edge_coords, normals, cfg: ProblemConfig):
 
 
 def load_vector(mesh: Mesh, cfg: ProblemConfig, dofmap: DofMap) -> np.ndarray:
-    """Raw incident-wave load: dn(p_in) against pressure tests and
-    -p_in n against displacement tests, 4-point Gauss per interface edge."""
-    b = np.zeros(dofmap.n_raw, dtype=complex)
+    """Reduced incident-wave load: dn(p_in) against pressure tests and
+    -p_in n against displacement tests, 4-point Gauss per interface edge.
+    Interface nodes lie strictly inside the cell, so all carry unknowns."""
+    b = np.zeros(dofmap.n_free, dtype=complex)
     ids, _, _, normal = interface_edges(mesh)
     nodes = mesh.topology.edge_nodes[ids]
     tq, wq = quad.EDGE4_X, quad.EDGE4_W
@@ -287,55 +260,61 @@ def load_vector(mesh: Mesh, cfg: ProblemConfig, dofmap: DofMap) -> np.ndarray:
     fluid_loads = np.einsum("eq,qi,eq->ei", dn, shape, np.broadcast_to(wl, dn.shape))
     solid_loads = -np.einsum("eq,qi,eq,ec->eic", ph, shape,
                              np.broadcast_to(wl, ph.shape), normal)
-    np.add.at(b, dofmap.fluid_dof[nodes], fluid_loads)
-    np.add.at(b, dofmap.solid_dof[nodes], solid_loads)
+    for solid, loads in ((False, fluid_loads), (True, solid_loads.reshape(-1, 4))):
+        dofs, on_slave = _unknowns(dofmap, nodes, solid)
+        np.add.at(b, dofs, np.where(on_slave, np.conj(dofmap.multiplier), 1.0) * loads)
     return b
 
 
 @dataclass
 class LinearSystem:
-    """Reduced system over free dofs plus the raw nodal system behind it."""
+    """Reduced system over the free dofs of its dofmap."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: DofMap
-    matrix_raw: sp.csr_matrix
-    rhs_raw: np.ndarray
 
 
 def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig) -> LinearSystem:
-    """Assemble the reduced complex sparse system of the truncated problem."""
+    """Assemble the reduced complex sparse system of the truncated problem.
+
+    Each local block is scattered straight into the free numbering, with
+    the entries of outer-boundary unknowns dropped and slave rows weighted
+    by conj(multiplier) and slave columns by multiplier.
+    """
     dofmap = build_dofmap(mesh, cfg)
     corners = mesh.corner_coords()
     fluid_sel = _is_fluid(mesh.regions)
-    fdofs = dofmap.fluid_dof[mesh.elems[fluid_sel]]                    # (Ef, 3)
-    sdofs = dofmap.solid_dof[mesh.elems[~fluid_sel]].reshape(-1, 6)    # (Es, 6)
+    fluid = _unknowns(dofmap, mesh.elems[fluid_sel], solid=False)     # (Ef, 3)
+    solid = _unknowns(dofmap, mesh.elems[~fluid_sel], solid=True)     # (Es, 6)
     ids, _, _, normal = interface_edges(mesh)
     nodes = mesh.topology.edge_nodes[ids]
     b1, b2 = interface_coupling(mesh.nodes[nodes], normal, cfg)
-    ifdofs = dofmap.fluid_dof[nodes]                                   # (E, 2)
-    isdofs = dofmap.solid_dof[nodes].reshape(-1, 4)                    # (E, 4)
+    ifluid = _unknowns(dofmap, nodes, solid=False)                    # (E, 2)
+    isolid = _unknowns(dofmap, nodes, solid=True)                     # (E, 4)
 
-    # (row dofs, column dofs, local blocks) of each family of local matrices
-    blocks = [(fdofs, fdofs, _fluid_matrices(corners[fluid_sel], cfg, pml)),
-              (sdofs, sdofs, _solid_matrices(corners[~fluid_sel], cfg, pml)),
-              (isdofs, ifdofs, b1), (ifdofs, isdofs, b2)]
-    rows = [np.broadcast_to(r[:, :, None], k.shape).ravel() for r, _, k in blocks]
-    cols = [np.broadcast_to(c[:, None, :], k.shape).ravel() for _, c, k in blocks]
-    a_raw = sp.coo_matrix(
-        (np.concatenate([k.ravel() for _, _, k in blocks]),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.n_raw, dofmap.n_raw)).tocsr()
-    b_raw = load_vector(mesh, cfg, dofmap)
-
-    ch = dofmap.C.conj().T.tocsr()
-    a_red = (ch @ a_raw @ dofmap.C).tocsr()
-    b_red = ch @ b_raw
-    return LinearSystem(matrix=a_red, rhs=b_red, dofmap=dofmap,
-                        matrix_raw=a_raw, rhs_raw=b_raw)
-
-
-def dump_matrix_market(path, system: LinearSystem):
-    """Write the reduced matrix in Matrix-Market coordinate format."""
-    from scipy.io import mmwrite
-    mmwrite(str(path), system.matrix)
+    # (row unknowns, column unknowns, local blocks) of each family
+    blocks = [(fluid, fluid, _fluid_matrices(corners[fluid_sel], cfg, pml)),
+              (solid, solid, _solid_matrices(corners[~fluid_sel], cfg, pml)),
+              (isolid, ifluid, b1), (ifluid, isolid, b2)]
+    # weights by 1 + (column on a slave) - (row on a slave); a slave row and
+    # column weigh exactly 1, since |multiplier| = 1
+    m, n = dofmap.multiplier, dofmap.n_free
+    weights = np.array([np.conj(m), 1.0, m])
+    rows, cols, vals = [], [], []
+    for (r, r_slave), (c, c_slave), k in blocks:
+        on = r_slave.any(1) | c_slave.any(1)      # blocks touching a slave
+        k[on] *= weights[1 + c_slave[on, None, :] - r_slave[on, :, None]]
+        # a missing unknown (-1) goes to the extra row and column n, which
+        # the slice below drops
+        rows.append(np.broadcast_to(np.where(r < 0, n, r)[:, :, None], k.shape).ravel())
+        cols.append(np.broadcast_to(np.where(c < 0, n, c)[:, None, :], k.shape).ravel())
+        vals.append(k.ravel())
+    a = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n + 1, n + 1)).tocsr()[:n, :n]
+    # structural zeros (the pressure against u1 on flat interface edges)
+    # would change the fill-reducing ordering of the factorisation
+    a.eliminate_zeros()
+    return LinearSystem(matrix=a, rhs=load_vector(mesh, cfg, dofmap),
+                        dofmap=dofmap)

@@ -97,15 +97,6 @@ class ProblemConfig:
         if not (self.h2 < min(ys) and max(ys) < self.h1):
             raise ConfigError("profile must stay strictly between h2 and h1")
 
-    @property
-    def profile_array(self):
-        return np.asarray(self.profile, dtype=float)
-
-    def profile_height(self, x1):
-        """Interpolate the interface height f(x1) along the polyline."""
-        pts = self.profile_array
-        return np.interp(x1, pts[:, 0], pts[:, 1])
-
 
 @dataclass(frozen=True)
 class PmlConfig:

@@ -24,7 +24,7 @@ from .errors import GeometryError
 
 __all__ = [
     "Mesh", "MeshTopology", "generate_initial_mesh", "bisect", "audit",
-    "edge_points", "outward_normals", "interface_edges",
+    "edge_points", "outward_normals", "interface_edges", "profile_height",
     "FLUID", "FLUID_PML", "SOLID", "SOLID_PML",
     "INTERIOR", "INTERFACE", "LEFT", "RIGHT", "GAMMA_PLUS", "GAMMA_MINUS",
     "DIRICHLET_TOP", "DIRICHLET_BOTTOM",
@@ -42,6 +42,13 @@ _TOL = 1e-12
 
 def _is_fluid(regions):
     return regions <= FLUID_PML
+
+
+def profile_height(profile, x1):
+    """Interface height f(x1), interpolated along the polyline profile of
+    (x1, x2) pairs."""
+    pts = np.asarray(profile, dtype=float)
+    return np.interp(x1, pts[:, 0], pts[:, 1])
 
 
 @dataclass
@@ -113,10 +120,6 @@ class Mesh:
             cosv = (u * v).sum(-1) / np.sqrt((u ** 2).sum(-1) * (v ** 2).sum(-1))
             angles.append(np.arccos(np.clip(cosv, -1.0, 1.0)))
         return float(np.min(angles))
-
-    def profile_height(self, x1):
-        pts = np.asarray(self.profile)
-        return np.interp(x1, pts[:, 0], pts[:, 1])
 
     def fluid_node_mask(self):
         """Nodes incident to a fluid-side element (pressure unknowns live here)."""
@@ -274,7 +277,7 @@ def generate_initial_mesh(cfg: ProblemConfig, pml: PmlConfig, h0: float) -> Mesh
     """
     if not h0 > 0:
         raise GeometryError("h0 must be positive")
-    pts = cfg.profile_array
+    pts = np.asarray(cfg.profile)
     ys = pts[:, 1]
     if not (cfg.h2 < ys.min() and ys.max() < cfg.h1):
         raise GeometryError("profile exits the strip between h2 and h1")
@@ -284,7 +287,7 @@ def generate_initial_mesh(cfg: ProblemConfig, pml: PmlConfig, h0: float) -> Mesh
         nseg = max(1, int(math.ceil((xb - xa) / h0)))
         xs.append(np.linspace(xa, xb, nseg + 1)[1:])
     columns = np.concatenate(xs)
-    f_col = cfg.profile_height(columns)
+    f_col = profile_height(cfg.profile, columns)
 
     n_bot = max(1, int(math.ceil(pml.delta2 / h0)))
     n_top = max(1, int(math.ceil(pml.delta1 / h0)))
@@ -432,13 +435,6 @@ def bisect(mesh: Mesh, marked) -> Mesh:
                 delta1=mesh.delta1, delta2=mesh.delta2, profile=mesh.profile)
 
 
-def uniform_refine(mesh: Mesh, rounds: int = 1) -> Mesh:
-    """Mark-everything refinement, the uniform comparison harness."""
-    for _ in range(rounds):
-        mesh = bisect(mesh, np.arange(mesh.n_elems))
-    return mesh
-
-
 # ----------------------------------------------------------------------
 # audit
 
@@ -469,7 +465,7 @@ def audit(mesh: Mesh) -> list:
     scale = max(1.0, mesh.period, mesh.h1 - mesh.h2)
     tol = 1e-9 * scale
     corners = mesh.corner_coords()
-    fy = mesh.profile_height(corners[..., 0])
+    fy = profile_height(mesh.profile, corners[..., 0])
     y = corners[..., 1]
     lo = {FLUID: None, FLUID_PML: mesh.h1, SOLID: mesh.h2,
           SOLID_PML: mesh.h2 - mesh.delta2}
@@ -491,7 +487,7 @@ def audit(mesh: Mesh) -> list:
     else:
         en = top.edge_nodes[iface]
         xe = mesh.nodes[en]
-        off = np.abs(xe[..., 1] - mesh.profile_height(xe[..., 0]))
+        off = np.abs(xe[..., 1] - profile_height(mesh.profile, xe[..., 0]))
         if (off > tol).any():
             problems.append("interface edge off the profile polyline")
         spans = np.sort(xe[..., 0], axis=1)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .assembly import PERIODIC_SLAVE, LinearSystem
+from .assembly import LinearSystem
 from .errors import SingularSystemError
 from .mesh import Mesh
 
@@ -40,13 +40,14 @@ class SolveReport:
 
 
 def solve(system: LinearSystem, mesh: Mesh) -> tuple:
-    """Sparse LU solve of the reduced system plus constraint expansion.
+    """Sparse LU solve of the reduced system plus quasi-periodic expansion.
 
     Uses COLAMD column ordering with partial pivoting.  Raises
     SingularSystemError on a zero or tiny pivot (a Wood/Jones degeneracy or
-    corrupted constraints).  Slave and Dirichlet dofs are expanded back to
-    nodal values, so the returned state honours the quasi-periodic boundary
-    relation exactly.
+    corrupted constraints).  The free values are gathered onto the nodes
+    (zero on the outer layer boundaries) and the slave nodes are scaled by
+    the dofmap multiplier, so the returned state honours the quasi-periodic
+    boundary relation exactly.
     """
     a = system.matrix.tocsc()
     if a.shape[0] < 1:
@@ -72,15 +73,14 @@ def solve(system: LinearSystem, mesh: Mesh) -> tuple:
     bnorm = np.linalg.norm(system.rhs)
     residual = float(np.linalg.norm(a @ x - system.rhs) / max(bnorm, 1e-300))
 
-    raw = system.dofmap.C @ x
-    # rewrite the slave entries with one vectorized multiply so the
-    # quasi-periodic relation holds bit for bit
-    slaves = system.dofmap.kind == PERIODIC_SLAVE
-    raw[slaves] = system.dofmap.multiplier * raw[system.dofmap.master[slaves]]
-    state = SystemState.zeros(mesh)
-    fmask = system.dofmap.fluid_dof >= 0
-    state.p[fmask] = raw[system.dofmap.fluid_dof[fmask]]
-    smask = system.dofmap.solid_dof[:, 0] >= 0
-    state.u[smask] = raw[system.dofmap.solid_dof[smask]]
+    dof = system.dofmap
+    # index -1 (no unknown) gathers the appended zero
+    x0 = np.append(x, 0j)
+    state = SystemState(p=x0[dof.fluid_dof], u=x0[dof.solid_dof])
+    # scalar times array, as in p[right] == multiplier * p[left]: numpy's
+    # array times scalar can differ in the last bit; a missing field stays +0
+    for values, dofs in ((state.p, dof.fluid_dof), (state.u, dof.solid_dof[:, 0])):
+        sel = dof.slave & (dofs >= 0)
+        values[sel] = dof.multiplier * values[sel]
     return state, SolveReport(residual=residual, pivot_growth=growth,
                               seconds=elapsed)

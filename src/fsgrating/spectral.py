@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PmlConfig, ProblemConfig, derive, mode_window
+from .config import WOOD_RTOL, PmlConfig, ProblemConfig, derive, mode_window
 from .errors import DegenerateModeError, SingularSystemError, WoodAnomalyError
 
 __all__ = [
@@ -102,12 +102,12 @@ def mode(cfg: ProblemConfig, n: int) -> ModeData:
     """Assemble the wavenumber data of order n.
 
     Raises WoodAnomalyError if |alpha_n| collides with any of the three
-    wavenumber circles (relative tolerance 1e-9).
+    wavenumber circles (relative tolerance config.WOOD_RTOL).
     """
     d = derive(cfg)
     alpha_n = 2 * math.pi * n / cfg.period + d.alpha
     for name, kap in (("kappa", cfg.kappa), ("kappa1", d.kappa1), ("kappa2", d.kappa2)):
-        if abs(abs(alpha_n) - kap) <= 1e-9 * max(kap, abs(alpha_n)):
+        if abs(abs(alpha_n) - kap) <= WOOD_RTOL * max(kap, abs(alpha_n)):
             raise WoodAnomalyError(
                 f"order n={n}: |alpha_n| = {abs(alpha_n):.12g} sits on {name}")
     return ModeData(

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from conftest import constrained_reference, expand_reduced
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fsgrating import PmlConfig, ProblemConfig, derive
 from fsgrating import assembly as asm
@@ -188,8 +192,9 @@ def test_load_vector_limits(ex1_cfg, pml_mild):
     assert np.max(np.abs(b0[fluid_rows])) <= 1e-8
     top = m.topology
     iface = np.nonzero(top.edge_tags == msh.INTERFACE)[0]
-    total_u2 = sum(b0[dofmap.solid_dof[n, 1]]
-                   for n in np.unique(top.edge_nodes[iface]))
+    # the right interface node shares its left partner's dofs
+    total_u2 = sum(b0[d] for d in np.unique(
+        dofmap.solid_dof[np.unique(top.edge_nodes[iface]), 1]))
     assert total_u2 == pytest.approx(-ex1_cfg.period, rel=1e-6)
 
     # unit-modulus incident wave: per-row magnitude bounded by edge length
@@ -240,8 +245,47 @@ def test_interface_nodes_carry_three_dofs(corner_cfg, pml_mild):
     assert (dofmap.solid_dof[iface_nodes] >= 0).all()
     # and the outer layer boundaries are eliminated
     on_top = np.abs(m.nodes[:, 1] - (m.h1 + m.delta1)) < 1e-12
-    top_dofs = dofmap.fluid_dof[on_top & (dofmap.fluid_dof >= 0)]
-    assert (dofmap.kind[top_dofs] == asm.DIRICHLET).all()
+    assert on_top.any()
+    assert (dofmap.fluid_dof[on_top] == -1).all()
+
+
+@given(profile=st.sampled_from(["flat", "corner"]), seed=st.integers(0, 2 ** 16),
+       fractions=st.lists(st.floats(0.05, 1.0), max_size=6))
+def test_folded_dofmap_invariants(ex1_cfg, corner_cfg, profile, seed,
+                                  fractions):
+    cfg = {"flat": ex1_cfg, "corner": corner_cfg}[profile]
+    m = msh.generate_initial_mesh(cfg, PmlConfig(1.0, 1.0, 1 + 1j, 1 + 1j, 2.0),
+                                  0.5)
+    rng = np.random.default_rng(seed)
+    for frac in fractions:
+        m = msh.bisect(m, rng.choice(m.n_elems, size=max(1, int(frac * m.n_elems)),
+                                     replace=False))
+    dof = asm.build_dofmap(m, cfg)
+    x1, x2 = m.nodes[:, 0], m.nodes[:, 1]
+    outer = ((np.abs(x2 - (m.h1 + m.delta1)) < 1e-12)
+             | (np.abs(x2 - (m.h2 - m.delta2)) < 1e-12))
+    on_right = np.abs(x1 - m.period) < 1e-12
+    right = np.nonzero(on_right & ~outer)[0]
+    left = m.topology.node_partner[right]
+    # right-boundary nodes off the outer boundaries are slaves sharing
+    # their partner's free indices; outer-boundary nodes carry none
+    assert np.array_equal(np.nonzero(dof.slave)[0], right)
+    assert np.array_equal(dof.fluid_dof[right], dof.fluid_dof[left])
+    assert np.array_equal(dof.solid_dof[right], dof.solid_dof[left])
+    assert (dof.fluid_dof[outer] == -1).all() and (dof.solid_dof[outer] == -1).all()
+    # each free index belongs to exactly one non-slave (node, field) pair
+    owned = np.column_stack([dof.fluid_dof, dof.solid_dof])[~dof.slave]
+    assert np.array_equal(np.sort(owned[owned >= 0]), np.arange(dof.n_free))
+    # expanding a random reduced vector is quasi-periodic bit for bit
+    n = dof.n_free
+    system = asm.LinearSystem(matrix=sp.identity(n, dtype=complex, format="csr"),
+                              rhs=rng.normal(size=n) + 1j * rng.normal(size=n),
+                              dofmap=dof)
+    state, _ = solver.solve(system, m)
+    right = np.nonzero(on_right)[0]
+    left = m.topology.node_partner[right]
+    assert np.array_equal(state.p[right], dof.multiplier * state.p[left])
+    assert np.array_equal(state.u[right], dof.multiplier * state.u[left])
 
 
 @pytest.mark.parametrize("partner, message", [
@@ -273,8 +317,12 @@ def test_assemble_normal_incidence_multiplier_one(ex1_cfg, pml_mild):
     m = msh.generate_initial_mesh(cfg, pml_mild, 0.25)
     system = asm.assemble(m, cfg, pml_mild)
     assert system.dofmap.multiplier == 1.0 + 0.0j
-    # the elimination matrix then has unit entries only
-    assert np.allclose(system.dofmap.C.data, 1.0)
+    # the fold then has unit weights only: the state is exactly periodic
+    state, _ = solver.solve(system, m)
+    right = np.nonzero(system.dofmap.slave)[0]
+    left = m.topology.node_partner[right]
+    assert np.array_equal(state.p[right], state.p[left])
+    assert np.array_equal(state.u[right], state.u[left])
 
 
 def test_assemble_discrete_solution_matches_oracle_second_order(
@@ -290,7 +338,7 @@ def test_assemble_discrete_solution_matches_oracle_second_order(
         state, _ = solver.solve(system, m)
         fm = m.fluid_node_mask()
         sm = m.solid_node_mask()
-        ymid = m.profile_height(m.nodes[:, 0])
+        ymid = msh.profile_height(m.profile, m.nodes[:, 0])
         physf = fm & (m.nodes[:, 1] <= ex1_cfg.h1 + 1e-12) \
             & (m.nodes[:, 1] >= ymid - 1e-12)
         physs = sm & (m.nodes[:, 1] >= ex1_cfg.h2 - 1e-12) \
@@ -302,34 +350,18 @@ def test_assemble_discrete_solution_matches_oracle_second_order(
     assert 2.8 <= errs[1] / errs[2] <= 5.5
 
 
-def test_periodic_elimination_matches_constrained_solve(ex1_cfg, pml_mild):
+def test_periodic_elimination_matches_constrained_solve(ex1_cfg, pml_mild,
+                                                        monkeypatch):
     rng = np.random.default_rng(9)
     m = msh.generate_initial_mesh(ex1_cfg, pml_mild, 0.45)
     for trial in range(5):
         system = asm.assemble(m, ex1_cfg, pml_mild)
         state, _ = solver.solve(system, m)
-        dof = system.dofmap
-        # Lagrange reference on the raw system: constraints B x = 0
-        rows, cols, vals = [], [], []
-        k = 0
-        for raw in range(dof.n_raw):
-            if dof.kind[raw] == asm.DIRICHLET:
-                rows.append(k); cols.append(raw); vals.append(1.0)
-                k += 1
-            elif dof.kind[raw] == asm.PERIODIC_SLAVE:
-                rows.append(k); cols.append(raw); vals.append(1.0)
-                rows.append(k); cols.append(dof.master[raw])
-                vals.append(-dof.multiplier)
-                k += 1
-        B = np.zeros((k, dof.n_raw), dtype=complex)
-        B[rows, cols] = vals
-        A = system.matrix_raw.toarray()
-        big = np.block([[A, B.conj().T], [B, np.zeros((k, k))]])
-        rhs = np.concatenate([system.rhs_raw, np.zeros(k)])
-        ref = np.linalg.solve(big, rhs)[:dof.n_raw]
-        expanded = dof.C @ np.linalg.solve(
-            (dof.C.conj().T @ system.matrix_raw @ dof.C).toarray(),
-            dof.C.conj().T @ system.rhs_raw)
+        # Lagrange reference on the unconstrained system: constraints B x = 0
+        raw_dof, ref, _ = constrained_reference(m, ex1_cfg, pml_mild,
+                                                monkeypatch)
+        expanded = expand_reduced(raw_dof, system.dofmap, np.linalg.solve(
+            system.matrix.toarray(), system.rhs))
         assert np.max(np.abs(expanded - ref)) <= 1e-10 * max(
             1.0, np.max(np.abs(ref)))
         m = msh.bisect(m, rng.choice(m.n_elems, size=max(1, m.n_elems // 4),
@@ -351,13 +383,3 @@ def test_slave_expansion_exact(ex1_cfg, pml_mild):
     assert np.array_equal(state.p[right[fsel]], mult * state.p[left[fsel]])
     ssel = system.dofmap.solid_dof[right, 0] >= 0
     assert np.array_equal(state.u[right[ssel]], mult * state.u[left[ssel]])
-
-
-def test_matrix_market_dump(tmp_path, ex1_cfg, pml_mild):
-    m = msh.generate_initial_mesh(ex1_cfg, pml_mild, 0.5)
-    system = asm.assemble(m, ex1_cfg, pml_mild)
-    path = tmp_path / "system.mtx"
-    asm.dump_matrix_market(path, system)
-    import scipy.io
-    back = scipy.io.mmread(str(path))
-    assert np.abs((back - system.matrix).toarray()).max() <= 1e-15

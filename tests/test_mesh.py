@@ -123,7 +123,8 @@ def test_interface_polyline_preserved(corner_cfg, unit_pml):
     top = m.topology
     iface = top.edge_nodes[top.edge_tags == msh.INTERFACE]
     x = m.nodes[iface]
-    assert np.max(np.abs(x[..., 1] - m.profile_height(x[..., 0]))) <= 1e-12
+    assert np.max(np.abs(x[..., 1]
+                         - msh.profile_height(m.profile, x[..., 0]))) <= 1e-12
     spans = np.sort(x[..., 0], axis=1)
     spans = spans[np.argsort(spans[:, 0])]
     assert spans[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -148,7 +149,7 @@ def test_audit_detects_broken_pairing(ex1_cfg, unit_pml):
 def test_region_codes_partition(corner_cfg, unit_pml):
     m = msh.generate_initial_mesh(corner_cfg, unit_pml, 0.22)
     cents = m.centroids()
-    f = m.profile_height(cents[:, 0])
+    f = msh.profile_height(m.profile, cents[:, 0])
     assert ((m.regions == msh.FLUID) == (
         (cents[:, 1] > f) & (cents[:, 1] < corner_cfg.h1))).all()
     assert ((m.regions == msh.SOLID_PML) == (cents[:, 1] < corner_cfg.h2)).all()
@@ -156,6 +157,7 @@ def test_region_codes_partition(corner_cfg, unit_pml):
 
 def test_uniform_refine_harness(ex1_cfg, unit_pml):
     m = msh.generate_initial_mesh(ex1_cfg, unit_pml, 0.5)
-    m2 = msh.uniform_refine(m, 2)
+    m2 = msh.bisect(m, np.arange(m.n_elems))
+    m2 = msh.bisect(m2, np.arange(m2.n_elems))
     assert m2.n_elems == 4 * m.n_elems
     assert msh.audit(m2) == []
