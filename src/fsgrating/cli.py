@@ -163,7 +163,8 @@ def _cmd_solve(spec: RunSpec) -> int:
                     cell_data={"eta": field_.eta,
                                "region": mesh.regions.astype(int)})
     print(f"dof={system.dofmap.n_free} residual={report.residual:.3e} "
-          f"eps_f={field_.eps_f:.6e} eps_p={field_.eps_p:.3e}")
+          f"eps_f={field_.eps_f:.6e} eps_p={field_.eps_p:.3e} "
+          f"lu_fill={report.lu_fill}")
     print(f"wrote {out}")
     return 0
 

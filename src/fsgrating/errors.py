@@ -26,7 +26,8 @@ class GeometryError(FsGratingError):
 
 
 class SingularSystemError(FsGratingError):
-    """Linear algebra failed: singular matrix or tiny pivot."""
+    """Linear algebra failed: singular matrix, tiny pivot or a residual that
+    one refinement step does not bring below the gate."""
 
 
 class BudgetError(FsGratingError):

@@ -107,10 +107,14 @@ def test_adapt_converged_exits_zero(ex1_ini, tmp_path):
     assert code == 0
 
 
-def test_solve_writes_vtk(ex1_ini, tmp_path):
+def test_solve_writes_vtk(ex1_ini, tmp_path, capsys):
     out = tmp_path / "solveout"
     code = cli.main(["solve", "--config", ex1_ini, "--out", str(out)])
     assert code == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert [kv.split("=")[0] for kv in line.split()] == \
+        ["dof", "residual", "eps_f", "eps_p", "lu_fill"]
+    assert int(line.split("lu_fill=")[1]) > int(line.split()[0][4:])
     text = (out / "solution.vtk").read_text().split("\n")
     assert text[0] == "# vtk DataFile Version 3.0"
     assert text[2] == "ASCII"

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from fsgrating import PmlConfig
 from fsgrating import assembly as asm
@@ -81,3 +84,92 @@ def test_residual_report(small_system):
     assert report.residual <= 1e-9
     assert report.pivot_growth > 0
     assert report.seconds >= 0
+    assert report.lu_fill >= system.matrix.nnz
+    assert not report.refined
+
+
+def test_rounding_noise_left_out_of_factor(small_system):
+    m, system = small_system
+    clean_state, clean = solver.solve(system, m)
+    n = system.dofmap.n_free
+    amax = abs(system.matrix).max()
+    # entries far off the pattern, below NOISE_RTOL * max|a|
+    i = np.arange(n)
+    system.matrix = system.matrix + sp.csr_matrix(
+        (np.full(n, 1e-16 * amax), (i, i[::-1])), shape=(n, n))
+    state, noisy = solver.solve(system, m)
+    assert noisy.lu_fill == clean.lu_fill
+    assert noisy.residual <= 1e-10
+    assert np.max(np.abs(state.p - clean_state.p)) \
+        <= 1e-12 * np.abs(clean_state.p).max()
+
+
+def test_ordering_beats_colamd_on_corner_refined_mesh(corner_cfg, corner_pml):
+    """Bisection at the apex scatters the node numbering; the RCM plus
+    A^T+A minimum-degree factor must stay smaller than COLAMD's there."""
+    m = msh.generate_initial_mesh(corner_cfg, corner_pml, 0.1)
+    for _ in range(8):
+        centroids = m.nodes[m.elems].mean(axis=1)
+        near = np.hypot(centroids[:, 0] - 0.5, centroids[:, 1] - 0.5) < 0.1
+        m = msh.bisect(m, np.flatnonzero(near))
+    system = asm.assemble(m, corner_cfg, corner_pml)
+    _, report = solver.solve(system, m)
+    assert report.residual <= 1e-10
+    colamd = splu(system.matrix.tocsc(), permc_spec="COLAMD")
+    assert report.lu_fill < colamd.nnz
+
+
+def test_solution_independent_of_numbering(small_system):
+    m, system = small_system
+    dof = system.dofmap
+    state, _ = solver.solve(system, m)
+    q = np.random.default_rng(2).permutation(dof.n_free)
+    q_inv = np.argsort(q)
+    renumber = lambda d: np.where(d >= 0, q_inv[d], -1)   # noqa: E731
+    system.matrix = system.matrix.tocsr()[q][:, q]
+    system.rhs = system.rhs[q]
+    system.dofmap = dataclasses.replace(dof, fluid_dof=renumber(dof.fluid_dof),
+                                        solid_dof=renumber(dof.solid_dof))
+    state_q, _ = solver.solve(system, m)
+    for got, want in ((state_q.p, state.p), (state_q.u, state.u)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
+
+
+class _NoisyFactor:
+    """SuperLU factor whose first `noisy` solves come back shifted by one
+    constant, 1e-6 of the largest entry of the first solution."""
+
+    def __init__(self, lu, noisy):
+        self._lu, self.noisy, self.shift = lu, noisy, None
+
+    def solve(self, rhs):
+        x = self._lu.solve(rhs)
+        if self.shift is None:
+            self.shift = 1e-6 * np.abs(x).max()
+        if self.noisy:
+            self.noisy -= 1
+            x = x + self.shift
+        return x
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_residual_gate_refines_once(small_system, monkeypatch):
+    m, system = small_system
+    clean, _ = solver.solve(system, m)
+    monkeypatch.setattr(solver, "splu",
+                        lambda *args, **kw: _NoisyFactor(splu(*args, **kw), 1))
+    state, report = solver.solve(system, m)
+    assert report.refined
+    assert report.residual <= solver.RESIDUAL_RTOL
+    assert np.max(np.abs(state.p - clean.p)) <= 1e-10 * np.abs(clean.p).max()
+    assert np.max(np.abs(state.u - clean.u)) <= 1e-10 * np.abs(clean.u).max()
+
+
+def test_residual_gate_rejects_unrefinable_solve(small_system, monkeypatch):
+    m, system = small_system
+    monkeypatch.setattr(solver, "splu",
+                        lambda *args, **kw: _NoisyFactor(splu(*args, **kw), 2))
+    with pytest.raises(SingularSystemError, match="refinement"):
+        solver.solve(system, m)
