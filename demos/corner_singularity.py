@@ -56,7 +56,7 @@ print(f"  {'dof':>7} {'eps_f':>9}")
 target = None
 for _ in range(6):
     system = assembly.assemble(mesh, cfg, pml)
-    state, _ = solver.solve(system, mesh)
+    state, _ = solver.solve(system)
     field = estimator.indicators(mesh, state, cfg, pml)
     print(f"  {system.dofmap.n_free:>7} {field.eps_f:>9.4f}")
     if target is None:

@@ -73,7 +73,7 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
         if problems:
             raise GeometryError("mesh audit failed: " + "; ".join(problems))
         system = assembly.assemble(mesh, cfg, pml)
-        state, report = solver.solve(system, mesh)
+        state, report = solver.solve(system)
         field = estimator.indicators(mesh, state, cfg, pml)
         e_h = (estimator.apriori_error(mesh, state, exact, cfg)
                if exact is not None else None)

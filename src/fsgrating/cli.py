@@ -156,7 +156,7 @@ def _cmd_solve(spec: RunSpec) -> int:
     _require_admissible(spec.problem)
     mesh = generate_initial_mesh(spec.problem, spec.pml, spec.run["h0"])
     system = assembly.assemble(mesh, spec.problem, spec.pml)
-    state, report = solver.solve(system, mesh)
+    state, report = solver.solve(system)
     field_ = estimator.indicators(mesh, state, spec.problem, spec.pml)
     out = os.path.join(spec.out_dir, "solution.vtk")
     vtkio.write_vtk(out, mesh, point_data=vtkio.state_point_data(state),

@@ -46,7 +46,6 @@ class IndicatorField:
     """Per-element indicators and the global error split."""
 
     eta: np.ndarray          # (M,) nonnegative
-    fluid_side: np.ndarray   # (M,) bool
     eps_f: float
     eps_p: float
     trace_p: float           # ||p_h|| on the upper artificial boundary
@@ -252,8 +251,8 @@ def indicators(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     trace_u = _trace_norm(mesh, state.u, GAMMA_MINUS)
     eps_p = float(spectral.bound_F1(cfg, pml) * trace_p
                   + spectral.bound_F2(cfg, pml) * trace_u)
-    return IndicatorField(eta=eta, fluid_side=fluid_elem, eps_f=eps_f,
-                          eps_p=eps_p, trace_p=trace_p, trace_u=trace_u)
+    return IndicatorField(eta=eta, eps_f=eps_f, eps_p=eps_p, trace_p=trace_p,
+                          trace_u=trace_u)
 
 
 def _trace_norm(mesh, values, tag):

@@ -143,26 +143,22 @@ def _build_topology(mesh: Mesh) -> MeshTopology:
     elems = mesh.elems
     n_elems = elems.shape[0]
     # local edge k is opposite vertex k
-    local = np.stack([elems[:, [1, 2]], elems[:, [2, 0]], elems[:, [0, 1]]], axis=1)
-    pairs = np.sort(local.reshape(-1, 2), axis=1)
+    u, v = elems[:, [1, 2, 0]].ravel(), elems[:, [2, 0, 1]].ravel()
+    pairs = np.column_stack([np.minimum(u, v), np.maximum(u, v)])
     keys = pairs[:, 0].astype(np.int64) * mesh.n_nodes + pairs[:, 1]
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     edge_nodes = pairs[first]
     elem_edges = inverse.reshape(n_elems, 3)
 
-    n_edges = edge_nodes.shape[0]
+    # an edge's first occurrence gives column 0, a second one column 1
+    n_edges = first.size
     edge_elems = np.full((n_edges, 2), -1, dtype=np.int64)
-    owner = np.repeat(np.arange(n_elems), 3)
-    order = np.argsort(inverse, kind="stable")
-    sorted_edges = inverse[order]
-    sorted_owner = owner[order]
-    starts = np.searchsorted(sorted_edges, np.arange(n_edges))
-    counts = np.bincount(sorted_edges, minlength=n_edges)
-    if counts.max() > 2:
+    edge_elems[:, 0] = first // 3
+    again = np.delete(np.arange(keys.size), first)
+    second, owner = inverse[again], again // 3
+    edge_elems[second, 1] = owner
+    if (edge_elems[second, 1] != owner).any():
         raise GeometryError("an edge is shared by more than two elements")
-    edge_elems[:, 0] = sorted_owner[starts]
-    two = counts == 2
-    edge_elems[two, 1] = sorted_owner[starts[two] + 1]
 
     x = mesh.nodes[edge_nodes]          # (E, 2, 2)
     lengths = np.sqrt(((x[:, 1] - x[:, 0]) ** 2).sum(-1))
@@ -170,7 +166,8 @@ def _build_topology(mesh: Mesh) -> MeshTopology:
     scale = max(1.0, mesh.period, mesh.h1 - mesh.h2)
     tol = _TOL * scale
     tags = np.full(n_edges, INTERIOR, dtype=np.int8)
-    on_line = lambda coords, value: np.all(np.abs(coords - value) <= tol, axis=1)
+    on_line = lambda c, value: ((np.abs(c[:, 0] - value) <= tol)
+                                & (np.abs(c[:, 1] - value) <= tol))
     x1 = x[..., 0]
     x2 = x[..., 1]
     tags[on_line(x1, 0.0)] = LEFT
@@ -188,31 +185,24 @@ def _build_topology(mesh: Mesh) -> MeshTopology:
     tags[interior_like & on_line(x2, mesh.h2)] = GAMMA_MINUS
 
     # mirror pairing of boundary nodes and edges by matching heights
-    node_partner = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    left_nodes = np.unique(edge_nodes[tags == LEFT])
-    right_nodes = np.unique(edge_nodes[tags == RIGHT])
-    if left_nodes.size != right_nodes.size:
-        raise GeometryError("left/right boundary node counts differ")
-    lorder = left_nodes[np.argsort(mesh.nodes[left_nodes, 1], kind="stable")]
-    rorder = right_nodes[np.argsort(mesh.nodes[right_nodes, 1], kind="stable")]
-    if left_nodes.size and np.max(np.abs(
-            mesh.nodes[lorder, 1] - mesh.nodes[rorder, 1])) > tol:
-        raise GeometryError("periodic boundary nodes do not mirror")
-    node_partner[lorder] = rorder
-    node_partner[rorder] = lorder
+    def pair(left, right, height, size, what):
+        if left.size != right.size:
+            raise GeometryError(f"left/right boundary {what} counts differ")
+        lsort = left[np.argsort(height[left], kind="stable")]
+        rsort = right[np.argsort(height[right], kind="stable")]
+        partner = np.full(size, -1, dtype=np.int64)
+        partner[lsort] = rsort
+        partner[rsort] = lsort
+        return partner, np.abs(height[lsort] - height[rsort])
 
-    edge_partner = np.full(n_edges, -1, dtype=np.int64)
-    left_edges = np.nonzero(tags == LEFT)[0]
-    right_edges = np.nonzero(tags == RIGHT)[0]
-    if left_edges.size != right_edges.size:
-        raise GeometryError("left/right boundary edge counts differ")
-    if left_edges.size:
-        lmid = mesh.nodes[edge_nodes[left_edges]].mean(axis=1)[:, 1]
-        rmid = mesh.nodes[edge_nodes[right_edges]].mean(axis=1)[:, 1]
-        lsort = left_edges[np.argsort(lmid, kind="stable")]
-        rsort = right_edges[np.argsort(rmid, kind="stable")]
-        edge_partner[lsort] = rsort
-        edge_partner[rsort] = lsort
+    left, right = tags == LEFT, tags == RIGHT
+    node_partner, drift = pair(np.unique(edge_nodes[left]),
+                               np.unique(edge_nodes[right]),
+                               mesh.nodes[:, 1], mesh.n_nodes, "node")
+    if (drift > tol).any():
+        raise GeometryError("periodic boundary nodes do not mirror")
+    edge_partner, _ = pair(np.nonzero(left)[0], np.nonzero(right)[0],
+                           x2.mean(axis=1), n_edges, "edge")
 
     return MeshTopology(edge_nodes=edge_nodes, elem_edges=elem_edges,
                         edge_elems=edge_elems, edge_tags=tags,
@@ -307,38 +297,23 @@ def generate_initial_mesh(cfg: ProblemConfig, pml: PmlConfig, h0: float) -> Mesh
     stacks[-1] = stacks[0].copy()  # exact mirror of the periodic boundary
 
     n_cols = columns.size
-    nodes = np.empty((n_cols * n_rows, 2))
-    for c in range(n_cols):
-        sl = slice(c * n_rows, (c + 1) * n_rows)
-        nodes[sl, 0] = columns[c]
-        nodes[sl, 1] = stacks[c]
+    nodes = np.column_stack([np.repeat(columns, n_rows), np.concatenate(stacks)])
+    band_of_row = np.repeat(np.array([SOLID_PML, SOLID, FLUID, FLUID_PML],
+                                     dtype=np.int8), [n_bot, n_sol, n_flu, n_top])
 
-    band_of_row = np.empty(n_rows - 1, dtype=np.int8)
-    band_of_row[:n_bot] = SOLID_PML
-    band_of_row[n_bot:n_bot + n_sol] = SOLID
-    band_of_row[n_bot + n_sol:n_bot + n_sol + n_flu] = FLUID
-    band_of_row[n_bot + n_sol + n_flu:] = FLUID_PML
+    # quad corners, column by column and bottom to top within a column
+    sw = (np.arange(n_cols - 1)[:, None] * n_rows + np.arange(n_rows - 1)).ravel()
+    se = sw + n_rows
+    ne = se + 1
+    nw = sw + 1
+    d_sw_ne = ((nodes[sw] - nodes[ne]) ** 2).sum(-1)
+    d_se_nw = ((nodes[se] - nodes[nw]) ** 2).sum(-1)
+    elems = np.where((d_sw_ne <= d_se_nw)[:, None],
+                     np.column_stack([se, ne, sw, nw, sw, ne]),
+                     np.column_stack([sw, se, nw, ne, nw, se])).reshape(-1, 3)
+    regions = np.repeat(np.tile(band_of_row, n_cols - 1), 2)
 
-    elems = []
-    regions = []
-    for c in range(n_cols - 1):
-        for r in range(n_rows - 1):
-            sw = c * n_rows + r
-            se = (c + 1) * n_rows + r
-            ne = se + 1
-            nw = sw + 1
-            d_sw_ne = np.sum((nodes[sw] - nodes[ne]) ** 2)
-            d_se_nw = np.sum((nodes[se] - nodes[nw]) ** 2)
-            if d_sw_ne <= d_se_nw:
-                elems.append((se, ne, sw))
-                elems.append((nw, sw, ne))
-            else:
-                elems.append((sw, se, nw))
-                elems.append((ne, nw, se))
-            regions.extend((band_of_row[r], band_of_row[r]))
-
-    mesh = Mesh(nodes=nodes, elems=np.asarray(elems, dtype=np.int64),
-                regions=np.asarray(regions, dtype=np.int8),
+    mesh = Mesh(nodes=nodes, elems=elems, regions=regions,
                 period=cfg.period, h1=cfg.h1, h2=cfg.h2,
                 delta1=pml.delta1, delta2=pml.delta2, profile=cfg.profile)
     if (mesh.areas() <= 0).any():
@@ -394,41 +369,24 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     new_nodes = np.vstack([mesh.nodes, midpoints])
 
     e = mesh.elems
-    c0 = cut[elem_edges[:, 0]]
-    c1 = cut[elem_edges[:, 1]]
-    c2 = cut[elem_edges[:, 2]]
-    m0 = mid_index[elem_edges[:, 0]]
-    m1 = mid_index[elem_edges[:, 1]]
-    m2 = mid_index[elem_edges[:, 2]]
-    p, a, b = e[:, 0], e[:, 1], e[:, 2]
+    c = cut[elem_edges]
+    m0, m1, m2 = mid_index[elem_edges].T
+    p, a, b = e.T
+    keep = ~c[:, 0]
+    chunks = [e[keep]]
+    regions = [mesh.regions[keep]]
+    rows = lambda sel, *cols: np.column_stack([v[sel] for v in cols])
+    # the child (m0, x, y) over corner a and the one over corner b, each
+    # bisected again at its edge (x, y) if that edge is cut
+    for x, y, cxy, mxy in ((p, a, c[:, 2], m2), (b, p, c[:, 1], m1)):
+        plain = ~keep & ~cxy
+        twice = ~keep & cxy
+        chunks += [rows(plain, m0, x, y), rows(twice, mxy, m0, x),
+                   rows(twice, mxy, y, m0)]
+        regions += [mesh.regions[plain]] + [mesh.regions[twice]] * 2
 
-    chunks = []
-    regions = []
-
-    keep = ~c0
-    chunks.append(e[keep])
-    regions.append(mesh.regions[keep])
-
-    # child over corner a: (m0, p, a), bisected again at edge (p, a) if cut
-    plain = c0 & ~c2
-    chunks.append(np.stack([m0[plain], p[plain], a[plain]], axis=1))
-    regions.append(mesh.regions[plain])
-    twice = c0 & c2
-    chunks.append(np.stack([m2[twice], m0[twice], p[twice]], axis=1))
-    chunks.append(np.stack([m2[twice], a[twice], m0[twice]], axis=1))
-    regions.extend([mesh.regions[twice]] * 2)
-
-    # child over corner b: (m0, b, p), bisected again at edge (b, p) if cut
-    plain = c0 & ~c1
-    chunks.append(np.stack([m0[plain], b[plain], p[plain]], axis=1))
-    regions.append(mesh.regions[plain])
-    twice = c0 & c1
-    chunks.append(np.stack([m1[twice], m0[twice], b[twice]], axis=1))
-    chunks.append(np.stack([m1[twice], p[twice], m0[twice]], axis=1))
-    regions.extend([mesh.regions[twice]] * 2)
-
-    new_elems = np.vstack([ch for ch in chunks if len(ch)])
-    new_regions = np.concatenate([r for r in regions if len(r)])
+    new_elems = np.vstack(chunks)
+    new_regions = np.concatenate(regions)
     return Mesh(nodes=new_nodes, elems=new_elems.astype(np.int64),
                 regions=new_regions.astype(np.int8),
                 period=mesh.period, h1=mesh.h1, h2=mesh.h2,
@@ -499,30 +457,11 @@ def audit(mesh: Mesh) -> list:
         if spans.shape[0] > 1 and np.max(np.abs(gaps)) > tol:
             problems.append("interface polyline has gaps or overlaps")
 
-    # periodic pairing
-    lmask = top.edge_tags == LEFT
-    rmask = top.edge_tags == RIGHT
-    if int(lmask.sum()) != int(rmask.sum()):
-        problems.append("left/right edge counts differ")
-    else:
-        lp = top.edge_partner[lmask]
-        if (lp < 0).any():
-            problems.append("unpaired periodic edge")
-        else:
-            if np.max(np.abs(top.edge_lengths[lmask]
-                             - top.edge_lengths[lp])) > tol:
-                problems.append("periodic partner edges differ in length")
-    ln = np.unique(top.edge_nodes[lmask])
-    rn = np.unique(top.edge_nodes[rmask])
-    if ln.size != rn.size:
-        problems.append("left/right node counts differ")
-    else:
-        ly = np.sort(mesh.nodes[ln, 1])
-        ry = np.sort(mesh.nodes[rn, 1])
-        if ln.size and np.max(np.abs(ly - ry)) > _TOL * scale:
-            problems.append("periodic node heights do not mirror to 1e-12")
-        pp = top.node_partner
-        if ln.size and not (pp[pp[ln]] == ln).all():
-            problems.append("node pairing is not an involution")
+    # periodic pairing; the topology has already checked the counts and
+    # the node heights, and writes each pairing both ways
+    left = top.edge_tags == LEFT
+    lengths = top.edge_lengths
+    if (np.abs(lengths[left] - lengths[top.edge_partner[left]]) > tol).any():
+        problems.append("periodic partner edges differ in length")
 
     return problems

@@ -48,7 +48,7 @@ class SolveReport:
     refined: bool         # one step of iterative refinement was taken
 
 
-def solve(system: LinearSystem, mesh: Mesh) -> tuple:
+def solve(system: LinearSystem) -> tuple:
     """Sparse LU solve of the reduced system plus quasi-periodic expansion.
 
     Entries below NOISE_RTOL times the largest one are dropped from the

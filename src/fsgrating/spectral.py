@@ -76,8 +76,8 @@ def _branch(kappa: float, alpha_n: float) -> complex:
 class ModeData:
     """Wavenumber data of one diffraction order.
 
-    theta_* are the magnitudes |kappa^2 - alpha_n^2|^(1/2); the prop_* flags
-    mark propagating orders (|alpha_n| below the respective wavenumber).
+    theta_n is the magnitude |kappa^2 - alpha_n^2|^(1/2); prop_acoustic
+    marks a propagating acoustic order (|alpha_n| below kappa).
     """
 
     n: int
@@ -86,11 +86,7 @@ class ModeData:
     beta_n_1: complex
     beta_n_2: complex
     theta_n: float
-    theta_n_1: float
-    theta_n_2: float
     prop_acoustic: bool
-    prop_comp: bool
-    prop_shear: bool
 
     @property
     def chi(self) -> complex:
@@ -117,11 +113,7 @@ def mode(cfg: ProblemConfig, n: int) -> ModeData:
         beta_n_1=_branch(d.kappa1, alpha_n),
         beta_n_2=_branch(d.kappa2, alpha_n),
         theta_n=math.sqrt(abs(cfg.kappa ** 2 - alpha_n ** 2)),
-        theta_n_1=math.sqrt(abs(d.kappa1 ** 2 - alpha_n ** 2)),
-        theta_n_2=math.sqrt(abs(d.kappa2 ** 2 - alpha_n ** 2)),
         prop_acoustic=abs(alpha_n) < cfg.kappa,
-        prop_comp=abs(alpha_n) < d.kappa1,
-        prop_shear=abs(alpha_n) < d.kappa2,
     )
 
 

@@ -96,7 +96,7 @@ def corner_uniform(corner_cfg, corner_pml):
     records = []
     for _ in range(6):
         system = asm.assemble(mesh, corner_cfg, corner_pml)
-        state, _ = solver.solve(system, mesh)
+        state, _ = solver.solve(system)
         field = est.indicators(mesh, state, corner_cfg, corner_pml)
         records.append((system.dofmap.n_free, field.eps_f))
         if field.eps_f < 0.5 * records[0][1]:

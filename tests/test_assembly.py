@@ -281,7 +281,7 @@ def test_folded_dofmap_invariants(ex1_cfg, corner_cfg, profile, seed,
     system = asm.LinearSystem(matrix=sp.identity(n, dtype=complex, format="csr"),
                               rhs=rng.normal(size=n) + 1j * rng.normal(size=n),
                               dofmap=dof)
-    state, _ = solver.solve(system, m)
+    state, _ = solver.solve(system)
     right = np.nonzero(on_right)[0]
     left = m.topology.node_partner[right]
     assert np.array_equal(state.p[right], dof.multiplier * state.p[left])
@@ -318,7 +318,7 @@ def test_assemble_normal_incidence_multiplier_one(ex1_cfg, pml_mild):
     system = asm.assemble(m, cfg, pml_mild)
     assert system.dofmap.multiplier == 1.0 + 0.0j
     # the fold then has unit weights only: the state is exactly periodic
-    state, _ = solver.solve(system, m)
+    state, _ = solver.solve(system)
     right = np.nonzero(system.dofmap.slave)[0]
     left = m.topology.node_partner[right]
     assert np.array_equal(state.p[right], state.p[left])
@@ -335,7 +335,7 @@ def test_assemble_discrete_solution_matches_oracle_second_order(
     for h0 in (0.2, 0.1, 0.05):
         m = msh.generate_initial_mesh(ex1_cfg, pml_mild, h0)
         system = asm.assemble(m, ex1_cfg, pml_mild)
-        state, _ = solver.solve(system, m)
+        state, _ = solver.solve(system)
         fm = m.fluid_node_mask()
         sm = m.solid_node_mask()
         ymid = msh.profile_height(m.profile, m.nodes[:, 0])
@@ -356,7 +356,7 @@ def test_periodic_elimination_matches_constrained_solve(ex1_cfg, pml_mild,
     m = msh.generate_initial_mesh(ex1_cfg, pml_mild, 0.45)
     for trial in range(5):
         system = asm.assemble(m, ex1_cfg, pml_mild)
-        state, _ = solver.solve(system, m)
+        state, _ = solver.solve(system)
         # Lagrange reference on the unconstrained system: constraints B x = 0
         raw_dof, ref, _ = constrained_reference(m, ex1_cfg, pml_mild,
                                                 monkeypatch)
@@ -371,7 +371,7 @@ def test_periodic_elimination_matches_constrained_solve(ex1_cfg, pml_mild,
 def test_slave_expansion_exact(ex1_cfg, pml_mild):
     m = msh.generate_initial_mesh(ex1_cfg, pml_mild, 0.3)
     system = asm.assemble(m, ex1_cfg, pml_mild)
-    state, _ = solver.solve(system, m)
+    state, _ = solver.solve(system)
     top = m.topology
     right = np.unique(top.edge_nodes[top.edge_tags == msh.RIGHT])
     outer = (np.abs(m.nodes[right, 1] - (m.h1 + m.delta1)) < 1e-12) \

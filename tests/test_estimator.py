@@ -266,7 +266,7 @@ def test_periodic_jump_pairs_equal(flat_setup):
 def test_eps_f_is_root_sum_square(flat_setup):
     cfg, pml, m = flat_setup
     system = asm.assemble(m, cfg, pml)
-    state, _ = solver.solve(system, m)
+    state, _ = solver.solve(system)
     field = est.indicators(m, state, cfg, pml)
     assert field.eps_f == pytest.approx(np.sqrt((field.eta ** 2).sum()),
                                         rel=1e-12)
@@ -279,7 +279,7 @@ def test_eps_f_is_root_sum_square(flat_setup):
 def test_eps_p_composition(flat_setup):
     cfg, pml, m = flat_setup
     system = asm.assemble(m, cfg, pml)
-    state, _ = solver.solve(system, m)
+    state, _ = solver.solve(system)
     field = est.indicators(m, state, cfg, pml)
     f1 = spectral.bound_F1(cfg, pml)
     f2 = spectral.bound_F2(cfg, pml)
@@ -375,7 +375,7 @@ def test_effectivity_sanity_band(ex1_cfg, ex1_pml):
     sol = spectral.flat_interface_solution(ex1_cfg)
     m = msh.generate_initial_mesh(ex1_cfg, ex1_pml, 0.12)
     system = asm.assemble(m, ex1_cfg, ex1_pml)
-    state, _ = solver.solve(system, m)
+    state, _ = solver.solve(system)
     field = est.indicators(m, state, ex1_cfg, ex1_pml)
     e_h = est.apriori_error(m, state, sol, ex1_cfg)
     assert 5 * e_h <= field.eps_f <= 50 * e_h

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fsgrating import PmlConfig
 from fsgrating import mesh as msh
@@ -57,6 +61,34 @@ def test_profile_vertices_are_nodes(corner_cfg, unit_pml):
         hit = np.isclose(m.nodes[:, 0], x, atol=1e-12) \
             & np.isclose(m.nodes[:, 1], y, atol=1e-12)
         assert hit.any()
+
+
+
+def test_initial_mesh_matches_loop_reference(corner_cfg, highfreq_cfg, unit_pml):
+    """The vectorised grid against the per-quad loop it replaced: nodes
+    column by column from the bottom, two triangles per quad split along
+    the shorter diagonal (ties to sw-ne), one band per row."""
+    for cfg in (corner_cfg, highfreq_cfg):
+        m = msh.generate_initial_mesh(cfg, unit_pml, 0.11)
+        n_cols = np.unique(m.nodes[:, 0]).size
+        n_rows = m.n_nodes // n_cols
+        grid = m.nodes.reshape(n_cols, n_rows, 2)
+        assert (grid[..., 0] == grid[:, :1, 0]).all()
+        assert (np.diff(grid[..., 1], axis=1) > 0).all()
+        elems = []
+        for c in range(n_cols - 1):
+            for r in range(n_rows - 1):
+                sw = c * n_rows + r
+                se, nw = sw + n_rows, sw + 1
+                ne = se + 1
+                if (np.sum((m.nodes[sw] - m.nodes[ne]) ** 2)
+                        <= np.sum((m.nodes[se] - m.nodes[nw]) ** 2)):
+                    elems += [(se, ne, sw), (nw, sw, ne)]
+                else:
+                    elems += [(sw, se, nw), (ne, nw, se)]
+        assert np.array_equal(m.elems, elems)
+        bands = m.regions.reshape(n_cols - 1, n_rows - 1, 2)
+        assert (bands == bands[:1, :, :1]).all()
 
 
 def test_bisect_single_element_conforming(corner_cfg, unit_pml):
@@ -161,3 +193,51 @@ def test_uniform_refine_harness(ex1_cfg, unit_pml):
     m2 = msh.bisect(m2, np.arange(m2.n_elems))
     assert m2.n_elems == 4 * m.n_elems
     assert msh.audit(m2) == []
+
+
+def _check_invariants(m, area):
+    assert msh.audit(m) == []
+    top = m.topology
+    for partner in (top.node_partner, top.edge_partner):
+        paired = np.nonzero(partner >= 0)[0]
+        assert paired.size and np.array_equal(partner[partner[paired]], paired)
+    assert m.areas().sum() == pytest.approx(area, abs=1e-10)
+    both = top.edge_elems[:, 1] >= 0
+    assert (top.edge_elems[both, 0] < top.edge_elems[both, 1]).all()
+
+
+@given(inner_x=st.lists(st.integers(1, 19), max_size=6, unique=True),
+       heights=st.lists(st.floats(-0.8, 0.8, exclude_min=True, exclude_max=True),
+                        min_size=7, max_size=7),
+       h0=st.floats(0.15, 0.5), seed=st.integers(0, 2 ** 16),
+       fractions=st.lists(st.floats(0.05, 0.5), min_size=3, max_size=3),
+       corner=st.integers(0, 6))
+def test_mesh_invariants_random_profiles(corner_cfg, inner_x, heights, h0, seed,
+                                         fractions, corner):
+    xs = [0.0] + [k / 20 for k in sorted(inner_x)] + [1.0]
+    ys = heights[:len(xs) - 1] + heights[:1]
+    cfg = dataclasses.replace(corner_cfg, profile=list(zip(xs, ys)))
+    pml = PmlConfig(1.0, 1.0, 1 + 1j, 1 + 1j, 2.0)
+    m = msh.generate_initial_mesh(cfg, pml, h0)
+    area = cfg.period * (cfg.h1 - cfg.h2 + pml.delta1 + pml.delta2)
+    _check_invariants(m, area)
+    # each quad gives triangles 2k and 2k+1, whose common refinement edge is
+    # the shorter diagonal; the other diagonal joins the two peaks
+    ref = m.topology.edge_nodes[m.topology.elem_edges[:, 0]]
+    assert np.array_equal(ref[0::2], ref[1::2])
+    x = m.nodes
+    d_ref = ((x[ref[0::2, 0]] - x[ref[0::2, 1]]) ** 2).sum(-1)
+    d_peaks = ((x[m.elems[0::2, 0]] - x[m.elems[1::2, 0]]) ** 2).sum(-1)
+    assert (d_ref <= d_peaks).all()
+
+    rng = np.random.default_rng(seed)
+    for frac in fractions:
+        m = msh.bisect(m, rng.choice(m.n_elems, size=max(1, int(frac * m.n_elems)),
+                                     replace=False))
+        _check_invariants(m, area)
+    # 30 levels at one profile vertex; vertex 0 is the seam at x1 = 0
+    vertex = np.nonzero((m.nodes == cfg.profile[corner % (len(xs) - 1)]).all(axis=1))[0]
+    assert vertex.size == 1
+    for _ in range(30):
+        m = msh.bisect(m, np.nonzero((m.elems == vertex[0]).any(axis=1))[0])
+        _check_invariants(m, area)

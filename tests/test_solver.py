@@ -16,17 +16,17 @@ from fsgrating.errors import SingularSystemError
 def small_system(ex1_cfg):
     pml = PmlConfig(2.0, 2.0, 10 + 10j, 10 + 10j, 2.0)
     m = msh.generate_initial_mesh(ex1_cfg, pml, 0.3)
-    return m, asm.assemble(m, ex1_cfg, pml)
+    return asm.assemble(m, ex1_cfg, pml)
 
 
 def test_identity_system(small_system):
-    m, system = small_system
+    system = small_system
     n = system.dofmap.n_free
     rng = np.random.default_rng(0)
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
     system.matrix = sp.identity(n, dtype=complex, format="csr")
     system.rhs = b
-    state, report = solver.solve(system, m)
+    state, report = solver.solve(system)
     dof = system.dofmap
     fm = dof.fluid_dof >= 0
     want = np.where(dof.slave, dof.multiplier, 1.0)[fm] * b[dof.fluid_dof[fm]]
@@ -35,7 +35,7 @@ def test_identity_system(small_system):
 
 
 def test_random_system_against_dense_oracle(small_system):
-    m, system = small_system
+    system = small_system
     n = min(system.dofmap.n_free, 200)
     rng = np.random.default_rng(1)
     dense = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
@@ -48,7 +48,7 @@ def test_random_system_against_dense_oracle(small_system):
         + 1j * rng.normal(size=system.dofmap.n_free)
     system.matrix = sp.csr_matrix(full)
     system.rhs = b
-    state, report = solver.solve(system, m)
+    state, report = solver.solve(system)
     x_ref = np.linalg.solve(full, b)
     dof = system.dofmap
     fm = dof.fluid_dof >= 0
@@ -59,12 +59,12 @@ def test_random_system_against_dense_oracle(small_system):
 
 
 def test_detects_rank_deficiency(small_system):
-    m, system = small_system
+    system = small_system
     a = system.matrix.tolil()
     a[5, :] = a[4, :]       # duplicated constraint row
     system.matrix = a.tocsr()
     with pytest.raises(SingularSystemError):
-        solver.solve(system, m)
+        solver.solve(system)
 
 
 def test_solve_is_deterministic(ex1_cfg):
@@ -72,15 +72,15 @@ def test_solve_is_deterministic(ex1_cfg):
     m = msh.generate_initial_mesh(ex1_cfg, pml, 0.2)
     s1 = asm.assemble(m, ex1_cfg, pml)
     s2 = asm.assemble(m, ex1_cfg, pml)
-    st1, _ = solver.solve(s1, m)
-    st2, _ = solver.solve(s2, m)
+    st1, _ = solver.solve(s1)
+    st2, _ = solver.solve(s2)
     assert np.array_equal(st1.p, st2.p)
     assert np.array_equal(st1.u, st2.u)
 
 
 def test_residual_report(small_system):
-    m, system = small_system
-    state, report = solver.solve(system, m)
+    system = small_system
+    state, report = solver.solve(system)
     assert report.residual <= 1e-9
     assert report.pivot_growth > 0
     assert report.seconds >= 0
@@ -89,15 +89,15 @@ def test_residual_report(small_system):
 
 
 def test_rounding_noise_left_out_of_factor(small_system):
-    m, system = small_system
-    clean_state, clean = solver.solve(system, m)
+    system = small_system
+    clean_state, clean = solver.solve(system)
     n = system.dofmap.n_free
     amax = abs(system.matrix).max()
     # entries far off the pattern, below NOISE_RTOL * max|a|
     i = np.arange(n)
     system.matrix = system.matrix + sp.csr_matrix(
         (np.full(n, 1e-16 * amax), (i, i[::-1])), shape=(n, n))
-    state, noisy = solver.solve(system, m)
+    state, noisy = solver.solve(system)
     assert noisy.lu_fill == clean.lu_fill
     assert noisy.residual <= 1e-10
     assert np.max(np.abs(state.p - clean_state.p)) \
@@ -113,16 +113,16 @@ def test_ordering_beats_colamd_on_corner_refined_mesh(corner_cfg, corner_pml):
         near = np.hypot(centroids[:, 0] - 0.5, centroids[:, 1] - 0.5) < 0.1
         m = msh.bisect(m, np.flatnonzero(near))
     system = asm.assemble(m, corner_cfg, corner_pml)
-    _, report = solver.solve(system, m)
+    _, report = solver.solve(system)
     assert report.residual <= 1e-10
     colamd = splu(system.matrix.tocsc(), permc_spec="COLAMD")
     assert report.lu_fill < colamd.nnz
 
 
 def test_solution_independent_of_numbering(small_system):
-    m, system = small_system
+    system = small_system
     dof = system.dofmap
-    state, _ = solver.solve(system, m)
+    state, _ = solver.solve(system)
     q = np.random.default_rng(2).permutation(dof.n_free)
     q_inv = np.argsort(q)
     renumber = lambda d: np.where(d >= 0, q_inv[d], -1)   # noqa: E731
@@ -130,7 +130,7 @@ def test_solution_independent_of_numbering(small_system):
     system.rhs = system.rhs[q]
     system.dofmap = dataclasses.replace(dof, fluid_dof=renumber(dof.fluid_dof),
                                         solid_dof=renumber(dof.solid_dof))
-    state_q, _ = solver.solve(system, m)
+    state_q, _ = solver.solve(system)
     for got, want in ((state_q.p, state.p), (state_q.u, state.u)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
@@ -156,11 +156,11 @@ class _NoisyFactor:
 
 
 def test_residual_gate_refines_once(small_system, monkeypatch):
-    m, system = small_system
-    clean, _ = solver.solve(system, m)
+    system = small_system
+    clean, _ = solver.solve(system)
     monkeypatch.setattr(solver, "splu",
                         lambda *args, **kw: _NoisyFactor(splu(*args, **kw), 1))
-    state, report = solver.solve(system, m)
+    state, report = solver.solve(system)
     assert report.refined
     assert report.residual <= solver.RESIDUAL_RTOL
     assert np.max(np.abs(state.p - clean.p)) <= 1e-10 * np.abs(clean.p).max()
@@ -168,8 +168,8 @@ def test_residual_gate_refines_once(small_system, monkeypatch):
 
 
 def test_residual_gate_rejects_unrefinable_solve(small_system, monkeypatch):
-    m, system = small_system
+    system = small_system
     monkeypatch.setattr(solver, "splu",
                         lambda *args, **kw: _NoisyFactor(splu(*args, **kw), 2))
     with pytest.raises(SingularSystemError, match="refinement"):
-        solver.solve(system, m)
+        solver.solve(system)
