@@ -112,8 +112,17 @@ def _p1_field(nodal, grads):
     gradients, (E, 2) or (E, 2, 2) with d/dx_d last, and the values at the
     quadrature points, (E, Q) or (E, Q, 2).
     """
-    grad = np.einsum("ei...,eid->e...d", nodal, grads.astype(complex))
-    return grad, np.einsum("qi,ei...->eq...", quad.TRI5_BARY, nodal)
+    values = np.tensordot(quad.TRI5_BARY, nodal, axes=(1, 1))      # (Q, E, ...)
+    return _p1_gradient(nodal, grads), np.moveaxis(values, 0, 1)
+
+
+def _p1_gradient(nodal, grads):
+    """Constant gradient sum_i nodal[:, i] grads[:, i] of a P1 field from
+    its corner values (E, 3) or (E, 3, C) and the real shape gradients
+    (E, 3, 2); shape (E, 2) or (E, C, 2)."""
+    g = grads.reshape(grads.shape[:2] + (1,) * (nodal.ndim - 2) + (2,))
+    return (nodal[:, 0, ..., None] * g[:, 0] + nodal[:, 1, ..., None] * g[:, 1]
+            + nodal[:, 2, ..., None] * g[:, 2])
 
 
 def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
@@ -131,8 +140,8 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     fluid_elem = _is_fluid(mesh.regions)
 
     grads_all, _ = _p1_gradients(mesh.corner_coords())
-    grad_p = np.einsum("ei,eid->ed", state.p[mesh.elems], grads_all.astype(complex))
-    gu = np.einsum("eic,eid->ecd", state.u[mesh.elems], grads_all.astype(complex))
+    grad_p = _p1_gradient(state.p[mesh.elems], grads_all)
+    gu = _p1_gradient(state.u[mesh.elems], grads_all)
 
     en = top.edge_nodes
     lengths = top.edge_lengths
@@ -181,8 +190,8 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
         isf = fluid_elem[e0]
         for sel, flux, norm in ((isf, flux_p, norm_f), (~isf, flux_u, norm_s)):
             sub, t0, t1 = ids[sel], e0[sel], e1[sel]
-            j = (flux(t0, outward_normals(mesh, sub, t0), pts[sel])
-                 + flux(t1, outward_normals(mesh, sub, t1), pts[sel]))
+            n0 = outward_normals(mesh, sub, t0)
+            j = flux(t0, n0, pts[sel]) + flux(t1, -n0, pts[sel])
             norm[sub] = l2norm(j, sub)
 
     # interface edges: transmission mismatch against the incident wave

@@ -223,14 +223,21 @@ def edge_points(mesh: Mesh, edge_ids, t):
 
 def outward_normals(mesh: Mesh, edge_ids, elem_ids):
     """Unit normal of each edge edge_ids[k] pointing out of element
-    elem_ids[k], shape (E, 2)."""
+    elem_ids[k], shape (E, 2); element elem_ids[k] must contain the edge.
+
+    Elements are counter-clockwise (the element kernels of ``assembly``
+    raise GeometryError on a non-positive area and ``audit`` reports it),
+    and local edge j runs from vertex j+1 to vertex j+2, so the right-hand
+    normal of that direction points outward.  The normal of the edge taken
+    from its lower to its higher node id is flipped where the element
+    traverses the edge the other way.
+    """
     top = mesh.topology
-    xa = mesh.nodes[top.edge_nodes[edge_ids, 0]]
-    xb = mesh.nodes[top.edge_nodes[edge_ids, 1]]
-    tang = xb - xa
+    en = top.edge_nodes[edge_ids]
+    tang = mesh.nodes[en[:, 1]] - mesh.nodes[en[:, 0]]
     n = np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / top.edge_lengths[edge_ids, None]
-    cent = mesh.nodes[mesh.elems[elem_ids]].mean(axis=1)
-    n[((cent - 0.5 * (xa + xb)) * n).sum(-1) > 0] *= -1
+    local = np.argmax(top.elem_edges[elem_ids] == np.asarray(edge_ids)[:, None], axis=1)
+    n[mesh.elems[elem_ids, (local + 1) % 3] != en[:, 0]] *= -1
     return n
 
 

@@ -3,7 +3,9 @@
 The writer emits DATASET UNSTRUCTURED_GRID with POINTS, CELLS of type 5
 (triangles), POINT_DATA scalars for the split real/imaginary solution
 components (zero where a field has no unknown) and CELL_DATA scalars for
-the indicator and region code.
+the indicator and region code.  The bytes are fixed by the values: each
+double is Python's "{:.16g}" formatting of its value and each integer its
+decimal form, one value per line (a point line holds x1, x2 and 0).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .mesh import Mesh
 __all__ = ["write_vtk", "state_point_data"]
 
 HEADER = "# vtk DataFile Version 3.0"
+_DOUBLE = "{:.16g}".format
 
 
 def state_point_data(state) -> dict:
@@ -31,11 +34,9 @@ def write_vtk(path, mesh: Mesh, point_data: dict | None = None,
     """Write the mesh and optional fields as a legacy ASCII VTK file."""
     lines = [HEADER, title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
     lines.append(f"POINTS {mesh.n_nodes} double")
-    for x, y in mesh.nodes:
-        lines.append(f"{x:.16g} {y:.16g} 0")
+    lines.extend(map("{:.16g} {:.16g} 0".format, *mesh.nodes.T.tolist()))
     lines.append(f"CELLS {mesh.n_elems} {4 * mesh.n_elems}")
-    for a, b, c in mesh.elems:
-        lines.append(f"3 {a} {b} {c}")
+    lines.extend(map("3 {} {} {}".format, *mesh.elems.T.tolist()))
     lines.append(f"CELL_TYPES {mesh.n_elems}")
     lines.extend(["5"] * mesh.n_elems)
 
@@ -44,7 +45,7 @@ def write_vtk(path, mesh: Mesh, point_data: dict | None = None,
         for name, values in point_data.items():
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{v:.16g}" for v in np.asarray(values, dtype=float))
+            lines.extend(map(_DOUBLE, np.asarray(values, dtype=float).tolist()))
     if cell_data:
         lines.append(f"CELL_DATA {mesh.n_elems}")
         for name, values in cell_data.items():
@@ -52,10 +53,10 @@ def write_vtk(path, mesh: Mesh, point_data: dict | None = None,
             if np.issubdtype(arr.dtype, np.integer):
                 lines.append(f"SCALARS {name} int 1")
                 lines.append("LOOKUP_TABLE default")
-                lines.extend(str(int(v)) for v in arr)
+                lines.extend(map(str, arr.tolist()))
             else:
                 lines.append(f"SCALARS {name} double 1")
                 lines.append("LOOKUP_TABLE default")
-                lines.extend(f"{v:.16g}" for v in arr.astype(float))
+                lines.extend(map(_DOUBLE, arr.astype(float).tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

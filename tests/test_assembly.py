@@ -383,3 +383,21 @@ def test_slave_expansion_exact(ex1_cfg, pml_mild):
     assert np.array_equal(state.p[right[fsel]], mult * state.p[left[fsel]])
     ssel = system.dofmap.solid_dof[right, 0] >= 0
     assert np.array_equal(state.u[right[ssel]], mult * state.u[left[ssel]])
+
+
+@pytest.mark.parametrize("region", [msh.FLUID, msh.SOLID])
+def test_clockwise_element_is_rejected(ex1_cfg, pml_mild, region):
+    # outward_normals reads the orientation of the element, so a clockwise
+    # element must be reported by audit and rejected by assemble
+    m = msh.generate_initial_mesh(ex1_cfg, pml_mild, 0.25)
+    away = np.abs(m.centroids()[:, 1]) > 0.5     # off the interface
+    e = np.nonzero((m.regions == region) & away)[0][0]
+    elems = m.elems.copy()
+    elems[e] = elems[e, ::-1]
+    flipped = msh.Mesh(nodes=m.nodes, elems=elems, regions=m.regions,
+                       period=m.period, h1=m.h1, h2=m.h2, delta1=m.delta1,
+                       delta2=m.delta2, profile=m.profile)
+    assert msh.audit(flipped) == ["1 elements with non-positive area"]
+    side = "fluid" if region == msh.FLUID else "solid"
+    with pytest.raises(GeometryError, match=f"degenerate {side} element"):
+        asm.assemble(flipped, ex1_cfg, pml_mild)

@@ -379,3 +379,33 @@ def test_effectivity_sanity_band(ex1_cfg, ex1_pml):
     field = est.indicators(m, state, ex1_cfg, ex1_pml)
     e_h = est.apriori_error(m, state, sol, ex1_cfg)
     assert 5 * e_h <= field.eps_f <= 50 * e_h
+
+
+def test_triangle_points_match_barycentric_sums(corner_cfg, pml_mild):
+    m = msh.generate_initial_mesh(corner_cfg, pml_mild, 0.2)
+    corners = m.corner_coords()
+    for bary in (quad.TRI5_BARY, quad.TRI7_BARY):
+        pts = quad.triangle_points(corners, bary)
+        assert pts.shape == (m.n_elems, len(bary), 2)
+        for e in range(0, m.n_elems, 7):
+            for q, lam in enumerate(bary):
+                want = sum(lam[k] * corners[e, k] for k in range(3))
+                assert np.abs(pts[e, q] - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_p1_field_matches_element_loop(corner_cfg, pml_mild):
+    m = msh.generate_initial_mesh(corner_cfg, pml_mild, 0.3)
+    grads, _ = asm._p1_gradients(m.corner_coords())
+    rng = np.random.default_rng(8)
+    for shape in ((m.n_nodes,), (m.n_nodes, 2)):
+        nodal = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[m.elems]
+        grad, values = est._p1_field(nodal, grads)
+        for e in range(m.n_elems):
+            # d/dx_d of the field, one corner term at a time
+            want_g = sum(np.multiply.outer(nodal[e, i], grads[e, i]) for i in range(3))
+            want_v = np.array([sum(lam[i] * nodal[e, i] for i in range(3))
+                               for lam in quad.TRI5_BARY])
+            assert np.array_equal(grad[e], want_g)
+            # three terms summed in another order: a few units of rounding
+            tol = 4 * np.finfo(float).eps * np.abs(nodal[e]).max()
+            assert np.abs(values[e] - want_v).max() <= tol

@@ -241,3 +241,48 @@ def test_mesh_invariants_random_profiles(corner_cfg, inner_x, heights, h0, seed,
     for _ in range(30):
         m = msh.bisect(m, np.nonzero((m.elems == vertex[0]).any(axis=1))[0])
         _check_invariants(m, area)
+
+
+def _centroid_normals(m, edge_ids, elem_ids):
+    """Reference outward normals: the edge normal, flipped where it points
+    towards the centroid of the element."""
+    top = m.topology
+    xa = m.nodes[top.edge_nodes[edge_ids, 0]]
+    xb = m.nodes[top.edge_nodes[edge_ids, 1]]
+    tang = xb - xa
+    n = np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / top.edge_lengths[edge_ids, None]
+    cent = m.nodes[m.elems[elem_ids]].mean(axis=1)
+    n[((cent - 0.5 * (xa + xb)) * n).sum(-1) > 0] *= -1
+    return n
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(corner=st.booleans(), seed=st.integers(0, 2 ** 16),
+       fractions=st.lists(st.floats(0.05, 0.5), min_size=1, max_size=3))
+def test_outward_normals_match_centroid_test(ex1_cfg, corner_cfg, corner, seed,
+                                             fractions):
+    cfg = corner_cfg if corner else ex1_cfg
+    m = msh.generate_initial_mesh(cfg, PmlConfig(1.0, 1.0, 1 + 1j, 1 + 1j, 2.0), 0.3)
+    rng = np.random.default_rng(seed)
+    for frac in fractions:
+        m = msh.bisect(m, rng.choice(m.n_elems, size=max(1, int(frac * m.n_elems)),
+                                     replace=False))
+    top = m.topology
+    ids = np.nonzero(top.edge_elems[:, 1] >= 0)[0]
+    normals = []
+    for side in (0, 1):
+        elems = top.edge_elems[ids, side]
+        normals.append(msh.outward_normals(m, ids, elems))
+        assert _same_bits(normals[-1], _centroid_normals(m, ids, elems))
+    assert _same_bits(normals[1], -normals[0])
+    # boundary edges have one element
+    ids = np.nonzero(top.edge_elems[:, 1] < 0)[0]
+    assert _same_bits(msh.outward_normals(m, ids, top.edge_elems[ids, 0]),
+                      _centroid_normals(m, ids, top.edge_elems[ids, 0]))
+
+    ids, efluid, _, normal = msh.interface_edges(m)
+    mid = m.nodes[top.edge_nodes[ids]].mean(axis=1)
+    assert (((m.centroids()[efluid] - mid) * normal).sum(-1) > 0).all()
