@@ -34,7 +34,7 @@ from . import spectral
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, RIGHT, Mesh, _is_fluid,
-                   edge_points, interface_edges)
+                   edge_trace, interface_edges)
 
 __all__ = [
     "stretch", "stretch_derivative", "DofMap", "LinearSystem",
@@ -253,7 +253,7 @@ def load_vector(mesh: Mesh, cfg: ProblemConfig, dofmap: DofMap) -> np.ndarray:
     ids, _, _, normal = interface_edges(mesh)
     nodes = mesh.topology.edge_nodes[ids]
     tq, wq = quad.EDGE4_X, quad.EDGE4_W
-    ph, grad = spectral.incident_wave(cfg, edge_points(mesh, ids, tq))
+    ph, grad = spectral.incident_wave(cfg, edge_trace(mesh, ids, mesh.nodes, tq))
     dn = (grad * normal[:, None, :]).sum(-1)            # (E, Q)
     shape = np.stack([1.0 - tq, tq], axis=1)            # (Q, 2)
     wl = wq[None, :] * mesh.topology.edge_lengths[ids, None]

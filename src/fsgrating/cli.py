@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adapt, assembly, estimator, solver, spectral, vtkio
-from .config import PmlConfig, ProblemConfig, select_pml_parameters, validate
+from .config import (PmlConfig, ProblemConfig, select_pml_parameters, validate,
+                     validate_pml)
 from .errors import (BudgetError, ConfigError, FsGratingError, GeometryError,
                      SingularSystemError)
 from .mesh import generate_initial_mesh
@@ -115,6 +116,7 @@ def parse_config(path: str, overrides=()) -> tuple:
                "dof_cap": int(float(run["dof_cap"]))}
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
+    validate_pml(pml)
     return problem, pml, run
 
 
@@ -153,7 +155,6 @@ def _write(path, text):
 
 
 def _cmd_solve(spec: RunSpec) -> int:
-    _require_admissible(spec.problem)
     mesh = generate_initial_mesh(spec.problem, spec.pml, spec.run["h0"])
     system = assembly.assemble(mesh, spec.problem, spec.pml)
     state, report = solver.solve(system)
@@ -170,8 +171,6 @@ def _cmd_solve(spec: RunSpec) -> int:
 
 
 def _cmd_adapt(spec: RunSpec, vtk_every: int | None) -> int:
-    _require_admissible(spec.problem)
-
     observer = None
     if vtk_every:
         def observer(it, mesh, state, field_, marked):
@@ -202,7 +201,6 @@ def _fit_slope(dofs, values):
 def _cmd_verify_flat(spec: RunSpec) -> int:
     if any(abs(y) > 1e-12 for _, y in spec.problem.profile):
         raise ConfigError("verify-flat needs the flat profile x2 = 0")
-    _require_admissible(spec.problem)
     oracle = spectral.flat_interface_solution(spec.problem)
     result = adapt.run(spec.problem, spec.pml, tol=0.0, tau=spec.run["tau"],
                        max_iter=spec.run["max_iter"], h0=spec.run["h0"],
@@ -220,7 +218,6 @@ def _cmd_verify_flat(spec: RunSpec) -> int:
 
 
 def _cmd_spectral_check(spec: RunSpec) -> int:
-    _require_admissible(spec.problem)
     rows = spectral.mode_table(spec.problem, spec.pml)
     header = sorted(rows[0].keys(), key=lambda k: (k != "n", k))
     lines = [",".join(header)]
@@ -245,7 +242,6 @@ def _cmd_spectral_check(spec: RunSpec) -> int:
 
 
 def _cmd_params(spec: RunSpec, target: float) -> int:
-    _require_admissible(spec.problem)
     chosen = select_pml_parameters(spec.problem, target, spec.pml)
     root = math.sqrt(spec.problem.period)
     f1 = spectral.bound_F1(spec.problem, chosen) * root
@@ -285,6 +281,7 @@ def main(argv=None) -> int:
         if args.dump_config:
             sys.stdout.write(dump_config(problem, pml, run))
             return 0
+        _require_admissible(problem)
         os.makedirs(args.out, exist_ok=True)
         spec = RunSpec(problem=problem, pml=pml, run=run, out_dir=args.out)
         if args.subcommand == "solve":

@@ -7,13 +7,20 @@ Each element T carries the indicator
 with the element residual R the strong operator applied to the P1 field
 (only lower-order terms survive: the stretched-gradient derivative and the
 mass term) and J_e the flux/traction jumps over the element edges.  Edge
-families: interior edges jump the stretched pressure flux or the
-layer-consistent traction (the flux the stretched strain form produces by
-parts; off the layers it is the standard traction), interface edges weigh
-the physical transmission mismatch with a factor two, and left/right
-boundary edges jump against their periodic mirror with phase factors
-exp(-+ i*alpha*period).  Edges on the outer absorbing boundaries are
-skipped.  The two global quantities are
+families:
+
+- jump pairs (T0, T1, w) jump the stretched pressure flux or the
+  layer-consistent traction (the flux the stretched strain form produces by
+  parts; off the layers it is the standard traction) of T0 against w times
+  that of T1.  An interior edge pairs its two elements with w = 1; a left
+  boundary edge pairs its element with the element of its right periodic
+  mate, whose field the phase w = exp(-i*alpha*period) carries back across
+  one period; the right edge carries the norm of its left mate.
+- interface edges weigh the physical transmission mismatch with a factor
+  two.
+- edges on the outer absorbing boundaries carry no jump.
+
+The two global quantities are
 
     eps_f^2 = sum_T eta_T^2
     eps_p   = F1*||p_h||_{L2(top line)} + F2*||u_h||_{L2(bottom line)},
@@ -32,9 +39,9 @@ from . import spectral
 from .assembly import _p1_gradients, stretch, stretch_derivative
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
-from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, FLUID, GAMMA_MINUS,
-                   GAMMA_PLUS, INTERIOR, LEFT, SOLID, Mesh, _is_fluid,
-                   edge_points, interface_edges, outward_normals)
+from .mesh import (FLUID, GAMMA_MINUS, GAMMA_PLUS, INTERIOR, LEFT, SOLID,
+                   Mesh, _is_fluid, edge_trace, interface_edges,
+                   outward_normals)
 from .solver import SystemState
 
 __all__ = ["IndicatorField", "EdgeJumps", "element_residuals",
@@ -85,22 +92,17 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     fluid = _is_fluid(mesh.regions)
     out = np.zeros(mesh.n_elems)
 
-    if fluid.any():
-        gp, pq = _p1_field(state.p[mesh.elems[fluid]], grads[fluid])
-        r = dsinv[fluid] * gp[:, None, 1] + cfg.kappa ** 2 * s[fluid] * pq
-        out[fluid] = np.sqrt(area[fluid]
-                             * np.einsum("q,eq->e", quad.TRI5_W, np.abs(r) ** 2))
+    gp, pq = _p1_field(state.p[mesh.elems[fluid]], grads[fluid])
+    r = dsinv[fluid] * gp[:, None, 1] + cfg.kappa ** 2 * s[fluid] * pq
+    out[fluid] = _quad_norm(area[fluid], quad.TRI5_W, r)
 
     solid = ~fluid
-    if solid.any():
-        gu, uq = _p1_field(state.u[mesh.elems[solid]], grads[solid])
-        w2r = cfg.omega ** 2 * cfg.rho
-        r1 = cfg.mu * dsinv[solid] * gu[:, None, 0, 1] + w2r * s[solid] * uq[..., 0]
-        r2 = ((2 * cfg.mu + cfg.lam) * dsinv[solid] * gu[:, None, 1, 1]
-              + w2r * s[solid] * uq[..., 1])
-        mag = np.abs(r1) ** 2 + np.abs(r2) ** 2
-        out[solid] = np.sqrt(area[solid]
-                             * np.einsum("q,eq->e", quad.TRI5_W, mag))
+    gu, uq = _p1_field(state.u[mesh.elems[solid]], grads[solid])
+    w2r = cfg.omega ** 2 * cfg.rho
+    r1 = cfg.mu * dsinv[solid] * gu[:, None, 0, 1] + w2r * s[solid] * uq[..., 0]
+    r2 = ((2 * cfg.mu + cfg.lam) * dsinv[solid] * gu[:, None, 1, 1]
+          + w2r * s[solid] * uq[..., 1])
+    out[solid] = _quad_norm(area[solid], quad.TRI5_W, r1, r2)
     return out
 
 
@@ -137,31 +139,21 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     norm_f = np.zeros(n_edges)
     norm_s = np.zeros(n_edges)
     tq, wq = quad.EDGE4_X, quad.EDGE4_W
-    fluid_elem = _is_fluid(mesh.regions)
-
-    grads_all, _ = _p1_gradients(mesh.corner_coords())
-    grad_p = _p1_gradient(state.p[mesh.elems], grads_all)
-    gu = _p1_gradient(state.u[mesh.elems], grads_all)
-
-    en = top.edge_nodes
     lengths = top.edge_lengths
 
-    def flux_p(elems, normals, pts):
-        """Stretched pressure flux s*px1*n1 + (1/s)*px2*n2 at edge points."""
-        s = stretch(pts[..., 1], cfg, pml)
-        g = grad_p[elems]
-        return (s * g[:, None, 0] * normals[:, None, 0]
-                + g[:, None, 1] * normals[:, None, 1] / s)
+    grads, _ = _p1_gradients(mesh.corner_coords())
+    grad_p = _p1_gradient(state.p[mesh.elems], grads)
+    gu = _p1_gradient(state.u[mesh.elems], grads)
 
-    def flux_u(elems, normals, pts):
-        """Layer-consistent traction at edge points, shape (E, Q, 2).
+    def flux_p(g, normals, s):
+        """Stretched pressure flux s*px1*n1 + (1/s)*px2*n2 at edge points,
+        as its one component (f,)."""
+        f = (s * g[:, None, 0] * normals[:, None, 0]
+             + g[:, None, 1] * normals[:, None, 1] / s)
+        return (f,)
 
-        The flux produced by parts from the stretched strain form; off the
-        layers (s = 1) it is the standard traction sigma(u).nu, which is
-        what the physical-region and interface jumps use.
-        """
-        s = stretch(pts[..., 1], cfg, pml)
-        g = gu[elems]
+    def flux_u(g, normals, s):
+        """Layer-consistent traction components (f1, f2) at edge points."""
         mu, lam = cfg.mu, cfg.lam
         n1 = normals[:, None, 0]
         n2 = normals[:, None, 1]
@@ -171,68 +163,59 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
             + mu * (g12 / s + g21) * n2
         f2 = mu * (s * g21 + g12) * n1 \
             + ((2 * mu + lam) * g22 / s + lam * g11) * n2
-        return np.stack([f1, f2], axis=-1)
+        return f1, f2
 
-    def l2norm(jump, eids):
-        """sqrt(int_e |jump|^2) from the jump at the edge points, shape
-        (E, Q) or (E, Q, 2)."""
-        mag = (np.abs(np.atleast_3d(jump)) ** 2).sum(-1)
-        return np.sqrt(lengths[eids] * np.einsum("q,eq->e", wq, mag))
+    # jump pairs (t0, t1, weight); interior edges include the band lines
+    inner = np.nonzero(np.isin(top.edge_tags, (INTERIOR, GAMMA_PLUS, GAMMA_MINUS)))[0]
+    left = np.nonzero(top.edge_tags == LEFT)[0]
+    mates = top.edge_partner[left]
+    if (top.edge_elems[inner, 1] < 0).any() or (mates < 0).any():
+        raise GeometryError("interior edge with a single element or left "
+                            "edge without periodic partner")
+    ids = np.concatenate([inner, left])
+    t0 = top.edge_elems[ids, 0]
+    t1 = np.concatenate([top.edge_elems[inner, 1], top.edge_elems[mates, 0]])
+    weight = np.ones(ids.size, dtype=complex)
+    weight[inner.size:] = np.exp(-1j * derive(cfg).alpha * cfg.period)
+    n0 = outward_normals(mesh, ids, t0)
+    s = stretch(edge_trace(mesh, ids, mesh.nodes[:, 1], tq), cfg, pml)
+    isf = _is_fluid(mesh.regions[t0])
+    for sel, grad, w, flux, norm in ((isf, grad_p, weight[:, None], flux_p, norm_f),
+                                     (~isf, gu, weight[:, None, None], flux_u, norm_s)):
+        j = zip(flux(grad[t0[sel]], n0[sel], s[sel]),
+                flux(w[sel] * grad[t1[sel]], -n0[sel], s[sel]))
+        norm[ids[sel]] = _quad_norm(lengths[ids[sel]], wq, *(a + b for a, b in j))
+    norm_f[mates] = norm_f[left]
+    norm_s[mates] = norm_s[left]
 
-    # interior edges (including the band-boundary lines inside each side)
-    inner = np.isin(top.edge_tags, (INTERIOR, GAMMA_PLUS, GAMMA_MINUS))
-    ids = np.nonzero(inner)[0]
-    if ids.size:
-        e0, e1 = top.edge_elems[ids, 0], top.edge_elems[ids, 1]
-        if (e1 < 0).any():
-            raise GeometryError("interior edge with a single element")
-        pts = edge_points(mesh, ids, tq)
-        isf = fluid_elem[e0]
-        for sel, flux, norm in ((isf, flux_p, norm_f), (~isf, flux_u, norm_s)):
-            sub, t0, t1 = ids[sel], e0[sel], e1[sel]
-            n0 = outward_normals(mesh, sub, t0)
-            j = flux(t0, n0, pts[sel]) + flux(t1, -n0, pts[sel])
-            norm[sub] = l2norm(j, sub)
-
-    # interface edges: transmission mismatch against the incident wave
+    # interface edges: transmission mismatch against the incident wave;
+    # they lie in the physical strip, where s = 1
     ids, ef, es, n = interface_edges(mesh)
-    if ids.size:
-        pts = edge_points(mesh, ids, tq)
-        if incident:
-            pin, gin = spectral.incident_wave(cfg, pts)
-        else:
-            pin = np.zeros(pts.shape[:-1], dtype=complex)
-            gin = np.zeros(pts.shape, dtype=complex)
-        dn_in = (gin * n[:, None, :]).sum(-1)
-        dn_ph = (grad_p[ef][:, None, :] * n[:, None, :]).sum(-1)
-        u_q = np.einsum("qi,eic->eqc", np.stack([1 - tq, tq], 1), state.u[en[ids]])
-        un = (u_q * n[:, None, :]).sum(-1)
-        jf = 2.0 * (dn_in + dn_ph - cfg.rho_f * cfg.omega ** 2 * un)
-        norm_f[ids] = l2norm(jf, ids)
+    pts = edge_trace(mesh, ids, mesh.nodes, tq)
+    pin, gin = spectral.incident_wave(cfg, pts)
+    if not incident:
+        pin, gin = np.zeros_like(pin), np.zeros_like(gin)
+    dn_in = (gin * n[:, None, :]).sum(-1)
+    dn_ph = (grad_p[ef][:, None, :] * n[:, None, :]).sum(-1)
+    un = (edge_trace(mesh, ids, state.u, tq) * n[:, None, :]).sum(-1)
+    jf = 2.0 * (dn_in + dn_ph - cfg.rho_f * cfg.omega ** 2 * un)
+    norm_f[ids] = _quad_norm(lengths[ids], wq, jf)
 
-        p_q = np.einsum("qi,ei->eq", np.stack([1 - tq, tq], 1), state.p[en[ids]])
-        tr = flux_u(es, n, pts)
-        js = -2.0 * ((pin + p_q)[..., None] * n[:, None, :] + tr)
-        norm_s[ids] = l2norm(js, ids)
-
-    # periodic pairs: left edge against phase-shifted mirror partner
-    ids = np.nonzero(top.edge_tags == LEFT)[0]
-    if ids.size:
-        mates = top.edge_partner[ids]
-        if (mates < 0).any():
-            raise GeometryError("left edge without periodic partner")
-        t1 = top.edge_elems[ids, 0]
-        t2 = top.edge_elems[mates, 0]
-        phase = np.exp(-1j * derive(cfg).alpha * cfg.period)
-        pts = edge_points(mesh, ids, tq)
-        isf = fluid_elem[t1]
-        for sel, flux, norm in ((isf, flux_p, norm_f), (~isf, flux_u, norm_s)):
-            # outward normals: (-1, 0) on the left edge, (1, 0) on its mate
-            n = np.broadcast_to([-1.0, 0.0], (int(sel.sum()), 2))
-            j = -(flux(t1[sel], n, pts[sel]) + phase * flux(t2[sel], -n, pts[sel]))
-            norm[ids[sel]] = norm[mates[sel]] = l2norm(j, ids[sel])
+    p_tot = pin + edge_trace(mesh, ids, state.p, tq)
+    tr = flux_u(gu[es], n, 1.0)
+    norm_s[ids] = _quad_norm(lengths[ids], wq,
+                             *(-2.0 * (p_tot * n[:, None, c] + tr[c]) for c in (0, 1)))
 
     return EdgeJumps(norm_fluid=norm_f, norm_solid=norm_s)
+
+
+def _quad_norm(measure, w, *parts):
+    """sqrt(measure * sum_q w_q |v_q|^2) per row, for a field v whose
+    components are given at the quadrature points, each of shape (E, Q)."""
+    mag = np.abs(parts[0]) ** 2
+    for v in parts[1:]:
+        mag += np.abs(v) ** 2
+    return np.sqrt(measure * np.einsum("q,eq->e", w, mag))
 
 
 def indicators(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
@@ -244,11 +227,10 @@ def indicators(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     fluid_elem = _is_fluid(mesh.regions)
 
     jump_sq = np.zeros(mesh.n_elems)
-    skip = np.isin(top.edge_tags, (DIRICHLET_TOP, DIRICHLET_BOTTOM))
     he = top.edge_lengths
     for side in (0, 1):
         el = top.edge_elems[:, side]
-        ok = (el >= 0) & ~skip
+        ok = el >= 0
         contrib = np.where(fluid_elem[np.maximum(el, 0)],
                            jumps.norm_fluid, jumps.norm_solid) ** 2 * he
         np.add.at(jump_sq, el[ok], contrib[ok])
@@ -269,15 +251,10 @@ def _trace_norm(mesh, values, tag):
     values, shape (N,) for a scalar or (N, C) for a C-component field."""
     top = mesh.topology
     ids = np.nonzero(top.edge_tags == tag)[0]
-    if not ids.size:
-        return 0.0
-    en = top.edge_nodes[ids]
-    tq, wq = quad.EDGE3_X, quad.EDGE3_W
-    nodal = values.reshape(values.shape[0], -1)[en]                 # (E, 2, C)
-    vq = np.einsum("qi,eic->eqc", np.stack([1 - tq, tq], 1), nodal)
-    mag = (np.abs(vq) ** 2).sum(-1)
-    return float(np.sqrt((top.edge_lengths[ids]
-                          * np.einsum("q,eq->e", wq, mag)).sum()))
+    nodal = values.reshape(values.shape[0], -1)
+    vq = edge_trace(mesh, ids, nodal, quad.EDGE4_X)                 # (E, Q, C)
+    norms = _quad_norm(top.edge_lengths[ids], quad.EDGE4_W, *np.moveaxis(vq, -1, 0))
+    return float(np.linalg.norm(norms))
 
 
 def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
@@ -295,25 +272,23 @@ def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
     total = 0.0
 
     fl = mesh.regions == FLUID
-    if fl.any():
-        gp, pq = _p1_field(state.p[mesh.elems[fl]], grads[fl])
-        eg = gp[:, None, :] - exact.pressure_gradient(pts[fl])
-        ev = pq - exact.pressure(pts[fl])
-        dens = (np.abs(eg) ** 2).sum(-1) + np.abs(ev) ** 2
-        total += float((area[fl] * np.einsum("q,eq->e", quad.TRI5_W, dens)).sum())
+    gp, pq = _p1_field(state.p[mesh.elems[fl]], grads[fl])
+    eg = gp[:, None, :] - exact.pressure_gradient(pts[fl])
+    ev = pq - exact.pressure(pts[fl])
+    dens = (np.abs(eg) ** 2).sum(-1) + np.abs(ev) ** 2
+    total += float((area[fl] * np.einsum("q,eq->e", quad.TRI5_W, dens)).sum())
 
     so = mesh.regions == SOLID
-    if so.any():
-        gu, uq = _p1_field(state.u[mesh.elems[so]], grads[so])
-        ge = gu[:, None, :, :] - exact.displacement_gradient(pts[so])
-        ue = uq - exact.displacement(pts[so])
-        mu, lam = cfg.mu, cfg.lam
-        g11, g12 = ge[..., 0, 0], ge[..., 0, 1]
-        g21, g22 = ge[..., 1, 0], ge[..., 1, 1]
-        dens = ((2 * mu + lam) * (np.abs(g11) ** 2 + np.abs(g22) ** 2)
-                + mu * (np.abs(g12) ** 2 + np.abs(g21) ** 2)
-                + 2 * lam * (g11 * np.conj(g22)).real
-                + 2 * mu * (g12 * np.conj(g21)).real
-                + (np.abs(ue) ** 2).sum(-1))
-        total += float((area[so] * np.einsum("q,eq->e", quad.TRI5_W, dens)).sum())
+    gu, uq = _p1_field(state.u[mesh.elems[so]], grads[so])
+    ge = gu[:, None, :, :] - exact.displacement_gradient(pts[so])
+    ue = uq - exact.displacement(pts[so])
+    mu, lam = cfg.mu, cfg.lam
+    g11, g12 = ge[..., 0, 0], ge[..., 0, 1]
+    g21, g22 = ge[..., 1, 0], ge[..., 1, 1]
+    dens = ((2 * mu + lam) * (np.abs(g11) ** 2 + np.abs(g22) ** 2)
+            + mu * (np.abs(g12) ** 2 + np.abs(g21) ** 2)
+            + 2 * lam * (g11 * np.conj(g22)).real
+            + 2 * mu * (g12 * np.conj(g21)).real
+            + (np.abs(ue) ** 2).sum(-1))
+    total += float((area[so] * np.einsum("q,eq->e", quad.TRI5_W, dens)).sum())
     return float(np.sqrt(total))

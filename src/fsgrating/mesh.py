@@ -24,7 +24,7 @@ from .errors import GeometryError
 
 __all__ = [
     "Mesh", "MeshTopology", "generate_initial_mesh", "bisect", "audit",
-    "edge_points", "outward_normals", "interface_edges", "profile_height",
+    "edge_trace", "outward_normals", "interface_edges", "profile_height",
     "FLUID", "FLUID_PML", "SOLID", "SOLID_PML",
     "INTERIOR", "INTERFACE", "LEFT", "RIGHT", "GAMMA_PLUS", "GAMMA_MINUS",
     "DIRICHLET_TOP", "DIRICHLET_BOTTOM",
@@ -213,12 +213,14 @@ def _build_topology(mesh: Mesh) -> MeshTopology:
 # ----------------------------------------------------------------------
 # edge geometry
 
-def edge_points(mesh: Mesh, edge_ids, t):
-    """Points at parameters t in [0, 1] along each edge, shape (E, len(t), 2),
-    running from the lower to the higher node id."""
-    xa = mesh.nodes[mesh.topology.edge_nodes[edge_ids, 0]]
-    xb = mesh.nodes[mesh.topology.edge_nodes[edge_ids, 1]]
-    return xa[:, None, :] + t[None, :, None] * (xb - xa)[:, None, :]
+def edge_trace(mesh: Mesh, edge_ids, values, t):
+    """P1 trace va + t*(vb - va) of nodal values (N,) or (N, C) at t in
+    [0, 1] along each edge from the lower to the higher node id, shape
+    (E, len(t)) or (E, len(t), C); the edge points are the trace of nodes."""
+    en = mesh.topology.edge_nodes[edge_ids]
+    va, vb = values[en[:, 0]], values[en[:, 1]]
+    tt = t.reshape((-1,) + (1,) * (values.ndim - 1))
+    return va[:, None] + tt * (vb - va)[:, None]
 
 
 def outward_normals(mesh: Mesh, edge_ids, elem_ids):

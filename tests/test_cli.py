@@ -171,3 +171,11 @@ def test_exit_codes_for_error_families(ex1_ini, tmp_path):
     grazing = repr(np.pi / 2 - 1e-13)
     assert cli.main(["solve", "--config", ex1_ini, "--out", str(tmp_path),
                      "--set", f"problem.theta={grazing}"]) == 2
+
+
+@pytest.mark.parametrize("override", ["pml.delta=0", "pml.sigma_im=0", "pml.t=0.5"])
+@pytest.mark.parametrize("subcommand", ["solve", "adapt", "verify-flat",
+                                        "spectral-check", "params"])
+def test_inadmissible_pml_exits_config(ex1_ini, tmp_path, subcommand, override):
+    assert cli.main([subcommand, "--config", ex1_ini, "--out", str(tmp_path),
+                     "--set", override]) == 2

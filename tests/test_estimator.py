@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -220,12 +222,18 @@ def test_jump_norms_match_loop_reference(flat_setup):
             + ((2 * mu + lam) * gu[1, 1] / s + lam * gu[0, 0]) * nrm[1]
         return np.stack([f1, f2], -1)
 
+    # a left edge pairs with its mate's element, carried back one period
+    phase = np.exp(-1j * derive(cfg).alpha * cfg.period)
     checked = 0
     for e in range(top.edge_nodes.shape[0]):
-        if top.edge_tags[e] not in (msh.INTERIOR, msh.GAMMA_PLUS,
-                                    msh.GAMMA_MINUS):
+        if top.edge_tags[e] == msh.LEFT:
+            t0, t1 = top.edge_elems[e, 0], top.edge_elems[top.edge_partner[e], 0]
+            w = phase
+        elif top.edge_tags[e] in (msh.INTERIOR, msh.GAMMA_PLUS, msh.GAMMA_MINUS):
+            t0, t1 = top.edge_elems[e]
+            w = 1.0
+        else:
             continue
-        t0, t1 = top.edge_elems[e]
         xa, xb = m.nodes[top.edge_nodes[e]]
         pts = xa + tq[:, None] * (xb - xa)
         h = np.hypot(*(xb - xa))
@@ -235,15 +243,16 @@ def test_jump_norms_match_loop_reference(flat_setup):
         if (c0 - 0.5 * (xa + xb)) @ nrm > 0:
             nrm = -nrm   # make nrm outward for t0
         if m.regions[t0] <= 1:
-            j = flux_f(t0, pts, nrm) + flux_f(t1, pts, -nrm)
+            j = flux_f(t0, pts, nrm) + w * flux_f(t1, pts, -nrm)
             ref = np.sqrt(h * (wq * np.abs(j) ** 2).sum())
             assert jumps.norm_fluid[e] == pytest.approx(ref, abs=1e-12)
         else:
-            j = flux_s(t0, pts, nrm) + flux_s(t1, pts, -nrm)
+            j = flux_s(t0, pts, nrm) + w * flux_s(t1, pts, -nrm)
             ref = np.sqrt(h * (wq * (np.abs(j) ** 2).sum(-1)).sum())
             assert jumps.norm_solid[e] == pytest.approx(ref, abs=1e-12)
         checked += 1
     assert checked > 50
+    assert (top.edge_tags == msh.LEFT).sum() > 5
 
 
 def test_periodic_jump_pairs_equal(flat_setup):
@@ -261,6 +270,58 @@ def test_periodic_jump_pairs_equal(flat_setup):
     assert np.allclose(jumps.norm_solid[left], jumps.norm_solid[mates],
                        atol=1e-15)
     assert (jumps.norm_fluid[left] + jumps.norm_solid[left] > 0).any()
+
+
+@pytest.mark.parametrize("corner", [False, True], ids=["flat", "corner"])
+def test_estimator_independent_of_mesh_numbering(ex1_cfg, corner_cfg, pml_mild,
+                                                 corner):
+    # edge_trace runs from the lower to the higher node id and edge_elems
+    # lists the first element seen first; neither may show in the results
+    cfg = corner_cfg if corner else ex1_cfg
+    m = msh.generate_initial_mesh(cfg, pml_mild, 0.25)
+    rng = np.random.default_rng(9)
+    for _ in range(2):
+        m = msh.bisect(m, rng.choice(m.n_elems, m.n_elems // 4, replace=False))
+    q = rng.permutation(m.n_nodes)          # node k of pm is node q[k] of m
+    r = rng.permutation(m.n_elems)          # element k of pm is element r[k]
+    pm = dataclasses.replace(m, nodes=m.nodes[q], elems=np.argsort(q)[m.elems[r]],
+                             regions=m.regions[r], _topology=None)
+    state = solver.SystemState.zeros(m)
+    state.p[:] = rng.normal(size=m.n_nodes) + 1j * rng.normal(size=m.n_nodes)
+    state.u[:] = (rng.normal(size=(m.n_nodes, 2))
+                  + 1j * rng.normal(size=(m.n_nodes, 2)))
+    pstate = solver.SystemState(p=state.p[q], u=state.u[q])
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    assert close(est.element_residuals(pm, pstate, cfg, pml_mild),
+                 est.element_residuals(m, state, cfg, pml_mild)[r])
+    # edge k of pm is the edge of m with the same node pair
+    def key(pairs):
+        return pairs.min(axis=1) * m.n_nodes + pairs.max(axis=1)
+
+    en, pen = m.topology.edge_nodes, q[pm.topology.edge_nodes]
+    old = np.searchsorted(key(en), key(pen))
+    assert np.array_equal(en[old], np.sort(pen, axis=1))
+    jumps = est.edge_jumps(m, state, cfg, pml_mild)
+    pjumps = est.edge_jumps(pm, pstate, cfg, pml_mild)
+    assert close(pjumps.norm_fluid, jumps.norm_fluid[old])
+    assert close(pjumps.norm_solid, jumps.norm_solid[old])
+
+    eps_f = []
+    for mesh in (m, pm):
+        system = asm.assemble(mesh, cfg, pml_mild)
+        sol, _ = solver.solve(system)
+        eps_f.append(est.indicators(mesh, sol, cfg, pml_mild).eps_f)
+    assert eps_f[1] == pytest.approx(eps_f[0], rel=1e-12)
+    # the solution on pm, the last one solved, is exactly quasi-periodic
+    right = np.nonzero(pm.topology.node_partner >= 0)[0]
+    right = right[pm.nodes[right, 0] > 0.5 * pm.period]
+    left = pm.topology.node_partner[right]
+    mult = system.dofmap.multiplier
+    assert np.array_equal(sol.p[right], mult * sol.p[left])
+    assert np.array_equal(sol.u[right], mult * sol.u[left])
 
 
 def test_eps_f_is_root_sum_square(flat_setup):

@@ -286,3 +286,27 @@ def test_outward_normals_match_centroid_test(ex1_cfg, corner_cfg, corner, seed,
     ids, efluid, _, normal = msh.interface_edges(m)
     mid = m.nodes[top.edge_nodes[ids]].mean(axis=1)
     assert (((m.centroids()[efluid] - mid) * normal).sum(-1) > 0).all()
+
+
+def test_edge_trace_matches_per_edge_interpolation(corner_cfg, unit_pml):
+    m = msh.generate_initial_mesh(corner_cfg, unit_pml, 0.3)
+    m = msh.bisect(m, np.arange(0, m.n_elems, 3))
+    top = m.topology
+    ids = np.arange(top.edge_nodes.shape[0])[::2]
+    t = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
+    rng = np.random.default_rng(3)
+    for shape in ((m.n_nodes,), (m.n_nodes, 2)):
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = msh.edge_trace(m, ids, values, t)
+        assert got.shape == (ids.size, t.size) + shape[1:]
+        for k, e in enumerate(ids):
+            va, vb = values[top.edge_nodes[e]]
+            want = np.array([(1 - tj) * va + tj * vb for tj in t])
+            # two roundings against three: a few units of the nodal scale
+            tol = 4 * np.finfo(float).eps * max(np.abs(va).max(), np.abs(vb).max())
+            assert np.abs(got[k] - want).max() <= tol
+    # on the coordinates it is the edge-point formula, bit for bit
+    xa = m.nodes[top.edge_nodes[ids, 0]]
+    xb = m.nodes[top.edge_nodes[ids, 1]]
+    want = xa[:, None, :] + t[None, :, None] * (xb - xa)[:, None, :]
+    assert _same_bits(msh.edge_trace(m, ids, m.nodes, t), want)
