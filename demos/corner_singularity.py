@@ -65,9 +65,7 @@ for _ in range(6):
         break
     mesh = msh.bisect(mesh, np.arange(mesh.n_elems))
 
-vtkio.write_vtk("corner_fields.vtk", result.mesh,
-                point_data=vtkio.state_point_data(result.state),
-                cell_data={"eta": result.indicators.eta,
-                           "region": result.mesh.regions.astype(int)})
+vtkio.write_fields("corner_fields.vtk", result.mesh, result.state,
+                   result.indicators.eta)
 print("\nwrote corner_fields.vtk "
       f"({result.mesh.n_nodes} nodes, {result.mesh.n_elems} elements)")

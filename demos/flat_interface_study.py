@@ -29,9 +29,10 @@ for delta in (1.0, 2.0, 3.0):
     template = PmlConfig(delta1=delta, delta2=delta,
                          sigma1=1 + 1j, sigma2=1 + 1j, t=2.0)
     pml = select_pml_parameters(cfg, 1e-8, template)
+    root = np.sqrt(cfg.period)
     print(f"delta = {delta:g}: selected sigma = {complex(pml.sigma1):g}, "
-          f"F1*sqrt(L) = {spectral.bound_F1(cfg, pml):.2e}, "
-          f"F2*sqrt(L) = {spectral.bound_F2(cfg, pml):.2e}")
+          f"F1*sqrt(L) = {spectral.bound_F1(cfg, pml) * root:.2e}, "
+          f"F2*sqrt(L) = {spectral.bound_F2(cfg, pml) * root:.2e}")
     result = adapt.run(cfg, pml, tol=0.0, tau=0.25, max_iter=40, h0=0.15,
                        dof_cap=30_000, exact=oracle)
     curves[delta] = result.records

@@ -39,6 +39,7 @@ class AdaptResult:
     records: list
     mesh: Mesh
     state: solver.SystemState
+    report: solver.SolveReport  # of the last solve
     indicators: estimator.IndicatorField
     status: str  # "converged" or "budget"
 
@@ -52,7 +53,7 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     ----------
     tol : stop once eps_f <= tol.
     tau : marking threshold in (0, 1).
-    max_iter : iteration budget (one solve per iteration).
+    max_iter : iteration budget (one solve per iteration), at least 1.
     h0 : target size of the initial structured mesh (ignored when an
         initial mesh is passed in).
     dof_cap : stop refining once the free-dof count reaches this.
@@ -63,6 +64,8 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     """
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0, 1)")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     validate_pml(pml)
     if mesh is None:
         mesh = generate_initial_mesh(cfg, pml, h0)
@@ -89,7 +92,8 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
         if last:
             break
         mesh = bisect(mesh, marked)
-    return AdaptResult(records=records, mesh=mesh, state=state, indicators=field,
+    return AdaptResult(records=records, mesh=mesh, state=state, report=report,
+                       indicators=field,
                        status="converged" if field.eps_f <= tol else "budget")
 
 

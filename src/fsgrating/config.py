@@ -179,16 +179,15 @@ class WoodFinding:
                 f"collides with {self.wavenumber_name}={self.wavenumber:.12g}")
 
 
-def validate(cfg: ProblemConfig, window: int | None = None) -> list:
-    """Screen diffraction orders |n| <= window for Wood anomalies.
+def validate(cfg: ProblemConfig) -> list:
+    """Screen the diffraction orders |n| <= mode_window(cfg) for Wood anomalies.
 
     Returns a list of findings; an empty list means the configuration is
     admissible.  The check compares |alpha_n| against kappa, kappa1 and
     kappa2 with relative tolerance 1e-9.
     """
     d = derive(cfg)
-    if window is None:
-        window = mode_window(cfg)
+    window = mode_window(cfg)
     ns = np.arange(-window, window + 1)
     alpha_n = 2 * np.pi * ns / cfg.period + d.alpha
     findings = []

@@ -460,22 +460,22 @@ def _admissible_orders(cfg, limit):
     return out
 
 
-def spectral_selfcheck(cfg: ProblemConfig, pml: PmlConfig,
-                       samples: int = 100, seed: int = 0) -> list:
+def spectral_selfcheck(cfg: ProblemConfig, pml: PmlConfig) -> list:
     """Run the spectral equivalence suite; returns (name, passed, detail) rows.
 
-    Checks closed-form vs brute-force layer coefficients on random
-    admissible orders, the decay of What_n toward W_n under doubling of
-    eta2, and the monotonicity of the F1/F2 bounds in the layer parameters.
+    Checks closed-form vs brute-force layer coefficients on 100 random
+    admissible orders (seed 0), the decay of What_n toward W_n under
+    doubling of eta2, and the monotonicity of the F1/F2 bounds in the
+    layer parameters.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     modes = _admissible_orders(cfg, 4)
     results = []
 
     # closed form against the 4x4 solve, exponents kept moderate so the
     # brute-force system stays well conditioned
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         m = modes[rng.integers(len(modes))]
         scale = 4.0 / max(abs(m.beta_n_1), abs(m.beta_n_2), 1.0)
         eta2 = (rng.uniform(0.3, 1.0) + 1j * rng.uniform(0.3, 1.0)) * scale
@@ -530,15 +530,11 @@ def mode_table(cfg: ProblemConfig, pml: PmlConfig,
         window = mode_window(cfg)
     eta = pml_eta(pml)
     rows = []
-    for n in range(-window, window + 1):
-        try:
-            m = mode(cfg, n)
-        except WoodAnomalyError:
-            continue
+    for m in _admissible_orders(cfg, window):
         w = elastic_dtn_matrix(m, cfg)
         what = elastic_pml_dtn_matrix(m, eta.eta2, cfg)
         row = {
-            "n": n,
+            "n": m.n,
             "alpha_n": m.alpha_n,
             "beta_n": m.beta_n,
             "beta_n_1": m.beta_n_1,

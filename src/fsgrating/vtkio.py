@@ -14,9 +14,10 @@ import numpy as np
 
 from .mesh import Mesh
 
-__all__ = ["write_vtk", "state_point_data"]
+__all__ = ["write_vtk", "write_fields", "state_point_data"]
 
 HEADER = "# vtk DataFile Version 3.0"
+TITLE = "fsgrating fields"
 _DOUBLE = "{:.16g}".format
 
 
@@ -30,9 +31,9 @@ def state_point_data(state) -> dict:
 
 
 def write_vtk(path, mesh: Mesh, point_data: dict | None = None,
-              cell_data: dict | None = None, title: str = "fsgrating fields"):
+              cell_data: dict | None = None):
     """Write the mesh and optional fields as a legacy ASCII VTK file."""
-    lines = [HEADER, title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
+    lines = [HEADER, TITLE, "ASCII", "DATASET UNSTRUCTURED_GRID"]
     lines.append(f"POINTS {mesh.n_nodes} double")
     lines.extend(map("{:.16g} {:.16g} 0".format, *mesh.nodes.T.tolist()))
     lines.append(f"CELLS {mesh.n_elems} {4 * mesh.n_elems}")
@@ -60,3 +61,10 @@ def write_vtk(path, mesh: Mesh, point_data: dict | None = None,
                 lines.extend(map(_DOUBLE, arr.astype(float).tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_fields(path, mesh: Mesh, state, eta):
+    """Write a solution snapshot: the state's point arrays, the indicator
+    ``eta`` and the region code of each element."""
+    write_vtk(path, mesh, point_data=state_point_data(state),
+              cell_data={"eta": eta, "region": mesh.regions.astype(int)})

@@ -82,3 +82,8 @@ def test_csv_serialization(ex1_cfg, pml_mild):
 def test_invalid_tau_rejected(ex1_cfg, pml_mild):
     with pytest.raises(ValueError):
         adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=1.5, max_iter=2, h0=0.3)
+
+
+def test_invalid_max_iter_rejected(ex1_cfg, pml_mild):
+    with pytest.raises(ValueError):
+        adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=0.5, max_iter=0, h0=0.3)

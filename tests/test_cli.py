@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from fsgrating import cli
+from fsgrating import adapt, cli, solver
 
 EX1_INI = """\
 [problem]
@@ -42,15 +44,22 @@ def ex1_ini(tmp_path):
     return str(path)
 
 
+# doubles whose shortest round-trip text has 17 significant digits
+SEVENTEEN_DIGITS = ["problem.theta=0.30000000000000004",
+                    "problem.profile=0:0, 0.30000000000000004:0.10000000000000002, 1:0",
+                    "run.tol=0.0010000000000000002"]
+
+
 def test_config_roundtrip(ex1_ini, tmp_path):
-    problem, pml, run = cli.parse_config(ex1_ini)
-    dumped = cli.dump_config(problem, pml, run)
-    echo = tmp_path / "echo.ini"
-    echo.write_text(dumped)
-    problem2, pml2, run2 = cli.parse_config(str(echo))
-    assert problem2 == problem
-    assert pml2 == pml
-    assert run2 == run
+    for overrides in ([], SEVENTEEN_DIGITS):
+        problem, pml, run = cli.parse_config(ex1_ini, overrides)
+        dumped = cli.dump_config(problem, pml, run)
+        echo = tmp_path / "echo.ini"
+        echo.write_text(dumped)
+        problem2, pml2, run2 = cli.parse_config(str(echo))
+        assert problem2 == problem
+        assert pml2 == pml
+        assert run2 == run
 
 
 def test_overrides(ex1_ini):
@@ -142,6 +151,40 @@ def test_verify_flat_reports_slopes(ex1_ini, tmp_path, capsys):
     assert csv[1].split(",")[4] != ""   # e_h column populated
 
 
+def test_verify_flat_single_record_has_no_slope(ex1_ini, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["verify-flat", "--config", ex1_ini,
+                         "--out", str(tmp_path), "--set", "run.max_iter=1"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("vs log dof: n/a")
+    assert lines[1].endswith("vs log dof: n/a")
+
+
+def test_solve_is_first_adaptive_iteration(ex1_ini, tmp_path, capsys):
+    solve_out, adapt_out = tmp_path / "solve", tmp_path / "adapt"
+    assert cli.main(["solve", "--config", ex1_ini, "--out", str(solve_out)]) == 0
+    printed = dict(kv.split("=") for kv in
+                   capsys.readouterr().out.splitlines()[0].split())
+    cli.main(["adapt", "--config", ex1_ini, "--out", str(adapt_out),
+              "--set", "run.max_iter=1", "--vtk-every", "1"])
+    assert ((solve_out / "solution.vtk").read_bytes()
+            == (adapt_out / "fields_0000.vtk").read_bytes())
+    rows = (adapt_out / "convergence.csv").read_text().strip().split("\n")
+    assert len(rows) == 2
+    _, dof, eps_f, eps_p, _, _ = rows[1].split(",")
+    assert int(printed["dof"]) == int(dof)
+    assert float(printed["eps_f"]) == pytest.approx(float(eps_f), rel=1e-6)
+    assert float(printed["eps_p"]) == pytest.approx(float(eps_p), rel=1e-3)
+
+    problem, pml, run = cli.parse_config(ex1_ini)
+    result = adapt.run(problem, pml, **{**run, "max_iter": 1})
+    assert result.report.residual <= solver.RESIDUAL_RTOL
+    assert result.report.lu_fill > 0
+    assert int(printed["lu_fill"]) == result.report.lu_fill
+
+
 def test_verify_flat_rejects_corner_profile(tmp_path):
     path = tmp_path / "corner.ini"
     path.write_text(CORNER_INI)
@@ -171,9 +214,15 @@ def test_exit_codes_for_error_families(ex1_ini, tmp_path):
     grazing = repr(np.pi / 2 - 1e-13)
     assert cli.main(["solve", "--config", ex1_ini, "--out", str(tmp_path),
                      "--set", f"problem.theta={grazing}"]) == 2
+    # config family: a missing [problem] key
+    no_omega = tmp_path / "no_omega.ini"
+    no_omega.write_text(EX1_INI.replace("omega = 3.141592653589793\n", ""))
+    assert cli.main(["solve", "--config", str(no_omega),
+                     "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("override", ["pml.delta=0", "pml.sigma_im=0", "pml.t=0.5"])
+@pytest.mark.parametrize("override", ["pml.delta=0", "pml.sigma_im=0", "pml.t=0.5",
+                                      "run.tau=0", "run.tau=1.5", "run.max_iter=0"])
 @pytest.mark.parametrize("subcommand", ["solve", "adapt", "verify-flat",
                                         "spectral-check", "params"])
 def test_inadmissible_pml_exits_config(ex1_ini, tmp_path, subcommand, override):
