@@ -152,15 +152,28 @@ def _p1_gradients(corners):
     return grads, 0.5 * area2
 
 
+def _touches_layers(x2, cfg: ProblemConfig) -> np.ndarray:
+    """Mask of the rows of x2, vertex heights of shape (K, V), with a
+    vertex strictly outside [h2, h1].  On the convex hull of every other
+    row s = 1 and ds/dx2 = 0, so the stretch need not be evaluated there."""
+    return ((x2 > cfg.h1) | (x2 < cfg.h2)).any(axis=1)
+
+
 def _stretch_sums(corners, cfg, pml, bary, w):
-    """Quadrature sums of s, 1/s and the s-weighted mass over each element."""
-    s = stretch(quad.triangle_points(corners, bary)[..., 1], cfg, pml)
-    s_avg = np.einsum("q,eq->e", w, s)
-    sinv_avg = np.einsum("q,eq->e", w, 1.0 / s)
+    """Quadrature sums of s, 1/s and the s-weighted mass over each element;
+    the stretch is evaluated on the layer elements only."""
     # mass[e, i, j] = sum_q s[e, q] * w[q] * bary[q, i] * bary[q, j]
     table = (w[:, None, None] * bary[:, :, None] * bary[:, None, :]).reshape(w.size, 9)
-    mass = (s @ table).reshape(-1, 3, 3)
-    return s_avg, sinv_avg, mass
+    layer = _touches_layers(corners[..., 1], cfg)
+    s = stretch(quad.triangle_points(corners[layer], bary)[..., 1], cfg, pml)
+    s_avg = np.full(corners.shape[0], w.sum(), dtype=complex)
+    s_avg[layer] = np.einsum("q,eq->e", w, s)
+    sinv_avg = s_avg.copy()
+    sinv_avg[layer] = np.einsum("q,eq->e", w, 1.0 / s)
+    mass = np.empty((corners.shape[0], 9), dtype=complex)
+    mass[:] = table.sum(axis=0)
+    mass[layer] = s @ table
+    return s_avg, sinv_avg, mass.reshape(-1, 3, 3)
 
 
 def _element_terms(corners, cfg, pml, bary, w, side):
@@ -192,15 +205,14 @@ def _solid_matrices(corners, cfg, pml, bary=quad.TRI5_BARY, w=quad.TRI5_W):
     m = w2r * a * mass
     k11 = a * ((2 * mu + lam) * s1 * kxx + mu * s2 * kyy) - m
     k22 = a * ((2 * mu + lam) * s2 * kyy + mu * s1 * kxx) - m
-    # cross blocks carry no stretch weight; row i tests, column j is trial
-    k12 = a * (lam * np.einsum("ej,ei->eij", gy, gx)
-               + mu * np.einsum("ej,ei->eij", gx, gy))
-    k21 = a * (lam * np.einsum("ej,ei->eij", gx, gy)
-               + mu * np.einsum("ej,ei->eij", gy, gx))
-    out = np.zeros(corners.shape[:1] + (6, 6), dtype=complex)
+    # cross blocks carry no stretch weight; row i tests, column j is trial:
+    # k12[i, j] = lam*gx[i]*gy[j] + mu*gy[i]*gx[j], and k21 = k12^T
+    gxy = gx[:, :, None] * gy[:, None, :]
+    k12 = a * (lam * gxy + mu * gxy.transpose(0, 2, 1))
+    out = np.empty(corners.shape[:1] + (6, 6), dtype=complex)
     out[:, 0::2, 0::2] = k11
     out[:, 0::2, 1::2] = k12
-    out[:, 1::2, 0::2] = k21
+    out[:, 1::2, 0::2] = k12.transpose(0, 2, 1)
     out[:, 1::2, 1::2] = k22
     return out
 

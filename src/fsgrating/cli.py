@@ -143,7 +143,10 @@ def _cmd_solve(args, problem, pml, run) -> int:
 
 def _cmd_adapt(args, problem, pml, run) -> int:
     observer = None
-    if args.vtk_every:
+    if args.vtk_every is not None:
+        if args.vtk_every < 1:
+            raise ConfigError("--vtk-every must be at least 1")
+
         def observer(it, mesh, state, field_, marked):
             if it % args.vtk_every == 0:
                 vtkio.write_fields(os.path.join(args.out, f"fields_{it:04d}.vtk"),

@@ -211,12 +211,18 @@ def select_pml_parameters(cfg: ProblemConfig, target: float,
 
     Raises
     ------
+    ConfigError
+        If the target is not positive: no layer meets a zero bound, and a
+        NaN target compares false against every bound.  +inf is the
+        vacuous target that the template already meets.
     BudgetError
         If the doubling cap is reached; the layers are too thin for the
         requested target.
     """
     from . import spectral  # local import to avoid a cycle
 
+    if not target > 0:
+        raise ConfigError(f"PML target must be positive, got {target!r}")
     root = math.sqrt(cfg.period)
     pml = template
     for _ in range(max_doublings + 1):

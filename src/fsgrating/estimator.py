@@ -36,7 +36,8 @@ import numpy as np
 
 from . import quadrature as quad
 from . import spectral
-from .assembly import _p1_gradients, stretch, stretch_derivative
+from .assembly import (_p1_gradients, _touches_layers, stretch,
+                       stretch_derivative)
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (FLUID, GAMMA_MINUS, GAMMA_PLUS, INTERIOR, LEFT, SOLID,
@@ -46,6 +47,9 @@ from .solver import SystemState
 
 __all__ = ["IndicatorField", "EdgeJumps", "element_residuals",
            "edge_jumps", "indicators", "apriori_error"]
+
+#: one-point rule for integrands that are constant along an edge
+_ONE = np.ones(1)
 
 
 @dataclass
@@ -81,13 +85,17 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     x2 only, so the fluid residual is d(1/s)/dx2 * dp/dx2 + kappa^2*s*p and
     the displacement residual couples each component with its own
     lower-order pair; in the physical bands this collapses to
-    kappa^2*|p| or omega^2*rho*|u|.
+    kappa^2*|p| or omega^2*rho*|u|.  The stretch is evaluated on the
+    elements that reach into a layer only.
     """
     corners = mesh.corner_coords()
     grads, area = _p1_gradients(corners)
-    pts = quad.triangle_points(corners)
-    s = stretch(pts[..., 1], cfg, pml)
-    dsinv = -stretch_derivative(pts[..., 1], cfg, pml) / s ** 2
+    layer = _touches_layers(corners[..., 1], cfg)
+    x2 = quad.triangle_points(corners[layer])[..., 1]
+    s = np.ones((mesh.n_elems, quad.TRI5_W.size), dtype=complex)
+    s[layer] = stretch(x2, cfg, pml)
+    dsinv = np.zeros_like(s)
+    dsinv[layer] = -stretch_derivative(x2, cfg, pml) / s[layer] ** 2
 
     fluid = _is_fluid(mesh.regions)
     out = np.zeros(mesh.n_elems)
@@ -131,6 +139,9 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
                pml: PmlConfig, incident: bool = True) -> EdgeJumps:
     """Jump residual norms on every edge not on the outer layer boundaries.
 
+    Interface edges and edges with an endpoint strictly inside a layer
+    take the 4-point rule.  On every other edge s = 1, so its jump is
+    constant and one evaluation times the length gives the norm.
     incident=False drops the incoming-wave terms from the interface
     mismatch (a homogeneous problem, useful for exactness checks).
     """
@@ -142,8 +153,11 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     lengths = top.edge_lengths
 
     grads, _ = _p1_gradients(mesh.corner_coords())
-    grad_p = _p1_gradient(state.p[mesh.elems], grads)
-    gu = _p1_gradient(state.u[mesh.elems], grads)
+    fluid = _is_fluid(mesh.regions)
+    grad_p = np.zeros((mesh.n_elems, 2), dtype=complex)
+    grad_p[fluid] = _p1_gradient(state.p[mesh.elems[fluid]], grads[fluid])
+    gu = np.zeros((mesh.n_elems, 2, 2), dtype=complex)
+    gu[~fluid] = _p1_gradient(state.u[mesh.elems[~fluid]], grads[~fluid])
 
     def flux_p(g, normals, s):
         """Stretched pressure flux s*px1*n1 + (1/s)*px2*n2 at edge points,
@@ -178,13 +192,19 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     weight = np.ones(ids.size, dtype=complex)
     weight[inner.size:] = np.exp(-1j * derive(cfg).alpha * cfg.period)
     n0 = outward_normals(mesh, ids, t0)
-    s = stretch(edge_trace(mesh, ids, mesh.nodes[:, 1], tq), cfg, pml)
-    isf = _is_fluid(mesh.regions[t0])
-    for sel, grad, w, flux, norm in ((isf, grad_p, weight[:, None], flux_p, norm_f),
-                                     (~isf, gu, weight[:, None, None], flux_u, norm_s)):
-        j = zip(flux(grad[t0[sel]], n0[sel], s[sel]),
-                flux(w[sel] * grad[t1[sel]], -n0[sel], s[sel]))
-        norm[ids[sel]] = _quad_norm(lengths[ids[sel]], wq, *(a + b for a, b in j))
+    layer = _touches_layers(mesh.nodes[top.edge_nodes[ids], 1], cfg)
+    isf = fluid[t0]
+    for sel, grad, flux, norm in ((isf, grad_p, flux_p, norm_f),
+                                  (~isf, gu, flux_u, norm_s)):
+        # the flux is linear in the gradient and the mate's normal is -n0,
+        # so the pair's jump is the flux of the gradient difference
+        w = weight[sel].reshape((-1,) + (1,) * (grad.ndim - 1))
+        jump = grad[t0[sel]] - w * grad[t1[sel]]
+        e, n, lay = ids[sel], n0[sel], layer[sel]
+        s = stretch(edge_trace(mesh, e[lay], mesh.nodes[:, 1], tq), cfg, pml)
+        for on, s_on, w_on in ((lay, s, wq), (~lay, 1.0, _ONE)):
+            norm[e[on]] = _quad_norm(lengths[e[on]], w_on,
+                                     *flux(jump[on], n[on], s_on))
     norm_f[mates] = norm_f[left]
     norm_s[mates] = norm_s[left]
 

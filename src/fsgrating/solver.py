@@ -87,12 +87,12 @@ def solve(system: LinearSystem) -> tuple:
                   diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(f"factorization failed: {exc}") from exc
-    # every access to lu.U copies the factor, so take it once and drop it
-    # before the triangular solve
+    # the first access to lu.U (or lu.L) builds both factors as CSC
+    # matrices; scipy 1.17 caches them on the SuperLU object, so they stay
+    # in memory for as long as lu lives
     u_factor = lu.U
     udiag = np.abs(u_factor.diagonal())
     growth = float(np.abs(u_factor.data).max() / amax)
-    del u_factor
     if udiag.min() <= PIVOT_RTOL * amax:
         raise SingularSystemError(
             f"tiny pivot {udiag.min():.3e} against max entry {amax:.3e}")

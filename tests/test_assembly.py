@@ -148,6 +148,30 @@ def test_quadrature_insensitivity_in_layers(ex1_cfg):
     assert worst <= 1e-8
 
 
+@pytest.mark.parametrize("profile", ["flat", "corner"])
+def test_stretch_sums_match_every_point_stretch(ex1_cfg, corner_cfg, pml_mild,
+                                                profile):
+    # the stretch is evaluated on the elements that reach into a layer only
+    cfg = {"flat": ex1_cfg, "corner": corner_cfg}[profile]
+    m = msh.generate_initial_mesh(cfg, pml_mild, 0.25)
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        m = msh.bisect(m, rng.choice(m.n_elems, m.n_elems // 4, replace=False))
+    corners = m.corner_coords()
+    x2 = corners[..., 1]
+    for h in (cfg.h1, cfg.h2):      # elements touch both band lines from both sides
+        on = (x2 == h).any(axis=1)
+        assert (on & (x2 > h).any(axis=1)).any() and (on & (x2 < h).any(axis=1)).any()
+    bary, w = quad.TRI5_BARY, quad.TRI5_W
+    s = asm.stretch(quad.triangle_points(corners, bary)[..., 1], cfg, pml_mild)
+    want = (np.einsum("q,eq->e", w, s), np.einsum("q,eq->e", w, 1.0 / s),
+            np.einsum("eq,q,qi,qj->eij", s, w, bary, bary))
+    got = asm._stretch_sums(corners, cfg, pml_mild, bary, w)
+    for g, ref in zip(got, want):
+        assert g.shape == ref.shape
+        assert np.all(np.abs(g - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+
+
 def test_interface_coupling_blocks(ex1_cfg):
     edge = np.array([[0.2, 0.0], [0.5, 0.0]])
     n = np.array([0.0, 1.0])

@@ -110,6 +110,20 @@ def test_adapt_writes_csv_and_exits_budget(ex1_ini, tmp_path):
     assert (out / "fields_0000.vtk").exists()
 
 
+@pytest.mark.parametrize("every", ["0", "-1"])
+def test_adapt_rejects_nonpositive_vtk_every(ex1_ini, tmp_path, every):
+    out = tmp_path / "out"
+    assert cli.main(["adapt", "--config", ex1_ini, "--out", str(out),
+                     "--vtk-every", every]) == 2
+    assert not list(out.glob("*"))
+
+
+@pytest.mark.parametrize("target", ["0", "-1e-8", "nan"])
+def test_params_rejects_nonpositive_target(ex1_ini, tmp_path, target):
+    assert cli.main(["params", "--config", ex1_ini, "--out", str(tmp_path),
+                     f"--target={target}"]) == 2
+
+
 def test_adapt_converged_exits_zero(ex1_ini, tmp_path):
     code = cli.main(["adapt", "--config", ex1_ini, "--out", str(tmp_path),
                      "--set", "run.tol=5"])

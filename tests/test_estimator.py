@@ -62,6 +62,49 @@ def test_physical_solid_residual_is_mass_norm(flat_setup):
         assert resid[e] == pytest.approx(w2r * np.sqrt(val), rel=1e-12)
 
 
+def reference_element_residuals(mesh, state, cfg, pml):
+    """element_residuals with the stretch evaluated at all 7 points of
+    every element."""
+    corners = mesh.corner_coords()
+    grads, area = asm._p1_gradients(corners)
+    x2 = quad.triangle_points(corners)[..., 1]
+    s = asm.stretch(x2, cfg, pml)
+    dsinv = -asm.stretch_derivative(x2, cfg, pml) / s ** 2
+    fluid = mesh.regions <= 1
+    out = np.zeros(mesh.n_elems)
+    gp, pq = est._p1_field(state.p[mesh.elems[fluid]], grads[fluid])
+    r = dsinv[fluid] * gp[:, None, 1] + cfg.kappa ** 2 * s[fluid] * pq
+    out[fluid] = est._quad_norm(area[fluid], quad.TRI5_W, r)
+    gu, uq = est._p1_field(state.u[mesh.elems[~fluid]], grads[~fluid])
+    w2r = cfg.omega ** 2 * cfg.rho
+    ds, ss = dsinv[~fluid], s[~fluid]
+    r1 = cfg.mu * ds * gu[:, None, 0, 1] + w2r * ss * uq[..., 0]
+    r2 = (2 * cfg.mu + cfg.lam) * ds * gu[:, None, 1, 1] + w2r * ss * uq[..., 1]
+    out[~fluid] = est._quad_norm(area[~fluid], quad.TRI5_W, r1, r2)
+    return out
+
+
+@pytest.mark.parametrize("corner", [False, True], ids=["flat", "corner"])
+def test_element_residuals_match_every_point_stretch(ex1_cfg, corner_cfg,
+                                                     pml_mild, corner):
+    # the stretch is evaluated on the elements that reach into a layer only
+    cfg = corner_cfg if corner else ex1_cfg
+    m = (_bisected_corner_mesh(cfg, pml_mild, 3) if corner
+         else msh.generate_initial_mesh(cfg, pml_mild, 0.25))
+    x2 = m.corner_coords()[..., 1]
+    for h in (cfg.h1, cfg.h2):      # elements touch both band lines from both sides
+        on = (x2 == h).any(axis=1)
+        assert (on & (x2 > h).any(axis=1)).any() and (on & (x2 < h).any(axis=1)).any()
+    rng = np.random.default_rng(10)
+    state = solver.SystemState.zeros(m)
+    state.p[:] = rng.normal(size=m.n_nodes) + 1j * rng.normal(size=m.n_nodes)
+    state.u[:] = (rng.normal(size=(m.n_nodes, 2))
+                  + 1j * rng.normal(size=(m.n_nodes, 2)))
+    got = est.element_residuals(m, state, cfg, pml_mild)
+    want = reference_element_residuals(m, state, cfg, pml_mild)
+    assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
+
+
 def test_pml_residual_against_refined_quadrature(ex1_cfg):
     # small layer elements so the rule change sits below the tolerance
     cfg = ex1_cfg
@@ -190,10 +233,22 @@ def test_interface_factor_two_and_half_weight(flat_setup):
     assert field.eta[fluid_elem] == pytest.approx(want, rel=1e-12)
 
 
-def test_jump_norms_match_loop_reference(flat_setup):
-    # slow per-edge recomputation with fixed orientations; agreement also
-    # certifies orientation independence of the vectorized path
-    cfg, pml, m = flat_setup
+def _bisected_corner_mesh(cfg, pml, seed):
+    """Initial corner mesh refined twice at a random quarter of its
+    elements: graded, with layer, band-line, periodic and physical edges
+    of both fields."""
+    m = msh.generate_initial_mesh(cfg, pml, 0.25)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        m = msh.bisect(m, rng.choice(m.n_elems, m.n_elems // 4, replace=False))
+    return m
+
+
+def _check_jump_norms_against_loop(cfg, pml, m):
+    """Slow per-edge recomputation with fixed orientations, the 4-point rule
+    on every edge and the fluxes of both elements summed; agreement also
+    certifies orientation independence of the vectorized path.  Returns
+    the (fluid side, edge tag, endpoint in a layer) families checked."""
     rng = np.random.default_rng(5)
     state = solver.SystemState.zeros(m)
     fm = m.fluid_node_mask()
@@ -225,6 +280,7 @@ def test_jump_norms_match_loop_reference(flat_setup):
     # a left edge pairs with its mate's element, carried back one period
     phase = np.exp(-1j * derive(cfg).alpha * cfg.period)
     checked = 0
+    families = set()      # (fluid side, edge tag, endpoint in a layer)
     for e in range(top.edge_nodes.shape[0]):
         if top.edge_tags[e] == msh.LEFT:
             t0, t1 = top.edge_elems[e, 0], top.edge_elems[top.edge_partner[e], 0]
@@ -251,8 +307,24 @@ def test_jump_norms_match_loop_reference(flat_setup):
             ref = np.sqrt(h * (wq * (np.abs(j) ** 2).sum(-1)).sum())
             assert jumps.norm_solid[e] == pytest.approx(ref, abs=1e-12)
         checked += 1
+        in_layer = not cfg.h2 <= min(xa[1], xb[1]) <= max(xa[1], xb[1]) <= cfg.h1
+        families.add((bool(m.regions[t0] <= 1), int(top.edge_tags[e]), in_layer))
     assert checked > 50
     assert (top.edge_tags == msh.LEFT).sum() > 5
+    return families
+
+
+def test_jump_norms_match_loop_reference(flat_setup):
+    _check_jump_norms_against_loop(*flat_setup)
+
+
+def test_jump_norms_match_loop_reference_on_bisected_corner(corner_cfg, pml_mild):
+    m = _bisected_corner_mesh(corner_cfg, pml_mild, 7)
+    families = _check_jump_norms_against_loop(corner_cfg, pml_mild, m)
+    for fluid, band in ((True, msh.GAMMA_PLUS), (False, msh.GAMMA_MINUS)):
+        for tag, in_layer in ((msh.INTERIOR, True), (msh.INTERIOR, False),
+                              (band, False), (msh.LEFT, True), (msh.LEFT, False)):
+            assert (fluid, tag, in_layer) in families
 
 
 def test_periodic_jump_pairs_equal(flat_setup):
