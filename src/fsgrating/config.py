@@ -16,15 +16,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, WoodAnomalyError
 
 __all__ = [
     "ProblemConfig",
     "PmlConfig",
     "DerivedParams",
     "WoodFinding",
+    "OrderTable",
     "derive",
     "mode_window",
+    "order_table",
     "validate",
     "validate_pml",
     "select_pml_parameters",
@@ -32,6 +34,8 @@ __all__ = [
 
 #: relative tolerance for the Wood-anomaly screen
 WOOD_RTOL = 1e-9
+#: the wavenumbers of the order-table rows, in row order
+WAVENUMBER_NAMES = ("kappa", "kappa1", "kappa2")
 
 
 @dataclass(frozen=True)
@@ -179,6 +183,46 @@ class WoodFinding:
                 f"collides with {self.wavenumber_name}={self.wavenumber:.12g}")
 
 
+@dataclass(frozen=True)
+class OrderTable:
+    """Orders n, alpha_n = alpha + 2*pi*n/period, and one row per wavenumber
+    k of WAVENUMBER_NAMES: theta = |k^2 - alpha_n^2|^(1/2), propagating
+    |alpha_n| < k, and wood |alpha_n| on the circle k (WOOD_RTOL)."""
+
+    n: np.ndarray
+    alpha_n: np.ndarray
+    wavenumbers: tuple
+    theta: np.ndarray
+    propagating: np.ndarray
+    wood: np.ndarray
+
+    def findings(self) -> list:
+        """The Wood rows as findings, wavenumber by wavenumber."""
+        return [WoodFinding(int(self.n[i]), WAVENUMBER_NAMES[j],
+                            float(self.alpha_n[i]), self.wavenumbers[j])
+                for j, i in zip(*np.nonzero(self.wood))]
+
+    def check(self):
+        """Raise WoodAnomalyError naming every Wood order of the table."""
+        if self.wood.any():
+            raise WoodAnomalyError("; ".join(map(str, self.findings())))
+
+
+def order_table(cfg: ProblemConfig, ns) -> OrderTable:
+    """Wavenumber data of the orders ns for kappa, kappa1 and kappa2."""
+    d = derive(cfg)
+    ns = np.asarray(ns)
+    alpha_n = 2 * np.pi * ns / cfg.period + d.alpha
+    kaps = (cfg.kappa, d.kappa1, d.kappa2)
+    k = np.array(kaps)[:, None]
+    a = np.abs(alpha_n)
+    return OrderTable(
+        n=ns, alpha_n=alpha_n, wavenumbers=kaps,
+        theta=np.sqrt(np.abs(k * k - alpha_n * alpha_n)),
+        propagating=a < k,
+        wood=np.abs(a - k) <= WOOD_RTOL * np.maximum(k, a))
+
+
 def validate(cfg: ProblemConfig) -> list:
     """Screen the diffraction orders |n| <= mode_window(cfg) for Wood anomalies.
 
@@ -186,16 +230,8 @@ def validate(cfg: ProblemConfig) -> list:
     admissible.  The check compares |alpha_n| against kappa, kappa1 and
     kappa2 with relative tolerance 1e-9.
     """
-    d = derive(cfg)
-    window = mode_window(cfg)
-    ns = np.arange(-window, window + 1)
-    alpha_n = 2 * np.pi * ns / cfg.period + d.alpha
-    findings = []
-    for name, kap in (("kappa", cfg.kappa), ("kappa1", d.kappa1), ("kappa2", d.kappa2)):
-        hit = np.abs(np.abs(alpha_n) - kap) <= WOOD_RTOL * np.maximum(kap, np.abs(alpha_n))
-        for i in np.nonzero(hit)[0]:
-            findings.append(WoodFinding(int(ns[i]), name, float(alpha_n[i]), kap))
-    return findings
+    w = mode_window(cfg)
+    return order_table(cfg, np.arange(-w, w + 1)).findings()
 
 
 def select_pml_parameters(cfg: ProblemConfig, target: float,
@@ -212,15 +248,19 @@ def select_pml_parameters(cfg: ProblemConfig, target: float,
     Raises
     ------
     ConfigError
-        If the target is not positive: no layer meets a zero bound, and a
-        NaN target compares false against every bound.  +inf is the
-        vacuous target that the template already meets.
+        If the template is not an admissible layer (validate_pml), or the
+        target is not positive: no layer meets a zero bound, and a NaN
+        target compares false against every bound.  +inf is the vacuous
+        target that the template already meets.
+    WoodAnomalyError
+        If the order window holds a Wood anomaly (the bounds degenerate).
     BudgetError
         If the doubling cap is reached; the layers are too thin for the
         requested target.
     """
     from . import spectral  # local import to avoid a cycle
 
+    validate_pml(template)
     if not target > 0:
         raise ConfigError(f"PML target must be positive, got {target!r}")
     root = math.sqrt(cfg.period)

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import WOOD_RTOL, PmlConfig, ProblemConfig, derive, mode_window
-from .errors import DegenerateModeError, SingularSystemError, WoodAnomalyError
+from .config import PmlConfig, ProblemConfig, derive, mode_window, order_table
+from .errors import ConfigError, DegenerateModeError, SingularSystemError
 
 __all__ = [
     "ModeData",
@@ -65,28 +65,25 @@ def _coth(y: complex) -> complex:
     return (e2 + 1.0) / (e2 - 1.0)
 
 
-def _branch(kappa: float, alpha_n: float) -> complex:
-    """Vertical wavenumber on the outgoing branch (Re >= 0, Im >= 0)."""
-    if abs(alpha_n) < kappa:
-        return complex(math.sqrt(kappa * kappa - alpha_n * alpha_n))
-    return 1j * math.sqrt(alpha_n * alpha_n - kappa * kappa)
-
-
 @dataclass(frozen=True)
 class ModeData:
-    """Wavenumber data of one diffraction order.
-
-    theta_n is the magnitude |kappa^2 - alpha_n^2|^(1/2); prop_acoustic
-    marks a propagating acoustic order (|alpha_n| below kappa).
-    """
+    """Wavenumber data of one diffraction order."""
 
     n: int
     alpha_n: float
     beta_n: complex
     beta_n_1: complex
     beta_n_2: complex
-    theta_n: float
-    prop_acoustic: bool
+
+    @property
+    def theta_n(self) -> float:
+        """|kappa^2 - alpha_n^2|^(1/2)."""
+        return abs(self.beta_n)
+
+    @property
+    def prop_acoustic(self) -> bool:
+        """A propagating acoustic order (|alpha_n| below kappa)."""
+        return self.beta_n.real > 0
 
     @property
     def chi(self) -> complex:
@@ -95,26 +92,15 @@ class ModeData:
 
 
 def mode(cfg: ProblemConfig, n: int) -> ModeData:
-    """Assemble the wavenumber data of order n.
-
-    Raises WoodAnomalyError if |alpha_n| collides with any of the three
-    wavenumber circles (relative tolerance config.WOOD_RTOL).
+    """Order n of config.order_table with its vertical wavenumbers on the
+    outgoing branch: theta if propagating, i*theta otherwise.  Raises
+    WoodAnomalyError if |alpha_n| sits on a wavenumber circle (WOOD_RTOL).
     """
-    d = derive(cfg)
-    alpha_n = 2 * math.pi * n / cfg.period + d.alpha
-    for name, kap in (("kappa", cfg.kappa), ("kappa1", d.kappa1), ("kappa2", d.kappa2)):
-        if abs(abs(alpha_n) - kap) <= WOOD_RTOL * max(kap, abs(alpha_n)):
-            raise WoodAnomalyError(
-                f"order n={n}: |alpha_n| = {abs(alpha_n):.12g} sits on {name}")
-    return ModeData(
-        n=n,
-        alpha_n=alpha_n,
-        beta_n=_branch(cfg.kappa, alpha_n),
-        beta_n_1=_branch(d.kappa1, alpha_n),
-        beta_n_2=_branch(d.kappa2, alpha_n),
-        theta_n=math.sqrt(abs(cfg.kappa ** 2 - alpha_n ** 2)),
-        prop_acoustic=abs(alpha_n) < cfg.kappa,
-    )
+    table = order_table(cfg, [n])
+    table.check()
+    betas = [complex(th) if prop else 1j * float(th)
+             for th, prop in zip(table.theta[:, 0], table.propagating[:, 0])]
+    return ModeData(n, float(table.alpha_n[0]), *betas)
 
 
 def acoustic_dtn_coeff(m: ModeData) -> complex:
@@ -179,6 +165,8 @@ def _mode_aux(m: ModeData, eta2: complex):
     vartheta = (e1m - e1p) / (e2m - e2p)
     chi = m.chi
     chi_hat = chi + 4 * a * a * b1 * b2 * (xi2 - xi1 - xi1 * xi2) / chi
+    if abs(chi_hat) < 1e-14 * max(1.0, abs(chi)):
+        raise DegenerateModeError(f"order n={m.n}: chi_hat vanishes")
     return varsigma1, xi1, xi2, vartheta, chi, chi_hat
 
 
@@ -214,8 +202,6 @@ def elastic_pml_closed_form(m: ModeData, eta2: complex,
                             u_n: np.ndarray) -> np.ndarray:
     """Closed-form (M1, N1, M2, N2) of the layer mode system."""
     varsigma1, xi1, xi2, vartheta, chi, chi_hat = _mode_aux(m, complex(eta2))
-    if abs(chi_hat) < 1e-14 * max(1.0, abs(chi)):
-        raise DegenerateModeError(f"order n={m.n}: chi_hat vanishes")
     a, b1, b2 = m.alpha_n, m.beta_n_1, m.beta_n_2
     u1, u2 = complex(u_n[0]), complex(u_n[1])
     pref = 1j / (chi * chi_hat)
@@ -249,8 +235,6 @@ def elastic_pml_dtn_matrix(m: ModeData, eta2: complex,
     if min(exponents) > 200.0:
         return elastic_dtn_matrix(m, cfg)
     varsigma1, xi1, xi2, vartheta, chi, chi_hat = _mode_aux(m, eta2)
-    if abs(chi_hat) < 1e-14 * max(1.0, abs(chi)):
-        raise DegenerateModeError(f"order n={m.n}: chi_hat vanishes")
     w2r = cfg.omega ** 2 * cfg.rho
     mu = cfg.mu
     cc = chi * chi_hat
@@ -286,30 +270,24 @@ def layer_traction_of_modes(m: ModeData, coeffs: np.ndarray,
     return np.array([t1, t2], dtype=complex)
 
 
-def _theta_minima(theta: np.ndarray, prop: np.ndarray):
-    """Minima of theta over the propagating and evanescent order sets."""
-    th_prop = float(theta[prop].min()) if prop.any() else None
-    th_evan = float(theta[~prop].min()) if (~prop).any() else None
-    return th_prop, th_evan
-
-
-def _decay_term(theta, exponent):
-    """theta/(e^exponent - 1), flushed to zero when the exponent overflows."""
-    if exponent > 700.0:
-        return 0.0
-    return theta / math.expm1(exponent)
-
-
-def _window_thetas(cfg: ProblemConfig):
-    d = derive(cfg)
+def _decay_max(cfg: ProblemConfig, rows, eta: complex, c: float) -> float:
+    """Largest theta/(e^(c*theta*part) - 1), theta the minimum over the
+    propagating (part = Im eta) or evanescent (part = Re eta) window orders
+    of a wavenumber row; an empty family drops its term, an overflowing
+    exponent gives 0.  Raises WoodAnomalyError on a Wood order in the window.
+    """
     w = mode_window(cfg)
-    ns = np.arange(-w, w + 1)
-    alpha_n = 2 * np.pi * ns / cfg.period + d.alpha
-    out = {}
-    for key, kap in (("ac", cfg.kappa), ("p", d.kappa1), ("s", d.kappa2)):
-        theta = np.sqrt(np.abs(kap ** 2 - alpha_n ** 2))
-        out[key] = _theta_minima(theta, np.abs(alpha_n) < kap)
-    return out
+    table = order_table(cfg, np.arange(-w, w + 1))
+    table.check()
+    terms = []
+    for j in rows:
+        prop = table.propagating[j]
+        for family, part in ((prop, eta.imag), (~prop, eta.real)):
+            if family.any():
+                theta = float(table.theta[j][family].min())
+                exponent = c * part * theta
+                terms.append(0.0 if exponent > 700.0 else theta / math.expm1(exponent))
+    return max(terms)
 
 
 def bound_F1(cfg: ProblemConfig, pml: PmlConfig) -> float:
@@ -318,16 +296,10 @@ def bound_F1(cfg: ProblemConfig, pml: PmlConfig) -> float:
     max of 2*Theta^i/(e^(2*Im(eta1)*Theta^i) - 1) over propagating orders
     and 2*Theta^e/(e^(2*Re(eta1)*Theta^e) - 1) over evanescent ones, with
     the minima taken over the finite order window; an empty order family
-    simply drops its term.
+    simply drops its term.  Raises WoodAnomalyError if the window holds a
+    Wood order.
     """
-    eta1 = pml_eta(pml).eta1
-    th_i, th_e = _window_thetas(cfg)["ac"]
-    terms = []
-    if th_i is not None:
-        terms.append(2 * _decay_term(th_i, 2 * eta1.imag * th_i))
-    if th_e is not None:
-        terms.append(2 * _decay_term(th_e, 2 * eta1.real * th_e))
-    return max(terms)
+    return 2 * _decay_max(cfg, (0,), pml_eta(pml).eta1, 2.0)
 
 
 def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
@@ -335,22 +307,14 @@ def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
 
     (34*omega^2*rho/kappa1^4) * max over the compressional and shear
     families of Theta/(e^(Theta*eta2-part/2) - 1) * a polynomial factor in
-    kappa1, kappa2.
+    kappa1, kappa2.  Raises WoodAnomalyError as bound_F1 does.
     """
     d = derive(cfg)
-    eta2 = pml_eta(pml).eta2
-    thetas = _window_thetas(cfg)
-    terms = []
-    for key in ("p", "s"):
-        th_i, th_e = thetas[key]
-        if th_i is not None:
-            terms.append(_decay_term(th_i, 0.5 * th_i * eta2.imag))
-        if th_e is not None:
-            terms.append(_decay_term(th_e, 0.5 * th_e * eta2.real))
     k1, k2 = d.kappa1, d.kappa2
     poly = max(6 * k2, k2 ** 2 + 4, 8 * k2 ** 4, 8 * k2 ** 3 / k1 ** 2,
                12 * (k2 ** 2 + 16) ** 2 / k1 ** 2)
-    return 34 * cfg.omega ** 2 * cfg.rho / k1 ** 4 * max(terms) * poly
+    return (34 * cfg.omega ** 2 * cfg.rho / k1 ** 4
+            * _decay_max(cfg, (1, 2), pml_eta(pml).eta2, 0.5) * poly)
 
 
 @dataclass(frozen=True)
@@ -409,13 +373,12 @@ class FlatSolution:
 def flat_interface_solution(cfg: ProblemConfig) -> FlatSolution:
     """Solve the 3x3 reflection/transmission system for a flat interface.
 
-    Requires the profile to be the line x2 = 0.  Raises
+    Raises ConfigError unless the profile is the line x2 = 0, and
     SingularSystemError when the system degenerates (a Jones-like
     resonance of the parameters).
     """
-    ys = [p[1] for p in cfg.profile]
-    if any(abs(y) > 1e-12 for y in ys):
-        raise ValueError("flat_interface_solution requires the profile x2 = 0")
+    if any(abs(y) > 1e-12 for _, y in cfg.profile):
+        raise ConfigError("the flat-interface solution needs the profile x2 = 0")
     d = derive(cfg)
     m0 = mode(cfg, 0)
     a, b0, b1, b2 = d.alpha, m0.beta_n, m0.beta_n_1, m0.beta_n_2
@@ -451,13 +414,8 @@ def incident_wave(cfg: ProblemConfig, x):
 # self-check suite and CSV tabulation used by the command line tool
 
 def _admissible_orders(cfg, limit):
-    out = []
-    for n in range(-limit, limit + 1):
-        try:
-            out.append(mode(cfg, n))
-        except WoodAnomalyError:
-            continue
-    return out
+    table = order_table(cfg, np.arange(-limit, limit + 1))
+    return [mode(cfg, int(n)) for n in table.n[~table.wood.any(axis=0)]]
 
 
 def spectral_selfcheck(cfg: ProblemConfig, pml: PmlConfig) -> list:
@@ -502,7 +460,6 @@ def spectral_selfcheck(cfg: ProblemConfig, pml: PmlConfig) -> list:
                     f"errors {', '.join(f'{e:.3e}' for e in errs)}"))
 
     # F1/F2 monotone nonincreasing in delta and sigma parts
-    from dataclasses import replace
     mono_ok = True
     detail = []
     for what, make in (
@@ -523,14 +480,12 @@ def spectral_selfcheck(cfg: ProblemConfig, pml: PmlConfig) -> list:
     return results
 
 
-def mode_table(cfg: ProblemConfig, pml: PmlConfig,
-               window: int | None = None) -> list:
-    """Per-order table of wavenumbers and boundary matrices for CSV export."""
-    if window is None:
-        window = mode_window(cfg)
+def mode_table(cfg: ProblemConfig, pml: PmlConfig) -> list:
+    """Wavenumbers and boundary matrices of the admissible orders
+    |n| <= mode_window(cfg), one row per order, for CSV export."""
     eta = pml_eta(pml)
     rows = []
-    for m in _admissible_orders(cfg, window):
+    for m in _admissible_orders(cfg, mode_window(cfg)):
         w = elastic_dtn_matrix(m, cfg)
         what = elastic_pml_dtn_matrix(m, eta.eta2, cfg)
         row = {

@@ -48,6 +48,14 @@ def pml_for(cfg, delta, target=1e-8):
     return select_pml_parameters(cfg, target, template)
 
 
+def tuned_rho(cfg, eps=0.0):
+    """cfg with rho chosen so that kappa1 = |alpha_1|*(1 + eps); eps = 0 puts
+    order 1 on the kappa1 circle."""
+    alpha1 = 2 * np.pi / cfg.period + derive(cfg).alpha
+    rho = (2 * cfg.mu + cfg.lam) * (alpha1 * (1 + eps) / cfg.omega) ** 2
+    return type(cfg)(**{**cfg.__dict__, "rho": rho})
+
+
 @pytest.fixture(scope="session")
 def ex1_pml(ex1_cfg):
     return pml_for(ex1_cfg, 3.0)

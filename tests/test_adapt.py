@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from fsgrating import PmlConfig
-from fsgrating import adapt, spectral
+from conftest import pml_for, tuned_rho
+from fsgrating import ConfigError, PmlConfig, select_pml_parameters, validate
+from fsgrating import adapt, solver, spectral
 from fsgrating.mesh import audit
 
 
@@ -87,3 +90,43 @@ def test_invalid_tau_rejected(ex1_cfg, pml_mild):
 def test_invalid_max_iter_rejected(ex1_cfg, pml_mild):
     with pytest.raises(ValueError):
         adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=0.5, max_iter=0, h0=0.3)
+
+
+@pytest.mark.parametrize("case", [
+    "bound_F1 grazing", "adapt grazing", "bound_F2 tuned rho", "adapt tuned rho",
+    "select tuned rho", "select Im sigma = 0", "select delta = 0"])
+def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, case):
+    grazing = replace(ex1_cfg, theta=np.pi / 2 - 1e-13)
+    tuned = tuned_rho(ex1_cfg)
+    template = PmlConfig(3.0, 3.0, 1 + 1j, 1 + 1j, 2.0)
+    calls = {
+        "bound_F1 grazing": lambda: spectral.bound_F1(grazing, pml_mild),
+        "adapt grazing": lambda: adapt.run(grazing, pml_mild, tol=0.0, tau=0.5,
+                                           max_iter=1, h0=0.3),
+        "bound_F2 tuned rho": lambda: spectral.bound_F2(tuned, pml_mild),
+        "adapt tuned rho": lambda: adapt.run(tuned, pml_mild, tol=0.0, tau=0.5,
+                                             max_iter=1, h0=0.3),
+        "select tuned rho": lambda: pml_for(tuned, 3.0),
+        "select Im sigma = 0": lambda: select_pml_parameters(
+            ex1_cfg, 1e-8, replace(template, sigma1=1 + 0j, sigma2=1 + 0j)),
+        "select delta = 0": lambda: select_pml_parameters(
+            ex1_cfg, 1e-8, replace(template, delta1=0.0, delta2=0.0)),
+    }
+    with pytest.raises(ConfigError):
+        calls[case]()
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-4])
+@pytest.mark.parametrize("circle", ["kappa", "kappa1"])
+def test_near_wood_inputs_solve_with_checked_residual(ex1_cfg, circle, eps):
+    # |alpha_0| at relative distance eps below kappa, or kappa1 at relative
+    # distance eps above |alpha_1|: outside the Wood screen, so the run
+    # must end in a result whose residual passed the solver gate
+    cfg = (replace(ex1_cfg, theta=math.asin(1 - eps)) if circle == "kappa"
+           else tuned_rho(ex1_cfg, eps))
+    assert validate(cfg) == []
+    pml = pml_for(cfg, 3.0)
+    res = adapt.run(cfg, pml, tol=0.0, tau=0.5, max_iter=1, h0=0.25)
+    assert res.report.residual <= solver.RESIDUAL_RTOL
+    assert math.isfinite(res.records[0].eps_f)
+    assert math.isfinite(res.records[0].eps_p)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
 
-from fsgrating import PmlConfig, derive
+from conftest import tuned_rho
+from fsgrating import PmlConfig, derive, mode_window, validate
 from fsgrating import spectral
-from fsgrating.errors import WoodAnomalyError
+from fsgrating.config import order_table
+from fsgrating.errors import ConfigError, WoodAnomalyError
 
 
 def test_mode_order_zero(ex1_cfg):
@@ -226,9 +228,15 @@ def test_elastic_pml_dtn_matrix_mass_scaling(ex1_cfg):
     assert what[1, 0] == pytest.approx(2j * cfg.mu * m.alpha_n, rel=1e-9)
 
 
+def window_table(cfg):
+    w = mode_window(cfg)
+    return order_table(cfg, np.arange(-w, w + 1))
+
+
 def test_bound_minima_example(ex1_cfg, ex1_pml):
-    thetas = spectral._window_thetas(ex1_cfg)
-    th_i, th_e = thetas["ac"]
+    table = window_table(ex1_cfg)
+    prop = table.propagating[0]
+    th_i, th_e = table.theta[0][prop].min(), table.theta[0][~prop].min()
     assert th_i == pytest.approx(np.sqrt(0.75), abs=1e-12)
     alpha_minus1 = derive(ex1_cfg).alpha - 2 * np.pi
     assert th_e == pytest.approx(np.sqrt(alpha_minus1 ** 2 - 1.0), abs=1e-12)
@@ -299,7 +307,7 @@ def test_flat_solution_quasi_periodic(ex1_cfg):
 
 
 def test_flat_solution_requires_flat_profile(corner_cfg):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         spectral.flat_interface_solution(corner_cfg)
 
 
@@ -309,6 +317,35 @@ def test_selfcheck_passes(ex1_cfg, ex1_pml):
 
 
 def test_mode_table_shape(ex1_cfg, ex1_pml):
-    rows = spectral.mode_table(ex1_cfg, ex1_pml, window=3)
-    assert len(rows) == 7
+    rows = spectral.mode_table(ex1_cfg, ex1_pml)
+    w = mode_window(ex1_cfg)
+    assert [r["n"] for r in rows] == list(range(-w, w + 1))
     assert all("what11" in r and "w22" in r for r in rows)
+
+
+def test_order_table_matches_modes(ex1_cfg, corner_cfg, highfreq_cfg):
+    for cfg in (ex1_cfg, corner_cfg, highfreq_cfg):
+        table = window_table(cfg)
+        assert not table.wood.any()
+        for i, n in enumerate(table.n):
+            m = spectral.mode(cfg, int(n))
+            assert m.alpha_n == table.alpha_n[i]
+            for j, beta in enumerate((m.beta_n, m.beta_n_1, m.beta_n_2)):
+                assert abs(beta) == table.theta[j, i]
+                assert (beta.real > 0) == table.propagating[j, i]
+                assert beta.real == 0 or beta.imag == 0
+            assert m.theta_n == table.theta[0, i]
+            assert m.prop_acoustic == table.propagating[0, i]
+
+    grazing = type(ex1_cfg)(**{**ex1_cfg.__dict__, "theta": np.pi / 2 - 1e-13})
+    for cfg in (grazing, tuned_rho(ex1_cfg)):
+        findings = validate(cfg)
+        assert findings
+        for n in window_table(cfg).n:
+            text = "; ".join(str(f) for f in findings if f.n == n)
+            if text:
+                with pytest.raises(WoodAnomalyError) as exc:
+                    spectral.mode(cfg, int(n))
+                assert str(exc.value) == text
+            else:
+                spectral.mode(cfg, int(n))
