@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, estimator, solver
-from .config import PmlConfig, ProblemConfig, validate_pml
+from .config import PmlConfig, ProblemConfig, screen
 from .errors import GeometryError
 from .mesh import Mesh, audit, bisect, generate_initial_mesh
 
@@ -61,12 +61,13 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
         the energy-norm error over the physical bands.
     observer : optional callable (iteration, mesh, state, field, marked)
         invoked after each estimate, with marked=None on the final pass.
+
+    Raises
+    ------
+    ConfigError : from config.screen, before any mesh is built.
+    GeometryError, SingularSystemError : a bad h0 or mesh, a failed solve.
     """
-    if not 0 < tau < 1:
-        raise ValueError("tau must lie in (0, 1)")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    validate_pml(pml)
+    screen(cfg, pml, tau, max_iter)
     if mesh is None:
         mesh = generate_initial_mesh(cfg, pml, h0)
     records = []

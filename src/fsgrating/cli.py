@@ -42,8 +42,7 @@ import sys
 import numpy as np
 
 from . import adapt, spectral, vtkio
-from .config import (PmlConfig, ProblemConfig, select_pml_parameters, validate,
-                     validate_pml)
+from .config import PmlConfig, ProblemConfig, screen, select_pml_parameters
 from .errors import (BudgetError, ConfigError, FsGratingError, GeometryError,
                      SingularSystemError)
 
@@ -71,7 +70,7 @@ def _parse_profile(text: str):
 
 
 def parse_config(path: str, overrides=()) -> tuple:
-    """Read the INI file, apply overrides, build the typed configs."""
+    """Read the INI file, apply overrides, build and screen the configs."""
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
@@ -95,13 +94,9 @@ def parse_config(path: str, overrides=()) -> tuple:
                         t=l.getfloat("t", fallback=2.0))
         run = {key: parse(cp.get("run", key, fallback=default))
                for key, (parse, default) in RUN_KEYS.items()}
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
-    validate_pml(pml)
-    if not 0 < run["tau"] < 1:
-        raise ConfigError("run.tau must lie in (0, 1)")
-    if run["max_iter"] < 1:
-        raise ConfigError("run.max_iter must be at least 1")
+    screen(problem, pml, run["tau"], run["max_iter"])
     return problem, pml, run
 
 
@@ -245,9 +240,6 @@ def main(argv=None) -> int:
         if args.dump_config:
             sys.stdout.write(dump_config(problem, pml, run))
             return 0
-        findings = validate(problem)
-        if findings:
-            raise ConfigError("Wood anomalies: " + "; ".join(map(str, findings)))
         os.makedirs(args.out, exist_ok=True)
         return args.command(args, problem, pml, run)
     except FsGratingError as exc:

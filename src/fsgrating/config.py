@@ -5,7 +5,7 @@ periodic fluid-solid interface x2 = f(x1).  The fluid occupies the region
 above the profile, the elastic solid the region below; artificial
 boundaries at x2 = h1 and x2 = h2 truncate the cell before the absorbing
 layers are attached.  This module holds the parameter records, derives the
-elastic wavenumbers, screens for Wood anomalies and selects PML strengths
+elastic wavenumbers, screens the inputs of a run and selects PML strengths
 that push the layer truncation error below a target.
 """
 
@@ -29,6 +29,7 @@ __all__ = [
     "order_table",
     "validate",
     "validate_pml",
+    "screen",
     "select_pml_parameters",
 ]
 
@@ -36,6 +37,8 @@ __all__ = [
 WOOD_RTOL = 1e-9
 #: the wavenumbers of the order-table rows, in row order
 WAVENUMBER_NAMES = ("kappa", "kappa1", "kappa2")
+#: sigma doublings select_pml_parameters tries before giving up
+MAX_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -80,12 +83,12 @@ class ProblemConfig:
         object.__setattr__(self, "profile",
                            tuple((float(x), float(y)) for x, y in self.profile))
         for name in ("omega", "rho", "rho_f", "kappa", "period"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
-        if not self.mu > 0:
-            raise ConfigError("mu must be positive")
-        if not self.lam + self.mu > 0:
-            raise ConfigError("lam + mu must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if not 0 < self.mu < math.inf:
+            raise ConfigError("mu must be positive and finite")
+        if not 0 < self.lam + self.mu < math.inf:
+            raise ConfigError("lam + mu must be positive and finite")
         if not -math.pi / 2 < self.theta < math.pi / 2:
             raise ConfigError("theta must lie strictly inside (-pi/2, pi/2)")
         xs = [p[0] for p in self.profile]
@@ -98,8 +101,8 @@ class ProblemConfig:
             raise ConfigError("profile x1 must be strictly increasing")
         if abs(ys[0] - ys[-1]) > 1e-12 * max(1.0, abs(ys[0])):
             raise ConfigError("profile heights at x1=0 and x1=period must match")
-        if not (self.h2 < min(ys) and max(ys) < self.h1):
-            raise ConfigError("profile must stay strictly between h2 and h1")
+        if not (-math.inf < self.h2 < min(ys) and max(ys) < self.h1 < math.inf):
+            raise ConfigError("profile must stay strictly between finite h2 and h1")
 
 
 @dataclass(frozen=True)
@@ -117,17 +120,17 @@ def validate_pml(pml: PmlConfig):
     """Check that the induced medium function is admissible inside the layers.
 
     Requires s1 >= 1 and s2 > 0, i.e. Re sigma >= 0 and Im sigma > 0,
-    positive thicknesses and ramp degree t >= 1.
+    positive thicknesses and ramp degree t >= 1, all of them finite.
     """
-    if not (pml.delta1 > 0 and pml.delta2 > 0):
-        raise ConfigError("PML thicknesses must be positive")
-    if not pml.t >= 1:
-        raise ConfigError("PML ramp degree t must be >= 1")
+    if not (0 < pml.delta1 < math.inf and 0 < pml.delta2 < math.inf):
+        raise ConfigError("PML thicknesses must be positive and finite")
+    if not 1 <= pml.t < math.inf:
+        raise ConfigError("PML ramp degree t must be >= 1 and finite")
     for name, sig in (("sigma1", complex(pml.sigma1)), ("sigma2", complex(pml.sigma2))):
-        if sig.real < 0:
-            raise ConfigError(f"Re {name} must be >= 0")
-        if not sig.imag > 0:
-            raise ConfigError(f"Im {name} must be > 0")
+        if not 0 <= sig.real < math.inf:
+            raise ConfigError(f"Re {name} must be >= 0 and finite")
+        if not 0 < sig.imag < math.inf:
+            raise ConfigError(f"Im {name} must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -224,19 +227,27 @@ def order_table(cfg: ProblemConfig, ns) -> OrderTable:
 
 
 def validate(cfg: ProblemConfig) -> list:
-    """Screen the diffraction orders |n| <= mode_window(cfg) for Wood anomalies.
-
-    Returns a list of findings; an empty list means the configuration is
-    admissible.  The check compares |alpha_n| against kappa, kappa1 and
-    kappa2 with relative tolerance 1e-9.
-    """
+    """The Wood findings of the window |n| <= mode_window(cfg): orders with
+    |alpha_n| on the kappa, kappa1 or kappa2 circle (WOOD_RTOL); an empty
+    list means the configuration is admissible."""
     w = mode_window(cfg)
     return order_table(cfg, np.arange(-w, w + 1)).findings()
 
 
+def screen(cfg: ProblemConfig, pml: PmlConfig, tau: float, max_iter: int):
+    """Every input rule of an adaptive run: ConfigError on a bad layer, a Wood
+    order in the window (WoodAnomalyError), tau outside (0, 1), max_iter < 1."""
+    validate_pml(pml)
+    w = mode_window(cfg)
+    order_table(cfg, np.arange(-w, w + 1)).check()
+    if not 0 < tau < 1:
+        raise ConfigError("run.tau must lie in (0, 1)")
+    if max_iter < 1:
+        raise ConfigError("run.max_iter must be at least 1")
+
+
 def select_pml_parameters(cfg: ProblemConfig, target: float,
-                          template: PmlConfig,
-                          max_doublings: int = 60) -> PmlConfig:
+                          template: PmlConfig) -> PmlConfig:
     """Scale the template strengths until both layer error bounds meet target.
 
     Both sigma components of both layers are doubled in lockstep (the decay
@@ -255,22 +266,21 @@ def select_pml_parameters(cfg: ProblemConfig, target: float,
     WoodAnomalyError
         If the order window holds a Wood anomaly (the bounds degenerate).
     BudgetError
-        If the doubling cap is reached; the layers are too thin for the
-        requested target.
+        If MAX_DOUBLINGS doublings do not reach the target; the layers are
+        too thin for it.
     """
     from . import spectral  # local import to avoid a cycle
 
-    validate_pml(template)
     if not target > 0:
         raise ConfigError(f"PML target must be positive, got {target!r}")
     root = math.sqrt(cfg.period)
     pml = template
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         if (spectral.bound_F1(cfg, pml) * root <= target
                 and spectral.bound_F2(cfg, pml) * root <= target):
             return pml
         pml = replace(pml, sigma1=2 * complex(pml.sigma1),
                       sigma2=2 * complex(pml.sigma2))
     raise BudgetError(
-        f"no sigma within {max_doublings} doublings meets the PML target "
+        f"no sigma within {MAX_DOUBLINGS} doublings meets the PML target "
         f"{target:g}; increase the layer thickness")

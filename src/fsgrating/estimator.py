@@ -136,14 +136,12 @@ def _p1_gradient(nodal, grads):
 
 
 def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
-               pml: PmlConfig, incident: bool = True) -> EdgeJumps:
+               pml: PmlConfig) -> EdgeJumps:
     """Jump residual norms on every edge not on the outer layer boundaries.
 
     Interface edges and edges with an endpoint strictly inside a layer
     take the 4-point rule.  On every other edge s = 1, so its jump is
     constant and one evaluation times the length gives the norm.
-    incident=False drops the incoming-wave terms from the interface
-    mismatch (a homogeneous problem, useful for exactness checks).
     """
     top = mesh.topology
     n_edges = top.edge_nodes.shape[0]
@@ -213,8 +211,6 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     ids, ef, es, n = interface_edges(mesh)
     pts = edge_trace(mesh, ids, mesh.nodes, tq)
     pin, gin = spectral.incident_wave(cfg, pts)
-    if not incident:
-        pin, gin = np.zeros_like(pin), np.zeros_like(gin)
     dn_in = (gin * n[:, None, :]).sum(-1)
     dn_ph = (grad_p[ef][:, None, :] * n[:, None, :]).sum(-1)
     un = (edge_trace(mesh, ids, state.u, tq) * n[:, None, :]).sum(-1)
@@ -239,11 +235,11 @@ def _quad_norm(measure, w, *parts):
 
 
 def indicators(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
-               pml: PmlConfig, incident: bool = True) -> IndicatorField:
+               pml: PmlConfig) -> IndicatorField:
     """Combine residuals and jumps into eta_T and the global eps_f/eps_p."""
     top = mesh.topology
     resid = element_residuals(mesh, state, cfg, pml)
-    jumps = edge_jumps(mesh, state, cfg, pml, incident=incident)
+    jumps = edge_jumps(mesh, state, cfg, pml)
     fluid_elem = _is_fluid(mesh.regions)
 
     jump_sq = np.zeros(mesh.n_elems)

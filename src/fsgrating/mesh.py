@@ -278,8 +278,6 @@ def generate_initial_mesh(cfg: ProblemConfig, pml: PmlConfig, h0: float) -> Mesh
         raise GeometryError("h0 must be positive")
     pts = np.asarray(cfg.profile)
     ys = pts[:, 1]
-    if not (cfg.h2 < ys.min() and ys.max() < cfg.h1):
-        raise GeometryError("profile exits the strip between h2 and h1")
 
     xs = [np.asarray([pts[0, 0]])]
     for (xa, ya), (xb, yb) in zip(pts[:-1], pts[1:]):

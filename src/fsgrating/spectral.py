@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import PmlConfig, ProblemConfig, derive, mode_window, order_table
+from .config import (PmlConfig, ProblemConfig, derive, mode_window, order_table,
+                     validate_pml)
 from .errors import ConfigError, DegenerateModeError, SingularSystemError
 
 __all__ = [
@@ -296,9 +297,10 @@ def bound_F1(cfg: ProblemConfig, pml: PmlConfig) -> float:
     max of 2*Theta^i/(e^(2*Im(eta1)*Theta^i) - 1) over propagating orders
     and 2*Theta^e/(e^(2*Re(eta1)*Theta^e) - 1) over evanescent ones, with
     the minima taken over the finite order window; an empty order family
-    simply drops its term.  Raises WoodAnomalyError if the window holds a
-    Wood order.
+    simply drops its term.  Raises ConfigError for an inadmissible layer
+    (validate_pml) and WoodAnomalyError if the window holds a Wood order.
     """
+    validate_pml(pml)
     return 2 * _decay_max(cfg, (0,), pml_eta(pml).eta1, 2.0)
 
 
@@ -307,8 +309,9 @@ def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
 
     (34*omega^2*rho/kappa1^4) * max over the compressional and shear
     families of Theta/(e^(Theta*eta2-part/2) - 1) * a polynomial factor in
-    kappa1, kappa2.  Raises WoodAnomalyError as bound_F1 does.
+    kappa1, kappa2.  Raises ConfigError and WoodAnomalyError as bound_F1 does.
     """
+    validate_pml(pml)
     d = derive(cfg)
     k1, k2 = d.kappa1, d.kappa2
     poly = max(6 * k2, k2 ** 2 + 4, 8 * k2 ** 4, 8 * k2 ** 3 / k1 ** 2,

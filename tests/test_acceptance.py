@@ -11,7 +11,8 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import constrained_reference, expand_reduced, pml_for
+from conftest import (constrained_reference, expand_reduced, pml_for,
+                      zero_incident_wave)
 
 from fsgrating import PmlConfig, ProblemConfig
 from fsgrating import adapt, cli, spectral
@@ -251,12 +252,15 @@ def test_c07_adaptive_beats_uniform(corner_adaptive, corner_uniform):
             f"dof {dof_u}")
 
 
-def test_c08_estimator_exactness(ex1_cfg):
+def test_c08_estimator_exactness(ex1_cfg, monkeypatch):
     pml = PmlConfig(2.0, 2.0, 10 + 10j, 10 + 10j, 2.0)
     mesh = msh.generate_initial_mesh(ex1_cfg, pml, 0.25)
 
+    # the homogeneous problem: zero state and no incoming wave
     zero = solver.SystemState.zeros(mesh)
-    field = est.indicators(mesh, zero, ex1_cfg, pml, incident=False)
+    monkeypatch.setattr(est.spectral, "incident_wave", zero_incident_wave)
+    field = est.indicators(mesh, zero, ex1_cfg, pml)
+    monkeypatch.undo()
     ok = field.eps_f == 0.0 and field.eps_p == 0.0
 
     cfg0 = ProblemConfig(**{**ex1_cfg.__dict__, "theta": 0.0})

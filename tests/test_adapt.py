@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import pml_for, tuned_rho
-from fsgrating import ConfigError, PmlConfig, select_pml_parameters, validate
-from fsgrating import adapt, solver, spectral
+from fsgrating import (ConfigError, PmlConfig, WoodAnomalyError,
+                       select_pml_parameters, validate)
+from fsgrating import adapt, assembly, solver, spectral
 from fsgrating.mesh import audit
 
 
@@ -83,23 +84,40 @@ def test_csv_serialization(ex1_cfg, pml_mild):
 
 
 def test_invalid_tau_rejected(ex1_cfg, pml_mild):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=1.5, max_iter=2, h0=0.3)
 
 
 def test_invalid_max_iter_rejected(ex1_cfg, pml_mild):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=0.5, max_iter=0, h0=0.3)
 
 
 @pytest.mark.parametrize("case", [
     "bound_F1 grazing", "adapt grazing", "bound_F2 tuned rho", "adapt tuned rho",
-    "select tuned rho", "select Im sigma = 0", "select delta = 0"])
-def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, case):
+    "select tuned rho", "select Im sigma = 0", "select delta = 0",
+    "bound_F1 Im sigma = 0", "bound_F1 delta = 0", "bound_F2 Im sigma = 0",
+    "bound_F2 delta = 0"])
+def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, monkeypatch,
+                                               case):
+    # every case raises at the front door: no mesh is built, nothing assembled
+    calls = {"mesh": 0, "assemble": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(adapt, "generate_initial_mesh",
+                        counted("mesh", adapt.generate_initial_mesh))
+    monkeypatch.setattr(assembly, "assemble", counted("assemble", assembly.assemble))
     grazing = replace(ex1_cfg, theta=np.pi / 2 - 1e-13)
     tuned = tuned_rho(ex1_cfg)
     template = PmlConfig(3.0, 3.0, 1 + 1j, 1 + 1j, 2.0)
-    calls = {
+    no_im = replace(template, sigma1=1 + 0j, sigma2=1 + 0j)
+    no_delta = replace(template, delta1=0.0, delta2=0.0)
+    entry = {
         "bound_F1 grazing": lambda: spectral.bound_F1(grazing, pml_mild),
         "adapt grazing": lambda: adapt.run(grazing, pml_mild, tol=0.0, tau=0.5,
                                            max_iter=1, h0=0.3),
@@ -107,13 +125,17 @@ def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, case):
         "adapt tuned rho": lambda: adapt.run(tuned, pml_mild, tol=0.0, tau=0.5,
                                              max_iter=1, h0=0.3),
         "select tuned rho": lambda: pml_for(tuned, 3.0),
-        "select Im sigma = 0": lambda: select_pml_parameters(
-            ex1_cfg, 1e-8, replace(template, sigma1=1 + 0j, sigma2=1 + 0j)),
-        "select delta = 0": lambda: select_pml_parameters(
-            ex1_cfg, 1e-8, replace(template, delta1=0.0, delta2=0.0)),
+        "select Im sigma = 0": lambda: select_pml_parameters(ex1_cfg, 1e-8, no_im),
+        "select delta = 0": lambda: select_pml_parameters(ex1_cfg, 1e-8, no_delta),
+        "bound_F1 Im sigma = 0": lambda: spectral.bound_F1(ex1_cfg, no_im),
+        "bound_F1 delta = 0": lambda: spectral.bound_F1(ex1_cfg, no_delta),
+        "bound_F2 Im sigma = 0": lambda: spectral.bound_F2(ex1_cfg, no_im),
+        "bound_F2 delta = 0": lambda: spectral.bound_F2(ex1_cfg, no_delta),
     }
-    with pytest.raises(ConfigError):
-        calls[case]()
+    wood = "grazing" in case or "tuned rho" in case
+    with pytest.raises(WoodAnomalyError if wood else ConfigError):
+        entry[case]()
+    assert calls == {"mesh": 0, "assemble": 0}
 
 
 @pytest.mark.parametrize("eps", [1e-8, 1e-6, 1e-4])

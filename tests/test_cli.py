@@ -79,6 +79,14 @@ def test_dump_config_flag(ex1_ini, capsys):
     assert "[problem]" in out and "profile" in out
 
 
+def test_dump_config_runs_the_wood_screen(ex1_ini, capsys):
+    grazing = repr(np.pi / 2 - 1e-13)
+    code = cli.main(["adapt", "--config", ex1_ini, "--dump-config",
+                     "--set", f"problem.theta={grazing}"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_params_meets_target(ex1_ini, capsys):
     code = cli.main(["params", "--config", ex1_ini, "--target", "1e-8",
                      "--set", "pml.sigma_re=1", "--set", "pml.sigma_im=1"])
@@ -236,7 +244,10 @@ def test_exit_codes_for_error_families(ex1_ini, tmp_path):
 
 
 @pytest.mark.parametrize("override", ["pml.delta=0", "pml.sigma_im=0", "pml.t=0.5",
-                                      "run.tau=0", "run.tau=1.5", "run.max_iter=0"])
+                                      "run.tau=0", "run.tau=1.5", "run.max_iter=0",
+                                      "problem.omega=inf", "problem.period=1e400",
+                                      "problem.h1=inf", "run.dof_cap=inf",
+                                      "pml.delta=inf", "pml.sigma_im=inf"])
 @pytest.mark.parametrize("subcommand", ["solve", "adapt", "verify-flat",
                                         "spectral-check", "params"])
 def test_inadmissible_pml_exits_config(ex1_ini, tmp_path, subcommand, override):

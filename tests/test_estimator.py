@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import zero_incident_wave
 
 from fsgrating import PmlConfig, ProblemConfig, derive
 from fsgrating import assembly as asm
@@ -22,10 +23,11 @@ def flat_setup(ex1_cfg, pml_mild):
     return ex1_cfg, pml_mild, m
 
 
-def test_zero_state_zero_incident(flat_setup):
+def test_zero_state_zero_incident(flat_setup, monkeypatch):
     cfg, pml, m = flat_setup
     state = solver.SystemState.zeros(m)
-    field = est.indicators(m, state, cfg, pml, incident=False)
+    monkeypatch.setattr(est.spectral, "incident_wave", zero_incident_wave)
+    field = est.indicators(m, state, cfg, pml)
     assert field.eps_f == 0.0
     assert field.eps_p == 0.0
     assert np.max(field.eta) == 0.0
