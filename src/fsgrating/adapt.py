@@ -51,7 +51,7 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
 
     Parameters
     ----------
-    tol : stop once eps_f <= tol.
+    tol : stop once eps_f <= tol; nonnegative, +inf stops after one solve.
     tau : marking threshold in (0, 1).
     max_iter : iteration budget (one solve per iteration), at least 1.
     h0 : target size of the initial structured mesh (ignored when an
@@ -67,7 +67,7 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     ConfigError : from config.screen, before any mesh is built.
     GeometryError, SingularSystemError : a bad h0 or mesh, a failed solve.
     """
-    screen(cfg, pml, tau, max_iter)
+    screen(cfg, pml, tol, tau, max_iter)
     if mesh is None:
         mesh = generate_initial_mesh(cfg, pml, h0)
     records = []

@@ -4,26 +4,28 @@ The variational problem on the truncated cell reads: find (p, u) with
 homogeneous values on the outer absorbing boundaries and quasi-periodic
 side traces such that for all admissible (phi, psi)
 
-    int_fluid  s*p_x1*phi_x1 + (1/s)*p_x2*phi_x2 - kappa^2*s*p*conj(phi)
-  + int_solid  stretched-elasticity(u, psi) - omega^2*rho*s*u.conj(psi)
+    int_fluid  q(grad p).conj(grad phi) - kappa^2*s*p*conj(phi)
+  + int_solid  sigma(grad u):conj(grad psi) - omega^2*rho*s*u.conj(psi)
   + int_iface  p (n.conj(psi)) + rho_f*omega^2 (u.n) conj(phi)
   = int_iface  dn(p_in) conj(phi) - p_in (n.conj(psi)),
 
 with s = s(x2) the complex layer stretch (identically one in the physical
-bands) and n the interface normal pointing into the fluid.  P1 elements on
-both fields; interface nodes carry one pressure and two displacement
-unknowns.  The constraints are folded in while the local blocks are
-scattered: outer-boundary unknowns are dropped, and each right-boundary
-column is added to its left partner's with the multiplier exp(i*alpha*L)
-and each row with the conjugate multiplier, which preserves the
-sesquilinear pairing.  Volume terms use the 7-point degree-5 triangle rule;
-interface integrals use 4-point Gauss lines (the incident wave
-oscillates).
+bands), q and sigma the pressure flux and the stress of field_laws, and n
+the interface normal pointing into the fluid.  P1 elements on both fields;
+interface nodes carry one pressure and two displacement unknowns.  The
+constraints are folded in while the local blocks are scattered:
+outer-boundary unknowns are dropped, and each right-boundary column is
+added to its left partner's with the multiplier exp(i*alpha*L) and each
+row with the conjugate multiplier, which preserves the sesquilinear
+pairing.  Volume terms use the 7-point degree-5 triangle rule; interface
+integrals use 4-point Gauss lines (the incident wave oscillates).
 """
 
 from __future__ import annotations
 
-import cmath
+import functools
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +36,10 @@ from . import spectral
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, RIGHT, Mesh, _is_fluid,
-                   edge_trace, interface_edges)
+                   edge_trace, interface_edges, twice_signed_areas)
 
 __all__ = [
-    "stretch", "stretch_derivative", "DofMap", "LinearSystem",
+    "stretch", "stretch_derivative", "Law", "field_laws", "DofMap", "LinearSystem",
     "build_dofmap", "fluid_element_matrix", "solid_element_matrix",
     "interface_coupling", "load_vector", "assemble",
 ]
@@ -67,6 +69,54 @@ def stretch_derivative(x2, cfg: ProblemConfig, pml: PmlConfig):
     ds[dn] = (-complex(pml.sigma2) * t / pml.delta2
               * ((cfg.h2 - x2[dn]) / pml.delta2) ** (t - 1))
     return ds if ds.shape else complex(ds)
+
+
+@dataclass(frozen=True)
+class Law:
+    """flux(g, s, sinv) maps the gradient g[..., c, d] = d(field_c)/dx_d of
+    a C-component field to its flux of the same shape, affine in s and in
+    sinv = 1/s (both broadcast against g[..., 0, 0]); mass weighs s*field."""
+
+    side: str          # "fluid" or "solid"
+    components: int    # C
+    mass: float
+    flux: Callable
+
+    def parts(self):
+        """(s-part, 1/s-part, constant part), each (C, 2, C, 2): part[c, d, k,
+        l] is flux entry (c, d) of the unit gradient g[k, l] = 1, exactly."""
+        n = self.components
+        unit = np.eye(2 * n).reshape(2 * n, n, 2)
+        const = self.flux(unit, 0.0, 0.0)
+        return tuple(t.reshape(n, 2, n, 2).transpose(2, 3, 0, 1) for t in
+                     (self.flux(unit, 1.0, 0.0) - const,
+                      self.flux(unit, 0.0, 1.0) - const, const))
+
+
+def field_laws(cfg: ProblemConfig) -> tuple:
+    """The (pressure, displacement) laws, the one definition that the element
+    kernels, the residual, the jumps and the energy norm read: the flux
+    (s*dp/dx1, dp/dx2 / s) with mass kappa^2, and the layer-consistent stress
+    (standard where s = 1) with mass omega^2*rho."""
+    mu, lam = cfg.mu, cfg.lam
+
+    def pressure_flux(g, s, sinv):
+        s, sinv = np.asarray(s)[..., None], np.asarray(sinv)[..., None]
+        return np.stack([s * g[..., 0], sinv * g[..., 1]], axis=-1)
+
+    def stress(g, s, sinv):
+        g11, g12 = g[..., 0, 0], g[..., 0, 1]
+        g21, g22 = g[..., 1, 0], g[..., 1, 1]
+        # s and sinv multiply last: at the edge points they vary along an
+        # axis that g lacks, so the constant factors stay on the smaller g
+        f = np.stack([s * ((2 * mu + lam) * g11) + lam * g22,
+                      sinv * (mu * g12) + mu * g21,
+                      s * (mu * g21) + mu * g12,
+                      sinv * ((2 * mu + lam) * g22) + lam * g11], axis=-1)
+        return f.reshape(f.shape[:-1] + (2, 2))
+
+    return (Law("fluid", 1, cfg.kappa ** 2, pressure_flux),
+            Law("solid", 2, cfg.omega ** 2 * cfg.rho, stress))
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +173,7 @@ def build_dofmap(mesh: Mesh, cfg: ProblemConfig) -> DofMap:
     fluid_dof[right] = np.where(fields[right, 0], fluid_dof[partner], -1)
     solid_dof[right] = np.where(fields[right, 1, None], solid_dof[partner], -1)
     return DofMap(fluid_dof=fluid_dof, solid_dof=solid_dof, slave=slave,
-                  multiplier=cmath.exp(1j * derive(cfg).alpha * cfg.period),
+                  multiplier=derive(cfg).bloch,
                   n_free=n_fluid + 2 * n_solid)
 
 
@@ -147,7 +197,7 @@ def _p1_gradients(corners):
     y = corners[..., 1]
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
+    area2 = twice_signed_areas(corners)
     grads = np.stack([b, c], axis=-1) / area2[:, None, None]
     return grads, 0.5 * area2
 
@@ -176,44 +226,47 @@ def _stretch_sums(corners, cfg, pml, bary, w):
     return s_avg, sinv_avg, mass.reshape(-1, 3, 3)
 
 
-def _element_terms(corners, cfg, pml, bary, w, side):
-    """Areas, stretch sums, outer products gx gx^T and gy gy^T and the P1
-    gradient components shared by the fluid and solid element matrices."""
+def _element_matrices(corners, law: Law, cfg, pml, bary=quad.TRI5_BARY,
+                      w=quad.TRI5_W):
+    """Galerkin matrices of law on the triangles of corners (M, 3, 2), row
+    C*i + c testing component c at corner i: block (c, k) sums the outer
+    products dphi_i/dx_d * dphi_j/dx_l times part[c, d, k, l] times the sums
+    of s, 1/s or 1; the laws are symmetric, so block (k, c) is its transpose."""
     grads, area = _p1_gradients(corners)
     if (area <= 0).any():
-        raise GeometryError(f"degenerate {side} element")
+        raise GeometryError(f"degenerate {law.side} element")
     s_avg, sinv_avg, mass = _stretch_sums(corners, cfg, pml, bary, w)
-    gx = grads[..., 0]
-    gy = grads[..., 1]
-    kxx = np.einsum("ei,ej->eij", gx, gx)
-    kyy = np.einsum("ei,ej->eij", gy, gy)
-    return (area[:, None, None], s_avg[:, None, None], sinv_avg[:, None, None],
-            mass, kxx, kyy, gx, gy)
-
-
-def _fluid_matrices(corners, cfg, pml, bary=quad.TRI5_BARY, w=quad.TRI5_W):
-    a, s1, s2, mass, kxx, kyy, _, _ = _element_terms(corners, cfg, pml, bary,
-                                                     w, "fluid")
-    return a * (s1 * kxx + s2 * kyy - cfg.kappa ** 2 * mass)
-
-
-def _solid_matrices(corners, cfg, pml, bary=quad.TRI5_BARY, w=quad.TRI5_W):
-    a, s1, s2, mass, kxx, kyy, gx, gy = _element_terms(corners, cfg, pml, bary,
-                                                       w, "solid")
-    mu, lam = cfg.mu, cfg.lam
-    w2r = cfg.omega ** 2 * cfg.rho
-    m = w2r * a * mass
-    k11 = a * ((2 * mu + lam) * s1 * kxx + mu * s2 * kyy) - m
-    k22 = a * ((2 * mu + lam) * s2 * kyy + mu * s1 * kxx) - m
-    # cross blocks carry no stretch weight; row i tests, column j is trial:
-    # k12[i, j] = lam*gx[i]*gy[j] + mu*gy[i]*gx[j], and k21 = k12^T
-    gxy = gx[:, :, None] * gy[:, None, :]
-    k12 = a * (lam * gxy + mu * gxy.transpose(0, 2, 1))
-    out = np.empty(corners.shape[:1] + (6, 6), dtype=complex)
-    out[:, 0::2, 0::2] = k11
-    out[:, 0::2, 1::2] = k12
-    out[:, 1::2, 0::2] = k12.transpose(0, 2, 1)
-    out[:, 1::2, 1::2] = k22
+    parts = law.parts()
+    # the outer products the law uses, (d, l) = (1, 0) as the transpose of (0, 1)
+    outer = {}
+    used = {(d, l) for part in parts for _, d, _, l in zip(*np.nonzero(part))}
+    for d, l in sorted(used):
+        outer[d, l] = (outer[l, d].transpose(0, 2, 1) if (l, d) in outer
+                       else np.einsum("ei,ej->eij", grads[..., d], grads[..., l]))
+    # the constant part integrates exactly to the area and stays real
+    weights = (s_avg[:, None, None], sinv_avg[:, None, None], None)
+    n = law.components
+    blocks = {}
+    for c in range(n):
+        for k in range(c, n):
+            # the weighted parts come first, so the first term is complex
+            # whenever any term is; a diagonal block always has s-terms
+            terms = ((coef if weight is None else coef * weight) * outer[d, l]
+                     for weight, part in zip(weights, parts)
+                     for (d, l), coef in np.ndenumerate(part[c, :, k, :]) if coef)
+            block = functools.reduce(operator.iadd, terms)
+            if c == k:
+                block -= law.mass * mass
+            blocks[c, k] = area[:, None, None] * block
+    if n == 1:
+        return blocks[0, 0]
+    # the output is allocated after the blocks: allocated first, it raised
+    # the peak memory of the following factorisation on the flat workload
+    out = np.empty(corners.shape[:1] + (3 * n, 3 * n), dtype=complex)
+    for (c, k), block in blocks.items():
+        out[:, c::n, k::n] = block
+        if k != c:
+            out[:, k::n, c::n] = block.transpose(0, 2, 1)
     return out
 
 
@@ -221,13 +274,15 @@ def fluid_element_matrix(corners, cfg: ProblemConfig, pml: PmlConfig,
                          rule=(quad.TRI5_BARY, quad.TRI5_W)) -> np.ndarray:
     """3x3 pressure element matrix for one triangle given its corners;
     rule is a (barycentric points, weights) triangle rule."""
-    return _fluid_matrices(np.asarray(corners, float)[None], cfg, pml, *rule)[0]
+    return _element_matrices(np.asarray(corners, float)[None],
+                             field_laws(cfg)[0], cfg, pml, *rule)[0]
 
 
 def solid_element_matrix(corners, cfg: ProblemConfig, pml: PmlConfig,
                          rule=(quad.TRI5_BARY, quad.TRI5_W)) -> np.ndarray:
     """6x6 displacement element matrix, dofs interleaved (u1, u2) per node."""
-    return _solid_matrices(np.asarray(corners, float)[None], cfg, pml, *rule)[0]
+    return _element_matrices(np.asarray(corners, float)[None],
+                             field_laws(cfg)[1], cfg, pml, *rule)[0]
 
 
 # ----------------------------------------------------------------------
@@ -305,9 +360,11 @@ def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig) -> LinearSystem:
     ifluid = _unknowns(dofmap, nodes, solid=False)                    # (E, 2)
     isolid = _unknowns(dofmap, nodes, solid=True)                     # (E, 4)
 
+    fluid_law, solid_law = field_laws(cfg)
+
     # (row unknowns, column unknowns, local blocks) of each family
-    blocks = [(fluid, fluid, _fluid_matrices(corners[fluid_sel], cfg, pml)),
-              (solid, solid, _solid_matrices(corners[~fluid_sel], cfg, pml)),
+    blocks = [(fluid, fluid, _element_matrices(corners[fluid_sel], fluid_law, cfg, pml)),
+              (solid, solid, _element_matrices(corners[~fluid_sel], solid_law, cfg, pml)),
               (isolid, ifluid, b1), (ifluid, isolid, b2)]
     # weights by 1 + (column on a slave) - (row on a slave); a slave row and
     # column weigh exactly 1, since |multiplier| = 1

@@ -11,6 +11,7 @@ that push the layer truncation error below a target.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -141,22 +142,27 @@ class DerivedParams:
     kappa2: float  # shear
     alpha: float   # kappa*sin(theta)
     beta: float    # kappa*cos(theta)
+    bloch: complex  # exp(i*alpha*period), the quasi-periodic phase per period
 
 
 def derive(cfg: ProblemConfig) -> DerivedParams:
     """Compute compressional/shear wavenumbers and the incident trace pair.
 
     kappa1 = omega*sqrt(rho/(2*mu+lam)), kappa2 = omega*sqrt(rho/mu),
-    alpha = kappa*sin(theta), beta = kappa*cos(theta).  The material
-    constraints guarantee kappa2 > kappa1.
+    alpha = kappa*sin(theta), beta = kappa*cos(theta), and the Bloch phase
+    exp(i*alpha*period) that the periodic fold of the assembly and the
+    periodic jump pairs of the estimator read.  The material constraints
+    guarantee kappa2 > kappa1.
     """
     kappa1 = cfg.omega * math.sqrt(cfg.rho / (2 * cfg.mu + cfg.lam))
     kappa2 = cfg.omega * math.sqrt(cfg.rho / cfg.mu)
+    alpha = cfg.kappa * math.sin(cfg.theta)
     return DerivedParams(
         kappa1=kappa1,
         kappa2=kappa2,
-        alpha=cfg.kappa * math.sin(cfg.theta),
+        alpha=alpha,
         beta=cfg.kappa * math.cos(cfg.theta),
+        bloch=cmath.exp(1j * alpha * cfg.period),
     )
 
 
@@ -234,12 +240,16 @@ def validate(cfg: ProblemConfig) -> list:
     return order_table(cfg, np.arange(-w, w + 1)).findings()
 
 
-def screen(cfg: ProblemConfig, pml: PmlConfig, tau: float, max_iter: int):
+def screen(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
+           max_iter: int):
     """Every input rule of an adaptive run: ConfigError on a bad layer, a Wood
-    order in the window (WoodAnomalyError), tau outside (0, 1), max_iter < 1."""
+    order in the window (WoodAnomalyError), tol < 0 or NaN (+inf is valid),
+    tau outside (0, 1), max_iter < 1."""
     validate_pml(pml)
     w = mode_window(cfg)
     order_table(cfg, np.arange(-w, w + 1)).check()
+    if not tol >= 0:
+        raise ConfigError(f"run.tol must be nonnegative, got {tol!r}")
     if not 0 < tau < 1:
         raise ConfigError("run.tau must lie in (0, 1)")
     if max_iter < 1:

@@ -6,16 +6,20 @@ Each element T carries the indicator
 
 with the element residual R the strong operator applied to the P1 field
 (only lower-order terms survive: the stretched-gradient derivative and the
-mass term) and J_e the flux/traction jumps over the element edges.  Edge
-families:
+mass term) and J_e the flux/traction jumps over the element edges.  Both
+read the law of assembly.field_laws, the one definition the element
+kernels assemble, so the fluxes here are the conormal derivatives of the
+assembled form; the residual, the jump pairs and the energy norm each take
+one path over the two fields, the pressure carried as a one-component
+field.  Edge families:
 
-- jump pairs (T0, T1, w) jump the stretched pressure flux or the
-  layer-consistent traction (the flux the stretched strain form produces by
-  parts; off the layers it is the standard traction) of T0 against w times
-  that of T1.  An interior edge pairs its two elements with w = 1; a left
-  boundary edge pairs its element with the element of its right periodic
-  mate, whose field the phase w = exp(-i*alpha*period) carries back across
-  one period; the right edge carries the norm of its left mate.
+- jump pairs (T0, T1, w) jump the normal flux of the law (the stretched
+  pressure flux, or the layer-consistent traction, which off the layers
+  is the standard traction) of T0 against w times that of T1.  An
+  interior edge pairs its two elements with w = 1; a left boundary edge
+  pairs its element with the element of its right periodic mate, whose
+  field the phase w = conj(bloch) = exp(-i*alpha*period) carries back
+  across one period; the right edge carries the norm of its left mate.
 - interface edges weigh the physical transmission mismatch with a factor
   two.
 - edges on the outer absorbing boundaries carry no jump.
@@ -30,14 +34,16 @@ the discretization and layer-truncation parts of the error bound.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import quadrature as quad
 from . import spectral
-from .assembly import (_p1_gradients, _touches_layers, stretch,
-                       stretch_derivative)
+from .assembly import (Law, _p1_gradients, _touches_layers, field_laws,
+                       stretch, stretch_derivative)
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (FLUID, GAMMA_MINUS, GAMMA_PLUS, INTERIOR, LEFT, SOLID,
@@ -65,13 +71,9 @@ class IndicatorField:
 
 @dataclass
 class EdgeJumps:
-    """L2 norms of the jump residuals per edge.
-
-    norm_fluid[e] is the pressure-side jump, norm_solid[e] the
-    displacement-side jump; for interface edges both are present, for other
-    edges exactly one (zeros mark edges without that field or excluded
-    outer-boundary edges).
-    """
+    """L2 norms of the pressure-side and displacement-side jump residuals
+    per edge: both on interface edges, one on the others (zero without that
+    field and on the outer-boundary edges)."""
 
     norm_fluid: np.ndarray
     norm_solid: np.ndarray
@@ -81,12 +83,10 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
                       pml: PmlConfig) -> np.ndarray:
     """L2(T) norms of the strong residual per element, degree-5 quadrature.
 
-    For P1 fields the second derivatives vanish and the stretch depends on
-    x2 only, so the fluid residual is d(1/s)/dx2 * dp/dx2 + kappa^2*s*p and
-    the displacement residual couples each component with its own
-    lower-order pair; in the physical bands this collapses to
-    kappa^2*|p| or omega^2*rho*|u|.  The stretch is evaluated on the
-    elements that reach into a layer only.
+    For P1 fields with s = s(x2) the divergence of the flux is d(1/s)/dx2
+    times the x2 column of the law's 1/s-part (its s-part has none), plus
+    the mass term mass*s*field, alone in the physical bands.  The stretch is
+    evaluated on the elements that reach into a layer only.
     """
     corners = mesh.corner_coords()
     grads, area = _p1_gradients(corners)
@@ -97,31 +97,40 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     dsinv = np.zeros_like(s)
     dsinv[layer] = -stretch_derivative(x2, cfg, pml) / s[layer] ** 2
 
-    fluid = _is_fluid(mesh.regions)
     out = np.zeros(mesh.n_elems)
-
-    gp, pq = _p1_field(state.p[mesh.elems[fluid]], grads[fluid])
-    r = dsinv[fluid] * gp[:, None, 1] + cfg.kappa ** 2 * s[fluid] * pq
-    out[fluid] = _quad_norm(area[fluid], quad.TRI5_W, r)
-
-    solid = ~fluid
-    gu, uq = _p1_field(state.u[mesh.elems[solid]], grads[solid])
-    w2r = cfg.omega ** 2 * cfg.rho
-    r1 = cfg.mu * dsinv[solid] * gu[:, None, 0, 1] + w2r * s[solid] * uq[..., 0]
-    r2 = ((2 * cfg.mu + cfg.lam) * dsinv[solid] * gu[:, None, 1, 1]
-          + w2r * s[solid] * uq[..., 1])
-    out[solid] = _quad_norm(area[solid], quad.TRI5_W, r1, r2)
+    for law, sel, nodal in _fields(mesh, state, cfg):
+        g, vq = _p1_field(nodal[mesh.elems[sel]], grads[sel])
+        sinv_part = law.parts()[1]
+        r = []
+        for c in range(law.components):
+            terms = (coef * dsinv[sel] * g[:, None, k, l]
+                     for (k, l), coef in np.ndenumerate(sinv_part[c, 1]) if coef)
+            r.append(functools.reduce(operator.iadd, terms)
+                     + law.mass * s[sel] * vq[..., c])
+        out[sel] = _quad_norm(area[sel], quad.TRI5_W, *r)
     return out
 
 
-def _p1_field(nodal, grads):
-    """Gradients and degree-5 quadrature-point values of a P1 field.
+def _fields(mesh: Mesh, state: SystemState, cfg: ProblemConfig):
+    """(law, elements, nodal values (N, C)) of the pressure (C = 1) and the
+    displacement."""
+    fluid = _is_fluid(mesh.regions)
+    p_law, u_law = field_laws(cfg)
+    return ((p_law, fluid, state.p[:, None]), (u_law, ~fluid, state.u))
 
-    nodal holds the corner values per element, shape (E, 3) for the
-    pressure or (E, 3, 2) for the displacement; returns the constant
-    gradients, (E, 2) or (E, 2, 2) with d/dx_d last, and the values at the
-    quadrature points, (E, Q) or (E, Q, 2).
-    """
+
+def _normal_flux(law: Law, g, s, normals):
+    """The C components (E, Q) of flux(g, s, 1/s).n for gradients g (E, C, 2),
+    s (E, Q) or a scalar and unit normals (E, 2)."""
+    f = law.flux(g[:, None], s, 1.0 / s)
+    fn = f[..., 0] * normals[:, None, None, 0] + f[..., 1] * normals[:, None, None, 1]
+    return tuple(np.moveaxis(fn, -1, 0))
+
+
+def _p1_field(nodal, grads):
+    """Constant gradients (E, 2) or (E, C, 2), d/dx_d last, and degree-5
+    quadrature-point values (E, Q) or (E, Q, C) of a P1 field from its
+    corner values per element, (E, 3) or (E, 3, C)."""
     values = np.tensordot(quad.TRI5_BARY, nodal, axes=(1, 1))      # (Q, E, ...)
     return _p1_gradient(nodal, grads), np.moveaxis(values, 0, 1)
 
@@ -144,38 +153,15 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     constant and one evaluation times the length gives the norm.
     """
     top = mesh.topology
-    n_edges = top.edge_nodes.shape[0]
-    norm_f = np.zeros(n_edges)
-    norm_s = np.zeros(n_edges)
+    norms = np.zeros((2, top.edge_nodes.shape[0]))    # pressure, displacement side
     tq, wq = quad.EDGE4_X, quad.EDGE4_W
     lengths = top.edge_lengths
 
     grads, _ = _p1_gradients(mesh.corner_coords())
-    fluid = _is_fluid(mesh.regions)
-    grad_p = np.zeros((mesh.n_elems, 2), dtype=complex)
-    grad_p[fluid] = _p1_gradient(state.p[mesh.elems[fluid]], grads[fluid])
-    gu = np.zeros((mesh.n_elems, 2, 2), dtype=complex)
-    gu[~fluid] = _p1_gradient(state.u[mesh.elems[~fluid]], grads[~fluid])
-
-    def flux_p(g, normals, s):
-        """Stretched pressure flux s*px1*n1 + (1/s)*px2*n2 at edge points,
-        as its one component (f,)."""
-        f = (s * g[:, None, 0] * normals[:, None, 0]
-             + g[:, None, 1] * normals[:, None, 1] / s)
-        return (f,)
-
-    def flux_u(g, normals, s):
-        """Layer-consistent traction components (f1, f2) at edge points."""
-        mu, lam = cfg.mu, cfg.lam
-        n1 = normals[:, None, 0]
-        n2 = normals[:, None, 1]
-        g11, g12 = g[:, None, 0, 0], g[:, None, 0, 1]
-        g21, g22 = g[:, None, 1, 0], g[:, None, 1, 1]
-        f1 = ((2 * mu + lam) * s * g11 + lam * g22) * n1 \
-            + mu * (g12 / s + g21) * n2
-        f2 = mu * (s * g21 + g12) * n1 \
-            + ((2 * mu + lam) * g22 / s + lam * g11) * n2
-        return f1, f2
+    fields = _fields(mesh, state, cfg)
+    grad = [np.zeros((mesh.n_elems, law.components, 2), complex) for law, _, _ in fields]
+    for g, (_, sel, nodal) in zip(grad, fields):
+        g[sel] = _p1_gradient(nodal[mesh.elems[sel]], grads[sel])
 
     # jump pairs (t0, t1, weight); interior edges include the band lines
     inner = np.nonzero(np.isin(top.edge_tags, (INTERIOR, GAMMA_PLUS, GAMMA_MINUS)))[0]
@@ -188,23 +174,20 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     t0 = top.edge_elems[ids, 0]
     t1 = np.concatenate([top.edge_elems[inner, 1], top.edge_elems[mates, 0]])
     weight = np.ones(ids.size, dtype=complex)
-    weight[inner.size:] = np.exp(-1j * derive(cfg).alpha * cfg.period)
+    weight[inner.size:] = np.conj(derive(cfg).bloch)
     n0 = outward_normals(mesh, ids, t0)
     layer = _touches_layers(mesh.nodes[top.edge_nodes[ids], 1], cfg)
-    isf = fluid[t0]
-    for sel, grad, flux, norm in ((isf, grad_p, flux_p, norm_f),
-                                  (~isf, gu, flux_u, norm_s)):
+    for (law, field_elems, _), g, norm in zip(fields, grad, norms):
+        sel = field_elems[t0]
         # the flux is linear in the gradient and the mate's normal is -n0,
         # so the pair's jump is the flux of the gradient difference
-        w = weight[sel].reshape((-1,) + (1,) * (grad.ndim - 1))
-        jump = grad[t0[sel]] - w * grad[t1[sel]]
+        jump = g[t0[sel]] - weight[sel, None, None] * g[t1[sel]]
         e, n, lay = ids[sel], n0[sel], layer[sel]
         s = stretch(edge_trace(mesh, e[lay], mesh.nodes[:, 1], tq), cfg, pml)
         for on, s_on, w_on in ((lay, s, wq), (~lay, 1.0, _ONE)):
             norm[e[on]] = _quad_norm(lengths[e[on]], w_on,
-                                     *flux(jump[on], n[on], s_on))
-    norm_f[mates] = norm_f[left]
-    norm_s[mates] = norm_s[left]
+                                     *_normal_flux(law, jump[on], s_on, n[on]))
+    norms[:, mates] = norms[:, left]
 
     # interface edges: transmission mismatch against the incident wave;
     # they lie in the physical strip, where s = 1
@@ -212,17 +195,17 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     pts = edge_trace(mesh, ids, mesh.nodes, tq)
     pin, gin = spectral.incident_wave(cfg, pts)
     dn_in = (gin * n[:, None, :]).sum(-1)
-    dn_ph = (grad_p[ef][:, None, :] * n[:, None, :]).sum(-1)
+    (p_law, _, _), (u_law, _, _) = fields
+    dn_ph, = _normal_flux(p_law, grad[0][ef], 1.0, n)
     un = (edge_trace(mesh, ids, state.u, tq) * n[:, None, :]).sum(-1)
     jf = 2.0 * (dn_in + dn_ph - cfg.rho_f * cfg.omega ** 2 * un)
-    norm_f[ids] = _quad_norm(lengths[ids], wq, jf)
+    norms[0, ids] = _quad_norm(lengths[ids], wq, jf)
 
     p_tot = pin + edge_trace(mesh, ids, state.p, tq)
-    tr = flux_u(gu[es], n, 1.0)
-    norm_s[ids] = _quad_norm(lengths[ids], wq,
-                             *(-2.0 * (p_tot * n[:, None, c] + tr[c]) for c in (0, 1)))
-
-    return EdgeJumps(norm_fluid=norm_f, norm_solid=norm_s)
+    tr = _normal_flux(u_law, grad[1][es], 1.0, n)
+    norms[1, ids] = _quad_norm(lengths[ids], wq,
+                               *(-2.0 * (p_tot * n[:, None, c] + tr[c]) for c in (0, 1)))
+    return EdgeJumps(*norms)
 
 
 def _quad_norm(measure, w, *parts):
@@ -279,32 +262,24 @@ def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
     exact provides pressure/pressure_gradient/displacement/
     displacement_gradient callables on point arrays (the flat-interface
     oracle does).  The absorbing layers are excluded; the norm is the
-    natural one of the coupled problem: H1 for the pressure, the elastic
+    natural one of the coupled problem, Re flux(e, 1, 1) : conj(grad e)
+    + |e|^2 with the law of each field: H1 for the pressure, the elastic
     strain form plus L2 for the displacement.
     """
     corners = mesh.corner_coords()
     grads, area = _p1_gradients(corners)
     pts = quad.triangle_points(corners)
+    p_law, u_law = field_laws(cfg)
     total = 0.0
-
-    fl = mesh.regions == FLUID
-    gp, pq = _p1_field(state.p[mesh.elems[fl]], grads[fl])
-    eg = gp[:, None, :] - exact.pressure_gradient(pts[fl])
-    ev = pq - exact.pressure(pts[fl])
-    dens = (np.abs(eg) ** 2).sum(-1) + np.abs(ev) ** 2
-    total += float((area[fl] * np.einsum("q,eq->e", quad.TRI5_W, dens)).sum())
-
-    so = mesh.regions == SOLID
-    gu, uq = _p1_field(state.u[mesh.elems[so]], grads[so])
-    ge = gu[:, None, :, :] - exact.displacement_gradient(pts[so])
-    ue = uq - exact.displacement(pts[so])
-    mu, lam = cfg.mu, cfg.lam
-    g11, g12 = ge[..., 0, 0], ge[..., 0, 1]
-    g21, g22 = ge[..., 1, 0], ge[..., 1, 1]
-    dens = ((2 * mu + lam) * (np.abs(g11) ** 2 + np.abs(g22) ** 2)
-            + mu * (np.abs(g12) ** 2 + np.abs(g21) ** 2)
-            + 2 * lam * (g11 * np.conj(g22)).real
-            + 2 * mu * (g12 * np.conj(g21)).real
-            + (np.abs(ue) ** 2).sum(-1))
-    total += float((area[so] * np.einsum("q,eq->e", quad.TRI5_W, dens)).sum())
+    for law, region, nodal, value, gradient in (
+            (p_law, FLUID, state.p[:, None], exact.pressure, exact.pressure_gradient),
+            (u_law, SOLID, state.u, exact.displacement,
+             exact.displacement_gradient)):
+        sel = mesh.regions == region
+        g, vq = _p1_field(nodal[mesh.elems[sel]], grads[sel])
+        ge = g[:, None] - gradient(pts[sel]).reshape(vq.shape + (2,))
+        ve = vq - value(pts[sel]).reshape(vq.shape)
+        dens = ((law.flux(ge, 1.0, 1.0) * np.conj(ge)).real.sum((-2, -1))
+                + (np.abs(ve) ** 2).sum(-1))
+        total += float((area[sel] * np.einsum("q,eq->e", quad.TRI5_W, dens)).sum())
     return float(np.sqrt(total))

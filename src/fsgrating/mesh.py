@@ -25,6 +25,7 @@ from .errors import GeometryError
 __all__ = [
     "Mesh", "MeshTopology", "generate_initial_mesh", "bisect", "audit",
     "edge_trace", "outward_normals", "interface_edges", "profile_height",
+    "twice_signed_areas",
     "FLUID", "FLUID_PML", "SOLID", "SOLID_PML",
     "INTERIOR", "INTERFACE", "LEFT", "RIGHT", "GAMMA_PLUS", "GAMMA_MINUS",
     "DIRICHLET_TOP", "DIRICHLET_BOTTOM",
@@ -42,6 +43,14 @@ _TOL = 1e-12
 
 def _is_fluid(regions):
     return regions <= FLUID_PML
+
+
+def twice_signed_areas(corners):
+    """Twice the signed areas of the triangles of corners (M, 3, 2), from the
+    edge vectors (translation-invariant), for the audit and the P1 gradients."""
+    x, y = corners[..., 0], corners[..., 1]
+    return ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+            - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
 
 
 def profile_height(profile, x1):
@@ -97,10 +106,7 @@ class Mesh:
         return self.nodes[self.elems]
 
     def areas(self):
-        c = self.corner_coords()
-        d1 = c[:, 1] - c[:, 0]
-        d2 = c[:, 2] - c[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * twice_signed_areas(self.corner_coords())
 
     def diameters(self):
         c = self.corner_coords()

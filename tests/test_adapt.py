@@ -97,7 +97,7 @@ def test_invalid_max_iter_rejected(ex1_cfg, pml_mild):
     "bound_F1 grazing", "adapt grazing", "bound_F2 tuned rho", "adapt tuned rho",
     "select tuned rho", "select Im sigma = 0", "select delta = 0",
     "bound_F1 Im sigma = 0", "bound_F1 delta = 0", "bound_F2 Im sigma = 0",
-    "bound_F2 delta = 0"])
+    "bound_F2 delta = 0", "adapt nan tol"])
 def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, monkeypatch,
                                                case):
     # every case raises at the front door: no mesh is built, nothing assembled
@@ -131,6 +131,9 @@ def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, monkeypatch,
         "bound_F1 delta = 0": lambda: spectral.bound_F1(ex1_cfg, no_delta),
         "bound_F2 Im sigma = 0": lambda: spectral.bound_F2(ex1_cfg, no_im),
         "bound_F2 delta = 0": lambda: spectral.bound_F2(ex1_cfg, no_delta),
+        # NaN compares false against every eps_f: the budget would be spent
+        "adapt nan tol": lambda: adapt.run(ex1_cfg, pml_mild, tol=math.nan,
+                                           tau=0.5, max_iter=1, h0=0.3),
     }
     wood = "grazing" in case or "tuned rho" in case
     with pytest.raises(WoodAnomalyError if wood else ConfigError):

@@ -148,6 +148,61 @@ def test_quadrature_insensitivity_in_layers(ex1_cfg):
     assert worst <= 1e-8
 
 
+def galerkin_reference(tri, law, cfg, pml):
+    """Galerkin form of law.flux minus its s-weighted mass on one triangle,
+    summed over the 7-point rule with s and 1/s taken at each point."""
+    x, y = tri[:, 0], tri[:, 1]
+    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+    area = 0.5 * _signed_area(tri)
+    grad = np.stack([b, c], -1) / (2 * area)
+    n = law.components
+    k = np.zeros((3 * n, 3 * n), dtype=complex)
+    for bary, w in zip(quad.TRI5_BARY, quad.TRI5_W):
+        s = asm.stretch(bary @ y, cfg, pml)
+        for j in range(3):
+            for trial in range(n):
+                g = np.zeros((n, 2))
+                g[trial] = grad[j]
+                f = law.flux(g, s, 1 / s)
+                for i in range(3):
+                    for test in range(n):
+                        mass = law.mass * s * bary[i] * bary[j] if test == trial else 0
+                        k[n * i + test, n * j + trial] += area * w * (
+                            f[test] @ grad[i] - mass)
+    return k
+
+
+@pytest.mark.parametrize("side", ["fluid", "solid"])
+def test_stretched_element_matrices_match_pointwise_galerkin_form(
+        corner_cfg, pml_mild, side):
+    # triangles inside each layer, where s != 1
+    cfg = corner_cfg
+    law = dict(zip(("fluid", "solid"), asm.field_laws(cfg)))[side]
+    kernel = {"fluid": asm.fluid_element_matrix,
+              "solid": asm.solid_element_matrix}[side]
+    rng = np.random.default_rng(12)
+    for foot, sign in ((cfg.h1, 1.0), (cfg.h2, -1.0)):
+        for _ in range(5):
+            tri = np.column_stack([rng.uniform(0, cfg.period, 3),
+                                   foot + sign * rng.uniform(0.05, 1.9, 3)])
+            if _signed_area(tri) < 0:
+                tri = tri[[0, 2, 1]]
+            assert abs(asm.stretch(tri[:, 1].mean(), cfg, pml_mild) - 1) > 0.01
+            got = kernel(tri, cfg, pml_mild)
+            ref = galerkin_reference(tri, law, cfg, pml_mild)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_laws_are_symmetric_without_stretched_x2_column(ex1_cfg):
+    # the kernel forms block (k, c) as the transpose of block (c, k), and
+    # the residual differentiates only the 1/s-part of the x2 column
+    for law in asm.field_laws(ex1_cfg):
+        for part in law.parts():
+            assert np.array_equal(part, part.transpose(2, 3, 0, 1))
+        assert not law.parts()[0][:, 1].any()
+
+
 @pytest.mark.parametrize("profile", ["flat", "corner"])
 def test_stretch_sums_match_every_point_stretch(ex1_cfg, corner_cfg, pml_mild,
                                                 profile):
@@ -407,6 +462,15 @@ def test_slave_expansion_exact(ex1_cfg, pml_mild):
     assert np.array_equal(state.p[right[fsel]], mult * state.p[left[fsel]])
     ssel = system.dofmap.solid_dof[right, 0] >= 0
     assert np.array_equal(state.u[right[ssel]], mult * state.u[left[ssel]])
+
+
+def test_kernel_areas_are_the_audit_areas(corner_cfg, pml_mild):
+    # one signed-area formula: the kernels reject exactly what audit reports
+    m = msh.generate_initial_mesh(corner_cfg, pml_mild, 0.25)
+    for _ in range(6):
+        m = msh.bisect(m, np.nonzero((m.corner_coords()[..., 0] == 0).any(1))[0])
+    _, area = asm._p1_gradients(m.corner_coords())
+    assert np.array_equal(area, m.areas())
 
 
 @pytest.mark.parametrize("region", [msh.FLUID, msh.SOLID])

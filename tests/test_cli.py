@@ -247,7 +247,8 @@ def test_exit_codes_for_error_families(ex1_ini, tmp_path):
                                       "run.tau=0", "run.tau=1.5", "run.max_iter=0",
                                       "problem.omega=inf", "problem.period=1e400",
                                       "problem.h1=inf", "run.dof_cap=inf",
-                                      "pml.delta=inf", "pml.sigma_im=inf"])
+                                      "pml.delta=inf", "pml.sigma_im=inf",
+                                      "run.tol=nan", "run.tol=-1"])
 @pytest.mark.parametrize("subcommand", ["solve", "adapt", "verify-flat",
                                         "spectral-check", "params"])
 def test_inadmissible_pml_exits_config(ex1_ini, tmp_path, subcommand, override):
