@@ -54,9 +54,9 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     tol : stop once eps_f <= tol; nonnegative, +inf stops after one solve.
     tau : marking threshold in (0, 1).
     max_iter : iteration budget (one solve per iteration), at least 1.
-    h0 : target size of the initial structured mesh (ignored when an
-        initial mesh is passed in).
-    dof_cap : stop refining once the free-dof count reaches this.
+    h0 : target size of the initial structured mesh, in (0, inf) (ignored
+        when an initial mesh is passed in).
+    dof_cap : stop refining once the free-dof count reaches this; at least 1.
     exact : optional analytic evaluators; when given, every record carries
         the energy-norm error over the physical bands.
     observer : optional callable (iteration, mesh, state, field, marked)
@@ -65,9 +65,9 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     Raises
     ------
     ConfigError : from config.screen, before any mesh is built.
-    GeometryError, SingularSystemError : a bad h0 or mesh, a failed solve.
+    GeometryError, SingularSystemError : a bad mesh, a failed solve.
     """
-    screen(cfg, pml, tol, tau, max_iter)
+    screen(cfg, pml, tol, tau, max_iter, dof_cap, h0 if mesh is None else None)
     if mesh is None:
         mesh = generate_initial_mesh(cfg, pml, h0)
     records = []

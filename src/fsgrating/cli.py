@@ -96,7 +96,8 @@ def parse_config(path: str, overrides=()) -> tuple:
                for key, (parse, default) in RUN_KEYS.items()}
     except (KeyError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
-    screen(problem, pml, run["tol"], run["tau"], run["max_iter"])
+    screen(problem, pml, run["tol"], run["tau"], run["max_iter"], run["dof_cap"],
+           run["h0"])
     return problem, pml, run
 
 

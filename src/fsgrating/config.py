@@ -241,10 +241,11 @@ def validate(cfg: ProblemConfig) -> list:
 
 
 def screen(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
-           max_iter: int):
+           max_iter: int, dof_cap: int, h0: float | None):
     """Every input rule of an adaptive run: ConfigError on a bad layer, a Wood
     order in the window (WoodAnomalyError), tol < 0 or NaN (+inf is valid),
-    tau outside (0, 1), max_iter < 1."""
+    tau outside (0, 1), max_iter < 1, dof_cap < 1, and an initial mesh size
+    h0 outside (0, inf); h0 is None when no mesh is built from it."""
     validate_pml(pml)
     w = mode_window(cfg)
     order_table(cfg, np.arange(-w, w + 1)).check()
@@ -254,6 +255,10 @@ def screen(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
         raise ConfigError("run.tau must lie in (0, 1)")
     if max_iter < 1:
         raise ConfigError("run.max_iter must be at least 1")
+    if not dof_cap >= 1:
+        raise ConfigError(f"run.dof_cap must be at least 1, got {dof_cap!r}")
+    if h0 is not None and not 0 < h0 < math.inf:
+        raise ConfigError(f"run.h0 must be positive and finite, got {h0!r}")
 
 
 def select_pml_parameters(cfg: ProblemConfig, target: float,

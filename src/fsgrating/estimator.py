@@ -11,7 +11,19 @@ read the law of assembly.field_laws, the one definition the element
 kernels assemble, so the fluxes here are the conormal derivatives of the
 assembled form; the residual, the jump pairs and the energy norm each take
 one path over the two fields, the pressure carried as a one-component
-field.  Edge families:
+field.  indicators forms the areas and the constant gradients of both
+fields once, for the residual and the jump passes.
+
+The stretch is paid for inside the layers only.  On an element with no
+vertex strictly outside [h2, h1], s = 1 and R is mass times the P1 field,
+whose L2 norm is closed form from the P1 mass matrix; layer elements take
+the 7-point rule.  A jump's normal flux is one matmul per edge of the
+gradient jump and the normal with the law's s-, 1/s- and constant parts;
+off the layers the parts add up to one constant per edge, and only edges
+with an endpoint strictly inside a layer weigh them by s and 1/s at the 4
+points of the edge rule.
+
+Edge families:
 
 - jump pairs (T0, T1, w) jump the normal flux of the law (the stretched
   pressure flux, or the layer-consistent traction, which off the layers
@@ -47,8 +59,7 @@ from .assembly import (Law, _p1_gradients, _touches_layers, field_laws,
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (FLUID, GAMMA_MINUS, GAMMA_PLUS, INTERIOR, LEFT, SOLID,
-                   Mesh, _is_fluid, edge_trace, interface_edges,
-                   outward_normals)
+                   Mesh, _is_fluid, edge_normals, edge_trace, interface_edges)
 from .solver import SystemState
 
 __all__ = ["IndicatorField", "EdgeJumps", "element_residuals",
@@ -79,60 +90,98 @@ class EdgeJumps:
     norm_solid: np.ndarray
 
 
+@dataclass
+class _P1Data:
+    """What the residual and the jump passes share: the areas, the mask of
+    the elements with a vertex strictly outside [h2, h1], and per field
+    (law, its elements, nodal values (N, C), constant gradients (M, C, 2),
+    zero off its elements)."""
+
+    area: np.ndarray
+    layer: np.ndarray
+    fields: tuple
+
+
+def _p1_data(mesh: Mesh, state: SystemState, cfg: ProblemConfig) -> _P1Data:
+    corners = mesh.corner_coords()
+    grads, area = _p1_gradients(corners)
+    fluid = _is_fluid(mesh.regions)
+    fields = []
+    for law, sel, nodal in zip(field_laws(cfg), (fluid, ~fluid),
+                               (state.p[:, None], state.u)):
+        g = np.zeros((mesh.n_elems, law.components, 2), complex)
+        g[sel] = _p1_gradient(nodal[mesh.elems[sel]], grads[sel])
+        fields.append((law, sel, nodal, g))
+    return _P1Data(area, _touches_layers(corners[..., 1], cfg), tuple(fields))
+
+
 def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
-                      pml: PmlConfig) -> np.ndarray:
-    """L2(T) norms of the strong residual per element, degree-5 quadrature.
+                      pml: PmlConfig, *, _p1: _P1Data | None = None) -> np.ndarray:
+    """L2(T) norms of the strong residual per element.
 
     For P1 fields with s = s(x2) the divergence of the flux is d(1/s)/dx2
     times the x2 column of the law's 1/s-part (its s-part has none), plus
-    the mass term mass*s*field, alone in the physical bands.  The stretch is
-    evaluated on the elements that reach into a layer only.
+    the mass term mass*s*field.  On an element with no vertex strictly
+    outside [h2, h1], s = 1 and the residual is mass*field, a P1 field,
+    whose norm is closed form: |mass| * sqrt(area/12 * (|sum_i v_i|^2 +
+    sum_i |v_i|^2)) over the corner values v_i, summed over the
+    components.  Layer elements take the degree-5 rule.  _p1 is private:
+    indicators passes the data it shares with edge_jumps.
     """
-    corners = mesh.corner_coords()
-    grads, area = _p1_gradients(corners)
-    layer = _touches_layers(corners[..., 1], cfg)
-    x2 = quad.triangle_points(corners[layer])[..., 1]
-    s = np.ones((mesh.n_elems, quad.TRI5_W.size), dtype=complex)
-    s[layer] = stretch(x2, cfg, pml)
-    dsinv = np.zeros_like(s)
-    dsinv[layer] = -stretch_derivative(x2, cfg, pml) / s[layer] ** 2
+    p1 = _p1_data(mesh, state, cfg) if _p1 is None else _p1
+    out = np.empty(mesh.n_elems)
+    for law, sel, nodal, g in p1.fields:
+        plain = sel & ~p1.layer
+        v = nodal[mesh.elems[plain]]                                # (E, 3, C)
+        sq = (np.abs(v.sum(axis=1)) ** 2 + (np.abs(v) ** 2).sum(axis=1)).sum(-1)
+        out[plain] = abs(law.mass) * np.sqrt(p1.area[plain] / 12.0 * sq)
 
-    out = np.zeros(mesh.n_elems)
-    for law, sel, nodal in _fields(mesh, state, cfg):
-        g, vq = _p1_field(nodal[mesh.elems[sel]], grads[sel])
+        on = np.nonzero(sel & p1.layer)[0]
+        x2 = quad.triangle_points(mesh.nodes[mesh.elems[on]])[..., 1]
+        s = stretch(x2, cfg, pml)
+        dsinv = -stretch_derivative(x2, cfg, pml) / s ** 2
+        vq = _p1_values(nodal[mesh.elems[on]])
         sinv_part = law.parts()[1]
         r = []
         for c in range(law.components):
-            terms = (coef * dsinv[sel] * g[:, None, k, l]
-                     for (k, l), coef in np.ndenumerate(sinv_part[c, 1]) if coef)
-            r.append(functools.reduce(operator.iadd, terms)
-                     + law.mass * s[sel] * vq[..., c])
-        out[sel] = _quad_norm(area[sel], quad.TRI5_W, *r)
+            terms = (coef * dsinv * g[on, None, k, l] for (k, l), coef in
+                     np.ndenumerate(sinv_part[c, 1]) if coef)
+            r.append(functools.reduce(operator.iadd, terms) + law.mass * s * vq[..., c])
+        out[on] = _quad_norm(p1.area[on], quad.TRI5_W, *r)
     return out
 
 
-def _fields(mesh: Mesh, state: SystemState, cfg: ProblemConfig):
-    """(law, elements, nodal values (N, C)) of the pressure (C = 1) and the
-    displacement."""
-    fluid = _is_fluid(mesh.regions)
-    p_law, u_law = field_laws(cfg)
-    return ((p_law, fluid, state.p[:, None]), (u_law, ~fluid, state.u))
+def _normal_flux(law: Law, g, normals, s=None):
+    """Normal flux of the law for constant gradients g (E, C, 2) and unit
+    normals (E, 2): flux(g, 1, 1).n, shape (E, C), or, given the stretch s
+    (E, Q) at the edge points, flux(g, s, 1/s).n, shape (E, Q, C).  One
+    matmul of the products g[k, l] * n[d] with the law's parts gives the
+    normal flux of each part per edge; only then are the s- and 1/s-parts
+    weighted at the points."""
+    c2 = 2 * law.components
+    # [(k, l, d), part, c]; off the layers the parts, which are disjoint, add up
+    parts = np.stack(law.parts()).transpose(3, 4, 2, 0, 1).reshape(2 * c2, 3, -1)
+    if s is None:
+        parts = parts.sum(axis=1, keepdims=True)
+    gn = (g.reshape(-1, c2, 1) * normals[:, None, :]).reshape(-1, 2 * c2)
+    fn = (gn @ parts.reshape(2 * c2, -1)).reshape(len(g), -1, law.components)
+    if s is None:
+        return fn[:, 0]
+    s = s[..., None]
+    return s * fn[:, None, 0] + (1.0 / s) * fn[:, None, 1] + fn[:, None, 2]
 
 
-def _normal_flux(law: Law, g, s, normals):
-    """The C components (E, Q) of flux(g, s, 1/s).n for gradients g (E, C, 2),
-    s (E, Q) or a scalar and unit normals (E, 2)."""
-    f = law.flux(g[:, None], s, 1.0 / s)
-    fn = f[..., 0] * normals[:, None, None, 0] + f[..., 1] * normals[:, None, None, 1]
-    return tuple(np.moveaxis(fn, -1, 0))
+def _p1_values(nodal):
+    """Degree-5 quadrature-point values (E, Q) or (E, Q, C) of a P1 field
+    from its corner values per element, (E, 3) or (E, 3, C)."""
+    return np.moveaxis(np.tensordot(quad.TRI5_BARY, nodal, axes=(1, 1)), 0, 1)
 
 
 def _p1_field(nodal, grads):
     """Constant gradients (E, 2) or (E, C, 2), d/dx_d last, and degree-5
-    quadrature-point values (E, Q) or (E, Q, C) of a P1 field from its
-    corner values per element, (E, 3) or (E, 3, C)."""
-    values = np.tensordot(quad.TRI5_BARY, nodal, axes=(1, 1))      # (Q, E, ...)
-    return _p1_gradient(nodal, grads), np.moveaxis(values, 0, 1)
+    quadrature-point values of a P1 field from its corner values per
+    element, (E, 3) or (E, 3, C)."""
+    return _p1_gradient(nodal, grads), _p1_values(nodal)
 
 
 def _p1_gradient(nodal, grads):
@@ -145,25 +194,24 @@ def _p1_gradient(nodal, grads):
 
 
 def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
-               pml: PmlConfig) -> EdgeJumps:
+               pml: PmlConfig, *, _p1: _P1Data | None = None) -> EdgeJumps:
     """Jump residual norms on every edge not on the outer layer boundaries.
 
-    Interface edges and edges with an endpoint strictly inside a layer
-    take the 4-point rule.  On every other edge s = 1, so its jump is
-    constant and one evaluation times the length gives the norm.
+    For P1 fields each part of a jump's normal flux is constant along the
+    edge.  Edges with an endpoint strictly inside a layer weigh those
+    parts by s and 1/s at the 4 points of the rule; on every other edge
+    s = 1, so the jump is one constant and its norm that value times the
+    square root of the length.  Interface edges take the 4-point rule for
+    the incident wave.  _p1 is private: indicators passes the data it
+    shares with element_residuals.
     """
+    p1 = _p1_data(mesh, state, cfg) if _p1 is None else _p1
     top = mesh.topology
     norms = np.zeros((2, top.edge_nodes.shape[0]))    # pressure, displacement side
     tq, wq = quad.EDGE4_X, quad.EDGE4_W
     lengths = top.edge_lengths
 
-    grads, _ = _p1_gradients(mesh.corner_coords())
-    fields = _fields(mesh, state, cfg)
-    grad = [np.zeros((mesh.n_elems, law.components, 2), complex) for law, _, _ in fields]
-    for g, (_, sel, nodal) in zip(grad, fields):
-        g[sel] = _p1_gradient(nodal[mesh.elems[sel]], grads[sel])
-
-    # jump pairs (t0, t1, weight); interior edges include the band lines
+    # jump pairs (t0, t1); interior edges include the band lines
     inner = np.nonzero(np.isin(top.edge_tags, (INTERIOR, GAMMA_PLUS, GAMMA_MINUS)))[0]
     left = np.nonzero(top.edge_tags == LEFT)[0]
     mates = top.edge_partner[left]
@@ -173,20 +221,24 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     ids = np.concatenate([inner, left])
     t0 = top.edge_elems[ids, 0]
     t1 = np.concatenate([top.edge_elems[inner, 1], top.edge_elems[mates, 0]])
-    weight = np.ones(ids.size, dtype=complex)
-    weight[inner.size:] = np.conj(derive(cfg).bloch)
-    n0 = outward_normals(mesh, ids, t0)
+    phase = np.conj(derive(cfg).bloch)
+    # a jump norm does not depend on the sign of the normal
+    normals = edge_normals(mesh, ids)
     layer = _touches_layers(mesh.nodes[top.edge_nodes[ids], 1], cfg)
-    for (law, field_elems, _), g, norm in zip(fields, grad, norms):
-        sel = field_elems[t0]
-        # the flux is linear in the gradient and the mate's normal is -n0,
-        # so the pair's jump is the flux of the gradient difference
-        jump = g[t0[sel]] - weight[sel, None, None] * g[t1[sel]]
-        e, n, lay = ids[sel], n0[sel], layer[sel]
+    for (law, field_elems, _, g), norm in zip(p1.fields, norms):
+        on = field_elems[t0]
+        # the flux is linear in the gradient and the mate's normal is the
+        # opposite one, so the pair's jump is the flux of the gradient
+        # difference; the left edges, last, carry the Bloch phase
+        jump = g[t1[on]]
+        jump[on[:inner.size].sum():] *= phase
+        np.subtract(g[t0[on]], jump, out=jump)
+        e, n, lay = ids[on], normals[on], layer[on]
+        fn = _normal_flux(law, jump[~lay], n[~lay])
+        norm[e[~lay]] = _quad_norm(lengths[e[~lay]], _ONE, *fn.T[..., None])
         s = stretch(edge_trace(mesh, e[lay], mesh.nodes[:, 1], tq), cfg, pml)
-        for on, s_on, w_on in ((lay, s, wq), (~lay, 1.0, _ONE)):
-            norm[e[on]] = _quad_norm(lengths[e[on]], w_on,
-                                     *_normal_flux(law, jump[on], s_on, n[on]))
+        fn = _normal_flux(law, jump[lay], n[lay], s)
+        norm[e[lay]] = _quad_norm(lengths[e[lay]], wq, *np.moveaxis(fn, -1, 0))
     norms[:, mates] = norms[:, left]
 
     # interface edges: transmission mismatch against the incident wave;
@@ -195,16 +247,17 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     pts = edge_trace(mesh, ids, mesh.nodes, tq)
     pin, gin = spectral.incident_wave(cfg, pts)
     dn_in = (gin * n[:, None, :]).sum(-1)
-    (p_law, _, _), (u_law, _, _) = fields
-    dn_ph, = _normal_flux(p_law, grad[0][ef], 1.0, n)
+    (p_law, _, _, gp), (u_law, _, _, gu) = p1.fields
+    dn_ph = _normal_flux(p_law, gp[ef], n)
     un = (edge_trace(mesh, ids, state.u, tq) * n[:, None, :]).sum(-1)
     jf = 2.0 * (dn_in + dn_ph - cfg.rho_f * cfg.omega ** 2 * un)
     norms[0, ids] = _quad_norm(lengths[ids], wq, jf)
 
     p_tot = pin + edge_trace(mesh, ids, state.p, tq)
-    tr = _normal_flux(u_law, grad[1][es], 1.0, n)
+    tr = _normal_flux(u_law, gu[es], n)
     norms[1, ids] = _quad_norm(lengths[ids], wq,
-                               *(-2.0 * (p_tot * n[:, None, c] + tr[c]) for c in (0, 1)))
+                               *(-2.0 * (p_tot * n[:, None, c] + tr[:, c, None])
+                                 for c in (0, 1)))
     return EdgeJumps(*norms)
 
 
@@ -221,18 +274,14 @@ def indicators(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
                pml: PmlConfig) -> IndicatorField:
     """Combine residuals and jumps into eta_T and the global eps_f/eps_p."""
     top = mesh.topology
-    resid = element_residuals(mesh, state, cfg, pml)
-    jumps = edge_jumps(mesh, state, cfg, pml)
-    fluid_elem = _is_fluid(mesh.regions)
+    p1 = _p1_data(mesh, state, cfg)
+    resid = element_residuals(mesh, state, cfg, pml, _p1=p1)
+    jumps = edge_jumps(mesh, state, cfg, pml, _p1=p1)
 
-    jump_sq = np.zeros(mesh.n_elems)
-    he = top.edge_lengths
-    for side in (0, 1):
-        el = top.edge_elems[:, side]
-        ok = el >= 0
-        contrib = np.where(fluid_elem[np.maximum(el, 0)],
-                           jumps.norm_fluid, jumps.norm_solid) ** 2 * he
-        np.add.at(jump_sq, el[ok], contrib[ok])
+    # each element sums h_e ||J_e||^2 of its own field over its three edges
+    jump_sq = np.empty(mesh.n_elems)
+    for (_, sel, _, _), norm in zip(p1.fields, (jumps.norm_fluid, jumps.norm_solid)):
+        jump_sq[sel] = (norm ** 2 * top.edge_lengths)[top.elem_edges[sel]].sum(axis=1)
 
     eta = mesh.diameters() * resid + np.sqrt(0.5 * jump_sq)
     eps_f = float(np.sqrt((eta ** 2).sum()))
@@ -266,20 +315,20 @@ def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
     + |e|^2 with the law of each field: H1 for the pressure, the elastic
     strain form plus L2 for the displacement.
     """
-    corners = mesh.corner_coords()
-    grads, area = _p1_gradients(corners)
-    pts = quad.triangle_points(corners)
     p_law, u_law = field_laws(cfg)
     total = 0.0
     for law, region, nodal, value, gradient in (
             (p_law, FLUID, state.p[:, None], exact.pressure, exact.pressure_gradient),
             (u_law, SOLID, state.u, exact.displacement,
              exact.displacement_gradient)):
-        sel = mesh.regions == region
-        g, vq = _p1_field(nodal[mesh.elems[sel]], grads[sel])
-        ge = g[:, None] - gradient(pts[sel]).reshape(vq.shape + (2,))
-        ve = vq - value(pts[sel]).reshape(vq.shape)
+        elems = mesh.elems[mesh.regions == region]
+        corners = mesh.nodes[elems]
+        grads, area = _p1_gradients(corners)
+        pts = quad.triangle_points(corners)
+        g, vq = _p1_field(nodal[elems], grads)
+        ge = g[:, None] - gradient(pts).reshape(vq.shape + (2,))
+        ve = vq - value(pts).reshape(vq.shape)
         dens = ((law.flux(ge, 1.0, 1.0) * np.conj(ge)).real.sum((-2, -1))
                 + (np.abs(ve) ** 2).sum(-1))
-        total += float((area[sel] * np.einsum("q,eq->e", quad.TRI5_W, dens)).sum())
+        total += float((area * np.einsum("q,eq->e", quad.TRI5_W, dens)).sum())
     return float(np.sqrt(total))

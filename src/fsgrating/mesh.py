@@ -24,7 +24,7 @@ from .errors import GeometryError
 
 __all__ = [
     "Mesh", "MeshTopology", "generate_initial_mesh", "bisect", "audit",
-    "edge_trace", "outward_normals", "interface_edges", "profile_height",
+    "edge_trace", "edge_normals", "outward_normals", "interface_edges", "profile_height",
     "twice_signed_areas",
     "FLUID", "FLUID_PML", "SOLID", "SOLID_PML",
     "INTERIOR", "INTERFACE", "LEFT", "RIGHT", "GAMMA_PLUS", "GAMMA_MINUS",
@@ -109,9 +109,9 @@ class Mesh:
         return 0.5 * twice_signed_areas(self.corner_coords())
 
     def diameters(self):
-        c = self.corner_coords()
-        e = np.stack([c[:, 2] - c[:, 1], c[:, 0] - c[:, 2], c[:, 1] - c[:, 0]], axis=1)
-        return np.sqrt((e ** 2).sum(-1)).max(axis=1)
+        """Longest edge of each element, read from the topology."""
+        top = self.topology
+        return top.edge_lengths[top.elem_edges].max(axis=1)
 
     def centroids(self):
         return self.corner_coords().mean(axis=1)
@@ -229,6 +229,15 @@ def edge_trace(mesh: Mesh, edge_ids, values, t):
     return va[:, None] + tt * (vb - va)[:, None]
 
 
+def edge_normals(mesh: Mesh, edge_ids):
+    """Unit normal of each edge edge_ids[k], the right-hand normal of the
+    edge taken from its lower to its higher node id, shape (E, 2)."""
+    top = mesh.topology
+    en = top.edge_nodes[edge_ids]
+    tang = mesh.nodes[en[:, 1]] - mesh.nodes[en[:, 0]]
+    return np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / top.edge_lengths[edge_ids, None]
+
+
 def outward_normals(mesh: Mesh, edge_ids, elem_ids):
     """Unit normal of each edge edge_ids[k] pointing out of element
     elem_ids[k], shape (E, 2); element elem_ids[k] must contain the edge.
@@ -236,16 +245,14 @@ def outward_normals(mesh: Mesh, edge_ids, elem_ids):
     Elements are counter-clockwise (the element kernels of ``assembly``
     raise GeometryError on a non-positive area and ``audit`` reports it),
     and local edge j runs from vertex j+1 to vertex j+2, so the right-hand
-    normal of that direction points outward.  The normal of the edge taken
-    from its lower to its higher node id is flipped where the element
-    traverses the edge the other way.
+    normal of that direction points outward.  The edge normal of
+    edge_normals is flipped where the element traverses the edge the other
+    way.
     """
     top = mesh.topology
-    en = top.edge_nodes[edge_ids]
-    tang = mesh.nodes[en[:, 1]] - mesh.nodes[en[:, 0]]
-    n = np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / top.edge_lengths[edge_ids, None]
+    n = edge_normals(mesh, edge_ids)
     local = np.argmax(top.elem_edges[elem_ids] == np.asarray(edge_ids)[:, None], axis=1)
-    n[mesh.elems[elem_ids, (local + 1) % 3] != en[:, 0]] *= -1
+    n[mesh.elems[elem_ids, (local + 1) % 3] != top.edge_nodes[edge_ids, 0]] *= -1
     return n
 
 

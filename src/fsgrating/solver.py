@@ -61,8 +61,9 @@ def solve(system: LinearSystem) -> tuple:
     tiny pivot (a Wood/Jones degeneracy or corrupted constraints).  The
     relative residual is taken on the full, unpermuted matrix; above
     RESIDUAL_RTOL one step of iterative refinement with the same factor is
-    taken, and a residual still above it raises SingularSystemError.  The
-    free values are gathered onto the nodes (zero on the outer layer
+    taken, and a residual still above it raises SingularSystemError; a NaN
+    pivot or residual fails these gates too, so no NaN state is returned.
+    The free values are gathered onto the nodes (zero on the outer layer
     boundaries) and the slave nodes are scaled by the dofmap multiplier, so
     the returned state honours the quasi-periodic boundary relation exactly.
     """
@@ -93,7 +94,8 @@ def solve(system: LinearSystem) -> tuple:
     u_factor = lu.U
     udiag = np.abs(u_factor.diagonal())
     growth = float(np.abs(u_factor.data).max() / amax)
-    if udiag.min() <= PIVOT_RTOL * amax:
+    # NaN compares false, so each gate is written to fail on it
+    if not udiag.min() > PIVOT_RTOL * amax:
         raise SingularSystemError(
             f"tiny pivot {udiag.min():.3e} against max entry {amax:.3e}")
 
@@ -106,11 +108,11 @@ def solve(system: LinearSystem) -> tuple:
     x = lu_solve(system.rhs)
     r = system.rhs - a @ x
     residual = float(np.linalg.norm(r) / bnorm)
-    refined = residual > RESIDUAL_RTOL
+    refined = not residual <= RESIDUAL_RTOL
     if refined:
         x += lu_solve(r)
         residual = float(np.linalg.norm(a @ x - system.rhs) / bnorm)
-        if residual > RESIDUAL_RTOL:
+        if not residual <= RESIDUAL_RTOL:
             raise SingularSystemError(
                 f"residual {residual:.3e} above {RESIDUAL_RTOL:.0e} after "
                 "one refinement step")

@@ -97,7 +97,8 @@ def test_invalid_max_iter_rejected(ex1_cfg, pml_mild):
     "bound_F1 grazing", "adapt grazing", "bound_F2 tuned rho", "adapt tuned rho",
     "select tuned rho", "select Im sigma = 0", "select delta = 0",
     "bound_F1 Im sigma = 0", "bound_F1 delta = 0", "bound_F2 Im sigma = 0",
-    "bound_F2 delta = 0", "adapt nan tol"])
+    "bound_F2 delta = 0", "adapt nan tol", "adapt h0 = 0", "adapt h0 < 0",
+    "adapt nan h0", "adapt infinite h0", "adapt dof_cap = 0", "adapt dof_cap < 0"])
 def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, monkeypatch,
                                                case):
     # every case raises at the front door: no mesh is built, nothing assembled
@@ -117,6 +118,10 @@ def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, monkeypatch,
     template = PmlConfig(3.0, 3.0, 1 + 1j, 1 + 1j, 2.0)
     no_im = replace(template, sigma1=1 + 0j, sigma2=1 + 0j)
     no_delta = replace(template, delta1=0.0, delta2=0.0)
+
+    def run(**kw):
+        return adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=0.5, max_iter=1, **kw)
+
     entry = {
         "bound_F1 grazing": lambda: spectral.bound_F1(grazing, pml_mild),
         "adapt grazing": lambda: adapt.run(grazing, pml_mild, tol=0.0, tau=0.5,
@@ -134,6 +139,14 @@ def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, monkeypatch,
         # NaN compares false against every eps_f: the budget would be spent
         "adapt nan tol": lambda: adapt.run(ex1_cfg, pml_mild, tol=math.nan,
                                            tau=0.5, max_iter=1, h0=0.3),
+        # an infinite h0 would mesh each band with one row; a dof cap below
+        # one would stop after the first solve
+        "adapt h0 = 0": lambda: run(h0=0.0),
+        "adapt h0 < 0": lambda: run(h0=-1.0),
+        "adapt nan h0": lambda: run(h0=math.nan),
+        "adapt infinite h0": lambda: run(h0=math.inf),
+        "adapt dof_cap = 0": lambda: run(h0=0.3, dof_cap=0),
+        "adapt dof_cap < 0": lambda: run(h0=0.3, dof_cap=-5),
     }
     wood = "grazing" in case or "tuned rho" in case
     with pytest.raises(WoodAnomalyError if wood else ConfigError):

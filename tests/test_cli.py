@@ -229,9 +229,13 @@ def test_spectral_check(ex1_ini, tmp_path, capsys):
 def test_exit_codes_for_error_families(ex1_ini, tmp_path):
     assert cli.main(["adapt", "--config", str(tmp_path / "missing.ini"),
                      "--out", str(tmp_path)]) == 2
-    # geometry family: impossible mesh size
+    # geometry family: a profile vertex within the mesh tolerance of the
+    # seam x1 = 0 leaves the two periodic sides with unequal node counts
     assert cli.main(["solve", "--config", ex1_ini, "--out", str(tmp_path),
-                     "--set", "run.h0=-0.5"]) == 3
+                     "--set", "problem.profile=0:0,1e-13:0.5,1:0"]) == 3
+    # config family: an impossible mesh size, screened before any mesh
+    assert cli.main(["solve", "--config", ex1_ini, "--out", str(tmp_path),
+                     "--set", "run.h0=-0.5"]) == 2
     # config family: Wood anomaly at grazing incidence
     grazing = repr(np.pi / 2 - 1e-13)
     assert cli.main(["solve", "--config", ex1_ini, "--out", str(tmp_path),
@@ -248,7 +252,10 @@ def test_exit_codes_for_error_families(ex1_ini, tmp_path):
                                       "problem.omega=inf", "problem.period=1e400",
                                       "problem.h1=inf", "run.dof_cap=inf",
                                       "pml.delta=inf", "pml.sigma_im=inf",
-                                      "run.tol=nan", "run.tol=-1"])
+                                      "run.tol=nan", "run.tol=-1",
+                                      "run.h0=0", "run.h0=-1", "run.h0=nan",
+                                      "run.h0=inf", "run.dof_cap=0",
+                                      "run.dof_cap=-5"])
 @pytest.mark.parametrize("subcommand", ["solve", "adapt", "verify-flat",
                                         "spectral-check", "params"])
 def test_inadmissible_pml_exits_config(ex1_ini, tmp_path, subcommand, override):

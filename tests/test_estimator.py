@@ -235,6 +235,36 @@ def test_interface_factor_two_and_half_weight(flat_setup):
     assert field.eta[fluid_elem] == pytest.approx(want, rel=1e-12)
 
 
+def test_eta_composition_on_graded_mesh(corner_cfg, pml_mild):
+    # eta_T = diam(T) ||R||_T + sqrt(1/2 sum_e h_e ||J_e||^2) on every element
+    # of a graded mesh, both fields: each element's edges are looked up by
+    # their node pairs and its diameter is taken from its corners
+    m = _bisected_corner_mesh(corner_cfg, pml_mild, 3)
+    rng = np.random.default_rng(13)
+    state = solver.SystemState.zeros(m)
+    state.p[:] = rng.normal(size=m.n_nodes) + 1j * rng.normal(size=m.n_nodes)
+    state.u[:] = (rng.normal(size=(m.n_nodes, 2))
+                  + 1j * rng.normal(size=(m.n_nodes, 2)))
+    field = est.indicators(m, state, corner_cfg, pml_mild)
+    resid = est.element_residuals(m, state, corner_cfg, pml_mild)
+    jumps = est.edge_jumps(m, state, corner_cfg, pml_mild)
+    top = m.topology
+    edge_of = {tuple(pair): k for k, pair in enumerate(top.edge_nodes.tolist())}
+    for t, nodes in enumerate(m.elems):
+        corners = m.nodes[nodes]
+        diam = max(np.hypot(*(corners[i] - corners[i - 1])) for i in range(3))
+        norm = jumps.norm_fluid if m.regions[t] <= msh.FLUID_PML else jumps.norm_solid
+        jump_sq = 0.0
+        for i in range(3):
+            k = edge_of[tuple(sorted((nodes[i], nodes[i - 1])))]
+            jump_sq += top.edge_lengths[k] * norm[k] ** 2
+        want = diam * resid[t] + np.sqrt(0.5 * jump_sq)
+        assert field.eta[t] == pytest.approx(want, rel=1e-12)
+    tags = set(top.edge_tags[jumps.norm_fluid + jumps.norm_solid > 0].tolist())
+    assert {msh.INTERIOR, msh.INTERFACE, msh.LEFT, msh.RIGHT,
+            msh.GAMMA_PLUS, msh.GAMMA_MINUS} <= tags
+
+
 def _bisected_corner_mesh(cfg, pml, seed):
     """Initial corner mesh refined twice at a random quarter of its
     elements: graded, with layer, band-line, periodic and physical edges

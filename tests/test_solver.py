@@ -155,6 +155,30 @@ class _NoisyFactor:
         return getattr(self._lu, name)
 
 
+class _NaNFactor:
+    """SuperLU factor with one NaN entry in each solve, or on the diagonal
+    of U (its first column holds the diagonal entry only)."""
+
+    def __init__(self, lu, pivot):
+        self._lu, self.pivot = lu, pivot
+
+    def solve(self, rhs):
+        x = self._lu.solve(rhs)
+        if not self.pivot:
+            x[0] = np.nan
+        return x
+
+    @property
+    def U(self):
+        u = self._lu.U.copy()
+        if self.pivot:
+            u.data[0] = np.nan
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
 def test_residual_gate_refines_once(small_system, monkeypatch):
     system = small_system
     clean, _ = solver.solve(system)
@@ -173,3 +197,14 @@ def test_residual_gate_rejects_unrefinable_solve(small_system, monkeypatch):
                         lambda *args, **kw: _NoisyFactor(splu(*args, **kw), 2))
     with pytest.raises(SingularSystemError, match="refinement"):
         solver.solve(system)
+
+
+@pytest.mark.parametrize("pivot", [False, True], ids=["solve", "pivot"])
+def test_gates_reject_nan(small_system, monkeypatch, pivot):
+    # NaN compares false against every bound: the gates are written so that
+    # a NaN residual or pivot is rejected, never returned as a NaN state
+    monkeypatch.setattr(solver, "splu",
+                        lambda *args, **kw: _NaNFactor(splu(*args, **kw), pivot))
+    with pytest.raises(SingularSystemError,
+                       match="tiny pivot nan" if pivot else "residual nan"):
+        solver.solve(small_system)
