@@ -40,8 +40,7 @@ from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, RIGHT, Mesh, _is_fluid,
 
 __all__ = [
     "stretch", "stretch_derivative", "Law", "field_laws", "DofMap", "LinearSystem",
-    "build_dofmap", "fluid_element_matrix", "solid_element_matrix",
-    "interface_coupling", "load_vector", "assemble",
+    "build_dofmap", "element_matrices", "interface_coupling", "load_vector", "assemble",
 ]
 
 
@@ -156,7 +155,7 @@ def build_dofmap(mesh: Mesh, cfg: ProblemConfig) -> DofMap:
     slave = np.zeros(mesh.n_nodes, dtype=bool)
     slave[right] = True
     # (node, field) tables: does the node carry a pressure, a displacement
-    fields = np.column_stack([mesh.fluid_node_mask(), mesh.solid_node_mask()])
+    fields = mesh.node_fields()
     lacking = fields[right] & ~fields[partner]
     if lacking.any():
         node = right[np.nonzero(lacking)[0][0]]
@@ -209,9 +208,10 @@ def _touches_layers(x2, cfg: ProblemConfig) -> np.ndarray:
     return ((x2 > cfg.h1) | (x2 < cfg.h2)).any(axis=1)
 
 
-def _stretch_sums(corners, cfg, pml, bary, w):
-    """Quadrature sums of s, 1/s and the s-weighted mass over each element;
-    the stretch is evaluated on the layer elements only."""
+def _stretch_sums(corners, cfg, pml):
+    """Degree-5 quadrature sums of s, 1/s and the s-weighted mass over each
+    element; the stretch is evaluated on the layer elements only."""
+    bary, w = quad.TRI5_BARY, quad.TRI5_W
     # mass[e, i, j] = sum_q s[e, q] * w[q] * bary[q, i] * bary[q, j]
     table = (w[:, None, None] * bary[:, :, None] * bary[:, None, :]).reshape(w.size, 9)
     layer = _touches_layers(corners[..., 1], cfg)
@@ -226,8 +226,7 @@ def _stretch_sums(corners, cfg, pml, bary, w):
     return s_avg, sinv_avg, mass.reshape(-1, 3, 3)
 
 
-def _element_matrices(corners, law: Law, cfg, pml, bary=quad.TRI5_BARY,
-                      w=quad.TRI5_W):
+def element_matrices(corners, law: Law, cfg: ProblemConfig, pml: PmlConfig):
     """Galerkin matrices of law on the triangles of corners (M, 3, 2), row
     C*i + c testing component c at corner i: block (c, k) sums the outer
     products dphi_i/dx_d * dphi_j/dx_l times part[c, d, k, l] times the sums
@@ -235,7 +234,7 @@ def _element_matrices(corners, law: Law, cfg, pml, bary=quad.TRI5_BARY,
     grads, area = _p1_gradients(corners)
     if (area <= 0).any():
         raise GeometryError(f"degenerate {law.side} element")
-    s_avg, sinv_avg, mass = _stretch_sums(corners, cfg, pml, bary, w)
+    s_avg, sinv_avg, mass = _stretch_sums(corners, cfg, pml)
     parts = law.parts()
     # the outer products the law uses, (d, l) = (1, 0) as the transpose of (0, 1)
     outer = {}
@@ -268,21 +267,6 @@ def _element_matrices(corners, law: Law, cfg, pml, bary=quad.TRI5_BARY,
         if k != c:
             out[:, k::n, c::n] = block.transpose(0, 2, 1)
     return out
-
-
-def fluid_element_matrix(corners, cfg: ProblemConfig, pml: PmlConfig,
-                         rule=(quad.TRI5_BARY, quad.TRI5_W)) -> np.ndarray:
-    """3x3 pressure element matrix for one triangle given its corners;
-    rule is a (barycentric points, weights) triangle rule."""
-    return _element_matrices(np.asarray(corners, float)[None],
-                             field_laws(cfg)[0], cfg, pml, *rule)[0]
-
-
-def solid_element_matrix(corners, cfg: ProblemConfig, pml: PmlConfig,
-                         rule=(quad.TRI5_BARY, quad.TRI5_W)) -> np.ndarray:
-    """6x6 displacement element matrix, dofs interleaved (u1, u2) per node."""
-    return _element_matrices(np.asarray(corners, float)[None],
-                             field_laws(cfg)[1], cfg, pml, *rule)[0]
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +347,8 @@ def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig) -> LinearSystem:
     fluid_law, solid_law = field_laws(cfg)
 
     # (row unknowns, column unknowns, local blocks) of each family
-    blocks = [(fluid, fluid, _element_matrices(corners[fluid_sel], fluid_law, cfg, pml)),
-              (solid, solid, _element_matrices(corners[~fluid_sel], solid_law, cfg, pml)),
+    blocks = [(fluid, fluid, element_matrices(corners[fluid_sel], fluid_law, cfg, pml)),
+              (solid, solid, element_matrices(corners[~fluid_sel], solid_law, cfg, pml)),
               (isolid, ifluid, b1), (ifluid, isolid, b2)]
     # weights by 1 + (column on a slave) - (row on a slave); a slave row and
     # column weigh exactly 1, since |multiplier| = 1

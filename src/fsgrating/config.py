@@ -96,9 +96,11 @@ class ProblemConfig:
         ys = [p[1] for p in self.profile]
         if len(self.profile) < 2:
             raise ConfigError("profile needs at least two vertices")
+        if not all(map(math.isfinite, xs + ys)):
+            raise ConfigError("profile coordinates must be finite")
         if xs[0] != 0.0 or abs(xs[-1] - self.period) > 1e-12 * self.period:
             raise ConfigError("profile must span x1 = 0 .. period")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if not all(b > a for a, b in zip(xs, xs[1:])):
             raise ConfigError("profile x1 must be strictly increasing")
         if abs(ys[0] - ys[-1]) > 1e-12 * max(1.0, abs(ys[0])):
             raise ConfigError("profile heights at x1=0 and x1=period must match")

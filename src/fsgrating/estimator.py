@@ -177,13 +177,6 @@ def _p1_values(nodal):
     return np.moveaxis(np.tensordot(quad.TRI5_BARY, nodal, axes=(1, 1)), 0, 1)
 
 
-def _p1_field(nodal, grads):
-    """Constant gradients (E, 2) or (E, C, 2), d/dx_d last, and degree-5
-    quadrature-point values of a P1 field from its corner values per
-    element, (E, 3) or (E, 3, C)."""
-    return _p1_gradient(nodal, grads), _p1_values(nodal)
-
-
 def _p1_gradient(nodal, grads):
     """Constant gradient sum_i nodal[:, i] grads[:, i] of a P1 field from
     its corner values (E, 3) or (E, 3, C) and the real shape gradients
@@ -325,7 +318,7 @@ def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
         corners = mesh.nodes[elems]
         grads, area = _p1_gradients(corners)
         pts = quad.triangle_points(corners)
-        g, vq = _p1_field(nodal[elems], grads)
+        g, vq = _p1_gradient(nodal[elems], grads), _p1_values(nodal[elems])
         ge = g[:, None] - gradient(pts).reshape(vq.shape + (2,))
         ve = vq - value(pts).reshape(vq.shape)
         dens = ((law.flux(ge, 1.0, 1.0) * np.conj(ge)).real.sum((-2, -1))

@@ -24,7 +24,7 @@ from .errors import GeometryError
 
 __all__ = [
     "Mesh", "MeshTopology", "generate_initial_mesh", "bisect", "audit",
-    "edge_trace", "edge_normals", "outward_normals", "interface_edges", "profile_height",
+    "edge_trace", "edge_normals", "interface_edges", "profile_height",
     "twice_signed_areas",
     "FLUID", "FLUID_PML", "SOLID", "SOLID_PML",
     "INTERIOR", "INTERFACE", "LEFT", "RIGHT", "GAMMA_PLUS", "GAMMA_MINUS",
@@ -127,15 +127,12 @@ class Mesh:
             angles.append(np.arccos(np.clip(cosv, -1.0, 1.0)))
         return float(np.min(angles))
 
-    def fluid_node_mask(self):
-        """Nodes incident to a fluid-side element (pressure unknowns live here)."""
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[self.elems[_is_fluid(self.regions)].ravel()] = True
-        return mask
-
-    def solid_node_mask(self):
-        mask = np.zeros(self.n_nodes, dtype=bool)
-        mask[self.elems[~_is_fluid(self.regions)].ravel()] = True
+    def node_fields(self):
+        """(N, 2) mask of the nodes incident to a fluid-side element (column
+        0, pressure unknowns) and to a solid-side element (column 1)."""
+        mask = np.zeros((self.n_nodes, 2), dtype=bool)
+        side = np.repeat(~_is_fluid(self.regions), 3).astype(np.intp)
+        mask[self.elems.ravel(), side] = True
         return mask
 
     @property
@@ -238,39 +235,25 @@ def edge_normals(mesh: Mesh, edge_ids):
     return np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / top.edge_lengths[edge_ids, None]
 
 
-def outward_normals(mesh: Mesh, edge_ids, elem_ids):
-    """Unit normal of each edge edge_ids[k] pointing out of element
-    elem_ids[k], shape (E, 2); element elem_ids[k] must contain the edge.
-
-    Elements are counter-clockwise (the element kernels of ``assembly``
-    raise GeometryError on a non-positive area and ``audit`` reports it),
-    and local edge j runs from vertex j+1 to vertex j+2, so the right-hand
-    normal of that direction points outward.  The edge normal of
-    edge_normals is flipped where the element traverses the edge the other
-    way.
-    """
-    top = mesh.topology
-    n = edge_normals(mesh, edge_ids)
-    local = np.argmax(top.elem_edges[elem_ids] == np.asarray(edge_ids)[:, None], axis=1)
-    n[mesh.elems[elem_ids, (local + 1) % 3] != top.edge_nodes[edge_ids, 0]] *= -1
-    return n
-
-
 def interface_edges(mesh: Mesh):
     """Interface edge ids, their fluid and solid neighbours and the unit
-    normals pointing into the fluid."""
+    normals pointing into the fluid: the edge normal of edge_normals,
+    turned toward the centroid of the fluid element."""
     top = mesh.topology
     ids = np.nonzero(top.edge_tags == INTERFACE)[0]
     el = top.edge_elems[ids]
     fluid0 = _is_fluid(mesh.regions[el[:, 0]])
     efluid = np.where(fluid0, el[:, 0], el[:, 1])
     esolid = np.where(fluid0, el[:, 1], el[:, 0])
-    normal = -outward_normals(mesh, ids, efluid)
+    normal = edge_normals(mesh, ids)
     mid = mesh.nodes[top.edge_nodes[ids]].mean(axis=1)
     cf = mesh.nodes[mesh.elems[efluid]].mean(axis=1)
-    if (((cf - mid) * normal).sum(-1) <= 0).any():
+    side = ((cf - mid) * normal).sum(-1)
+    # also false on a NaN
+    if not (np.abs(side) > 0).all():
         raise GeometryError("fluid element not on the normal side of an "
                             "interface edge")
+    normal[side < 0] *= -1
     return ids, efluid, esolid, normal
 
 

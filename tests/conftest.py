@@ -75,7 +75,7 @@ def corner_pml(corner_cfg):
 def unconstrained_dofmap(mesh, cfg):
     """A dofmap without constraints: every node owns its unknowns (fluid
     nodes by id, then solid pairs by id) and the multiplier is 1."""
-    fmask, smask = mesh.fluid_node_mask(), mesh.solid_node_mask()
+    fmask, smask = mesh.node_fields().T
     n_fluid, n_solid = int(fmask.sum()), int(smask.sum())
     fluid_dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
     fluid_dof[fmask] = np.arange(n_fluid)

@@ -298,6 +298,7 @@ def test_c08_estimator_exactness(ex1_cfg, monkeypatch):
 
 def test_c09_assembly_oracles(ex1_cfg, monkeypatch):
     pml = PmlConfig(2.0, 2.0, 10 + 10j, 10 + 10j, 2.0)
+    fluid_law, solid_law = asm.field_laws(ex1_cfg)
     rng = np.random.default_rng(2)
 
     worst_elem = 0.0
@@ -314,11 +315,11 @@ def test_c09_assembly_oracles(ex1_cfg, monkeypatch):
         mass = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
         ref_f = area * (np.outer(gx, gx) + np.outer(gy, gy)) \
             - ex1_cfg.kappa ** 2 * mass
-        got_f = asm.fluid_element_matrix(tri, ex1_cfg, pml)
+        got_f = asm.element_matrices(tri[None], fluid_law, ex1_cfg, pml)[0]
         worst_elem = max(worst_elem, np.abs(got_f - ref_f).max())
 
         tri_s = tri - np.array([0.0, 0.95])
-        got_s = asm.solid_element_matrix(tri_s, ex1_cfg, pml)
+        got_s = asm.element_matrices(tri_s[None], solid_law, ex1_cfg, pml)[0]
         mu, lam = ex1_cfg.mu, ex1_cfg.lam
         w2r = ex1_cfg.omega ** 2 * ex1_cfg.rho
         ref_s = np.zeros((6, 6), dtype=complex)

@@ -60,6 +60,12 @@ def elasticity_p1_reference(corners, cfg):
     return k
 
 
+def element_matrix(tri, cfg, pml, side):
+    """The batched kernel on the one triangle tri (3, 2)."""
+    law = dict(zip(("fluid", "solid"), asm.field_laws(cfg)))[side]
+    return asm.element_matrices(np.asarray(tri, float)[None], law, cfg, pml)[0]
+
+
 def test_stretch_values(ex1_cfg, pml_mild):
     assert asm.stretch(0.0, ex1_cfg, pml_mild) == 1.0
     assert asm.stretch(ex1_cfg.h1, ex1_cfg, pml_mild) == 1.0
@@ -76,7 +82,7 @@ def test_fluid_element_matches_reference(ex1_cfg, pml_mild):
         tri = rng.uniform(0.1, 0.8, size=(3, 2)) * np.array([1.0, 0.8])
         if _signed_area(tri) < 0:
             tri = tri[[0, 2, 1]]
-        got = asm.fluid_element_matrix(tri, ex1_cfg, pml_mild)
+        got = element_matrix(tri, ex1_cfg, pml_mild, "fluid")
         ref = helmholtz_p1_reference(tri, ex1_cfg.kappa)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1, np.abs(ref).max())
         assert np.max(np.abs(got.imag)) <= 1e-14
@@ -85,13 +91,13 @@ def test_fluid_element_matches_reference(ex1_cfg, pml_mild):
 def test_fluid_element_stiffness_kernel(ex1_cfg, pml_mild):
     cfg = ProblemConfig(**{**ex1_cfg.__dict__, "kappa": 1e-9})
     tri = np.array([[0.1, 0.2], [0.5, 0.25], [0.3, 0.6]])
-    k = asm.fluid_element_matrix(tri, cfg, pml_mild)
+    k = element_matrix(tri, cfg, pml_mild, "fluid")
     assert np.max(np.abs(k.sum(axis=1))) <= 1e-14
 
 
 def test_fluid_element_pml_is_complex(ex1_cfg, pml_mild):
     tri = np.array([[0.1, 1.3], [0.3, 1.3], [0.2, 1.5]])
-    k = asm.fluid_element_matrix(tri, ex1_cfg, pml_mild)
+    k = element_matrix(tri, ex1_cfg, pml_mild, "fluid")
     assert np.abs(k.imag).max() > 1e-3
 
 
@@ -101,7 +107,7 @@ def test_solid_element_matches_reference(ex1_cfg, pml_mild):
         tri = rng.uniform(0.1, 0.8, size=(3, 2)) * np.array([1.0, -0.8])
         if _signed_area(tri) < 0:
             tri = tri[[0, 2, 1]]
-        got = asm.solid_element_matrix(tri, ex1_cfg, pml_mild)
+        got = element_matrix(tri, ex1_cfg, pml_mild, "solid")
         ref = elasticity_p1_reference(tri, ex1_cfg)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1, np.abs(ref).max())
 
@@ -111,23 +117,24 @@ def test_solid_element_rigid_translation(ex1_cfg, pml_mild):
     tri = np.array([[0.1, -0.2], [0.5, -0.25], [0.3, -0.6]])
     if _signed_area(tri) < 0:
         tri = tri[[0, 2, 1]]
-    k = asm.solid_element_matrix(tri, cfg, pml_mild)
+    k = element_matrix(tri, cfg, pml_mild, "solid")
     const = np.array([1.0, -2.0] * 3)
     assert np.max(np.abs(k @ const)) <= 1e-12
 
 
 def test_solid_element_complex_symmetric(ex1_cfg, pml_mild):
     tri = np.array([[0.1, -0.2], [0.3, -0.6], [0.5, -0.25]])
-    k = asm.solid_element_matrix(tri, ex1_cfg, pml_mild)
+    k = element_matrix(tri, ex1_cfg, pml_mild, "solid")
     assert np.max(np.abs(k - k.T)) <= 1e-13 * np.abs(k).max()
 
 
 def test_quadrature_insensitivity_in_layers(ex1_cfg):
-    # degree 5 vs degree 7 on refined layer elements, ramp degree 2; only
-    # the rational 1/s factor distinguishes the rules, and on elements of
-    # size delta/256 the difference is below 1e-8 even at |sigma| = 100
+    # the degree-5 kernel vs the Galerkin form summed over the degree-7
+    # rule on refined layer elements, ramp degree 2; only the rational 1/s
+    # factor distinguishes the rules, and on elements of size delta/256
+    # the difference is below 1e-8 even at |sigma| = 100
     rng = np.random.default_rng(3)
-    rule7 = (quad.TRI7_BARY, quad.TRI7_W)
+    fluid_law, solid_law = asm.field_laws(ex1_cfg)
     worst = 0.0
     h = 1.0 / 256.0
     for mag in (10.0, 100.0):
@@ -136,21 +143,24 @@ def test_quadrature_insensitivity_in_layers(ex1_cfg):
             base = np.array([rng.uniform(0, 0.9),
                              rng.uniform(ex1_cfg.h1, ex1_cfg.h1 + 0.9 - h)])
             tri = base + h * np.array([[0, 0], [1, 0], [0, 1]])
-            k5 = asm.fluid_element_matrix(tri, ex1_cfg, pml)
-            k7 = asm.fluid_element_matrix(tri, ex1_cfg, pml, rule=rule7)
+            k5 = element_matrix(tri, ex1_cfg, pml, "fluid")
+            k7 = galerkin_reference(tri, fluid_law, ex1_cfg, pml,
+                                    quad.TRI7_BARY, quad.TRI7_W)
             worst = max(worst, np.abs(k5 - k7).max() / np.abs(k5).max())
             base = np.array([rng.uniform(0, 0.9),
                              rng.uniform(ex1_cfg.h2 - 0.9 + h, ex1_cfg.h2)])
             tri = base + h * np.array([[0, 0], [1, 0], [0, 1]])
-            k5 = asm.solid_element_matrix(tri, ex1_cfg, pml)
-            k7 = asm.solid_element_matrix(tri, ex1_cfg, pml, rule=rule7)
+            k5 = element_matrix(tri, ex1_cfg, pml, "solid")
+            k7 = galerkin_reference(tri, solid_law, ex1_cfg, pml,
+                                    quad.TRI7_BARY, quad.TRI7_W)
             worst = max(worst, np.abs(k5 - k7).max() / np.abs(k5).max())
     assert worst <= 1e-8
 
 
-def galerkin_reference(tri, law, cfg, pml):
+def galerkin_reference(tri, law, cfg, pml, bary=quad.TRI5_BARY, w=quad.TRI5_W):
     """Galerkin form of law.flux minus its s-weighted mass on one triangle,
-    summed over the 7-point rule with s and 1/s taken at each point."""
+    summed over the triangle rule (bary, w), by default the 7-point
+    degree-5 one, with s and 1/s taken at each point."""
     x, y = tri[:, 0], tri[:, 1]
     b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
     c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
@@ -158,8 +168,8 @@ def galerkin_reference(tri, law, cfg, pml):
     grad = np.stack([b, c], -1) / (2 * area)
     n = law.components
     k = np.zeros((3 * n, 3 * n), dtype=complex)
-    for bary, w in zip(quad.TRI5_BARY, quad.TRI5_W):
-        s = asm.stretch(bary @ y, cfg, pml)
+    for lam, wq in zip(bary, w):
+        s = asm.stretch(lam @ y, cfg, pml)
         for j in range(3):
             for trial in range(n):
                 g = np.zeros((n, 2))
@@ -167,8 +177,8 @@ def galerkin_reference(tri, law, cfg, pml):
                 f = law.flux(g, s, 1 / s)
                 for i in range(3):
                     for test in range(n):
-                        mass = law.mass * s * bary[i] * bary[j] if test == trial else 0
-                        k[n * i + test, n * j + trial] += area * w * (
+                        mass = law.mass * s * lam[i] * lam[j] if test == trial else 0
+                        k[n * i + test, n * j + trial] += area * wq * (
                             f[test] @ grad[i] - mass)
     return k
 
@@ -179,8 +189,6 @@ def test_stretched_element_matrices_match_pointwise_galerkin_form(
     # triangles inside each layer, where s != 1
     cfg = corner_cfg
     law = dict(zip(("fluid", "solid"), asm.field_laws(cfg)))[side]
-    kernel = {"fluid": asm.fluid_element_matrix,
-              "solid": asm.solid_element_matrix}[side]
     rng = np.random.default_rng(12)
     for foot, sign in ((cfg.h1, 1.0), (cfg.h2, -1.0)):
         for _ in range(5):
@@ -189,7 +197,7 @@ def test_stretched_element_matrices_match_pointwise_galerkin_form(
             if _signed_area(tri) < 0:
                 tri = tri[[0, 2, 1]]
             assert abs(asm.stretch(tri[:, 1].mean(), cfg, pml_mild) - 1) > 0.01
-            got = kernel(tri, cfg, pml_mild)
+            got = element_matrix(tri, cfg, pml_mild, side)
             ref = galerkin_reference(tri, law, cfg, pml_mild)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -221,7 +229,7 @@ def test_stretch_sums_match_every_point_stretch(ex1_cfg, corner_cfg, pml_mild,
     s = asm.stretch(quad.triangle_points(corners, bary)[..., 1], cfg, pml_mild)
     want = (np.einsum("q,eq->e", w, s), np.einsum("q,eq->e", w, 1.0 / s),
             np.einsum("eq,q,qi,qj->eij", s, w, bary, bary))
-    got = asm._stretch_sums(corners, cfg, pml_mild, bary, w)
+    got = asm._stretch_sums(corners, cfg, pml_mild)
     for g, ref in zip(got, want):
         assert g.shape == ref.shape
         assert np.all(np.abs(g - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
@@ -310,9 +318,33 @@ def test_assemble_dimensions_and_multiplier(ex1_cfg, pml_mild):
         np.exp(1j * d.alpha * ex1_cfg.period), rel=1e-15)
     # sparsity pattern symmetric
     a = system.matrix
-    assert (abs(a - a.T).tocoo().data != 0).sum() >= 0  # structure exists
     pattern = (a != 0)
     assert (pattern != pattern.T).nnz == 0
+
+
+@given(profile=st.sampled_from(["flat", "corner"]), seed=st.integers(0, 2 ** 16),
+       fractions=st.lists(st.floats(0.05, 1.0), max_size=3))
+def test_assembled_operator_is_reciprocal(ex1_cfg, corner_cfg, profile, seed,
+                                          fractions):
+    # with the pressure rows scaled by 1/(rho_f omega^2) the unfolded form
+    # is complex symmetric, and the fold weighs rows by conj(multiplier)
+    # and columns by multiplier, so (S A(theta))^T = S A(-theta)
+    cfg = {"flat": ex1_cfg, "corner": corner_cfg}[profile]
+    mirrored = ProblemConfig(**{**cfg.__dict__, "theta": -cfg.theta})
+    pml = PmlConfig(1.0, 1.0, 1 + 1j, 1 + 1j, 2.0)
+    m = msh.generate_initial_mesh(cfg, pml, 0.5)
+    rng = np.random.default_rng(seed)
+    for frac in fractions:
+        m = msh.bisect(m, rng.choice(m.n_elems, size=max(1, int(frac * m.n_elems)),
+                                     replace=False))
+    system = asm.assemble(m, cfg, pml)
+    dof = system.dofmap
+    scale = np.ones(dof.n_free)
+    scale[:dof.fluid_dof.max() + 1] = 1.0 / (cfg.rho_f * cfg.omega ** 2)
+    sa = sp.diags(scale) @ system.matrix
+    sa_mirrored = sp.diags(scale) @ asm.assemble(m, mirrored, pml).matrix
+    assert abs(dof.multiplier.imag) > 0.1
+    assert abs(sa.T - sa_mirrored).max() <= 1e-14 * abs(sa).max()
 
 
 def test_interface_nodes_carry_three_dofs(corner_cfg, pml_mild):
@@ -415,8 +447,7 @@ def test_assemble_discrete_solution_matches_oracle_second_order(
         m = msh.generate_initial_mesh(ex1_cfg, pml_mild, h0)
         system = asm.assemble(m, ex1_cfg, pml_mild)
         state, _ = solver.solve(system)
-        fm = m.fluid_node_mask()
-        sm = m.solid_node_mask()
+        fm, sm = m.node_fields().T
         ymid = msh.profile_height(m.profile, m.nodes[:, 0])
         physf = fm & (m.nodes[:, 1] <= ex1_cfg.h1 + 1e-12) \
             & (m.nodes[:, 1] >= ymid - 1e-12)
@@ -475,8 +506,8 @@ def test_kernel_areas_are_the_audit_areas(corner_cfg, pml_mild):
 
 @pytest.mark.parametrize("region", [msh.FLUID, msh.SOLID])
 def test_clockwise_element_is_rejected(ex1_cfg, pml_mild, region):
-    # outward_normals reads the orientation of the element, so a clockwise
-    # element must be reported by audit and rejected by assemble
+    # the element kernels read the signed area, so a clockwise element
+    # must be reported by audit and rejected by assemble
     m = msh.generate_initial_mesh(ex1_cfg, pml_mild, 0.25)
     away = np.abs(m.centroids()[:, 1]) > 0.5     # off the interface
     e = np.nonzero((m.regions == region) & away)[0][0]

@@ -255,7 +255,9 @@ def test_exit_codes_for_error_families(ex1_ini, tmp_path):
                                       "run.tol=nan", "run.tol=-1",
                                       "run.h0=0", "run.h0=-1", "run.h0=nan",
                                       "run.h0=inf", "run.dof_cap=0",
-                                      "run.dof_cap=-5"])
+                                      "run.dof_cap=-5",
+                                      "problem.profile=0:0, nan:0.5, 1:0",
+                                      "problem.profile=0:0, 0.5:nan, 1:0"])
 @pytest.mark.parametrize("subcommand", ["solve", "adapt", "verify-flat",
                                         "spectral-check", "params"])
 def test_inadmissible_pml_exits_config(ex1_ini, tmp_path, subcommand, override):

@@ -48,6 +48,8 @@ def test_derive_scales_linearly_in_omega():
     dict(profile=[(0.0, 0.0), (0.4, 0.1), (0.3, 0.2), (1.0, 0.0)]),
     dict(profile=[(0.0, 0.0), (1.0, 0.3)]),   # ends at another height
     dict(kappa=0.0),
+    dict(profile=[(0.0, 0.0), (np.nan, 0.5), (1.0, 0.0)]),   # NaN vertex x1
+    dict(profile=[(0.0, 0.0), (0.5, np.nan), (1.0, 0.0)]),   # NaN vertex x2
 ])
 def test_invalid_configs_rejected(bad):
     with pytest.raises(ConfigError):

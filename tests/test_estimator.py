@@ -74,10 +74,12 @@ def reference_element_residuals(mesh, state, cfg, pml):
     dsinv = -asm.stretch_derivative(x2, cfg, pml) / s ** 2
     fluid = mesh.regions <= 1
     out = np.zeros(mesh.n_elems)
-    gp, pq = est._p1_field(state.p[mesh.elems[fluid]], grads[fluid])
+    gp = est._p1_gradient(state.p[mesh.elems[fluid]], grads[fluid])
+    pq = est._p1_values(state.p[mesh.elems[fluid]])
     r = dsinv[fluid] * gp[:, None, 1] + cfg.kappa ** 2 * s[fluid] * pq
     out[fluid] = est._quad_norm(area[fluid], quad.TRI5_W, r)
-    gu, uq = est._p1_field(state.u[mesh.elems[~fluid]], grads[~fluid])
+    gu = est._p1_gradient(state.u[mesh.elems[~fluid]], grads[~fluid])
+    uq = est._p1_values(state.u[mesh.elems[~fluid]])
     w2r = cfg.omega ** 2 * cfg.rho
     ds, ss = dsinv[~fluid], s[~fluid]
     r1 = cfg.mu * ds * gu[:, None, 0, 1] + w2r * ss * uq[..., 0]
@@ -283,8 +285,7 @@ def _check_jump_norms_against_loop(cfg, pml, m):
     the (fluid side, edge tag, endpoint in a layer) families checked."""
     rng = np.random.default_rng(5)
     state = solver.SystemState.zeros(m)
-    fm = m.fluid_node_mask()
-    sm = m.solid_node_mask()
+    fm, sm = m.node_fields().T
     state.p[fm] = rng.normal(size=fm.sum()) + 1j * rng.normal(size=fm.sum())
     state.u[sm] = rng.normal(size=(sm.sum(), 2)) \
         + 1j * rng.normal(size=(sm.sum(), 2))
@@ -493,8 +494,7 @@ def test_apriori_error_interpolant_halves(ex1_cfg, pml_mild):
     for h0 in (0.2, 0.1, 0.05):
         m = msh.generate_initial_mesh(ex1_cfg, pml_mild, h0)
         state = solver.SystemState.zeros(m)
-        fm = m.fluid_node_mask()
-        sm = m.solid_node_mask()
+        fm, sm = m.node_fields().T
         state.p[fm] = sol.pressure(m.nodes[fm])
         state.u[sm] = sol.displacement(m.nodes[sm])
         errs.append(est.apriori_error(m, state, sol, ex1_cfg))
@@ -558,13 +558,13 @@ def test_triangle_points_match_barycentric_sums(corner_cfg, pml_mild):
                 assert np.abs(pts[e, q] - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_p1_field_matches_element_loop(corner_cfg, pml_mild):
+def test_p1_gradient_and_values_match_element_loop(corner_cfg, pml_mild):
     m = msh.generate_initial_mesh(corner_cfg, pml_mild, 0.3)
     grads, _ = asm._p1_gradients(m.corner_coords())
     rng = np.random.default_rng(8)
     for shape in ((m.n_nodes,), (m.n_nodes, 2)):
         nodal = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[m.elems]
-        grad, values = est._p1_field(nodal, grads)
+        grad, values = est._p1_gradient(nodal, grads), est._p1_values(nodal)
         for e in range(m.n_elems):
             # d/dx_d of the field, one corner term at a time
             want_g = sum(np.multiply.outer(nodal[e, i], grads[e, i]) for i in range(3))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fsgrating import PmlConfig
 from fsgrating import mesh as msh
+from fsgrating.errors import GeometryError
 
 
 @pytest.fixture
@@ -262,30 +263,38 @@ def _same_bits(a, b):
 
 @given(corner=st.booleans(), seed=st.integers(0, 2 ** 16),
        fractions=st.lists(st.floats(0.05, 0.5), min_size=1, max_size=3))
-def test_outward_normals_match_centroid_test(ex1_cfg, corner_cfg, corner, seed,
-                                             fractions):
+def test_interface_normals_match_centroid_test(ex1_cfg, corner_cfg, corner, seed,
+                                               fractions):
     cfg = corner_cfg if corner else ex1_cfg
     m = msh.generate_initial_mesh(cfg, PmlConfig(1.0, 1.0, 1 + 1j, 1 + 1j, 2.0), 0.3)
     rng = np.random.default_rng(seed)
     for frac in fractions:
         m = msh.bisect(m, rng.choice(m.n_elems, size=max(1, int(frac * m.n_elems)),
                                      replace=False))
-    top = m.topology
-    ids = np.nonzero(top.edge_elems[:, 1] >= 0)[0]
-    normals = []
-    for side in (0, 1):
-        elems = top.edge_elems[ids, side]
-        normals.append(msh.outward_normals(m, ids, elems))
-        assert _same_bits(normals[-1], _centroid_normals(m, ids, elems))
-    assert _same_bits(normals[1], -normals[0])
-    # boundary edges have one element
-    ids = np.nonzero(top.edge_elems[:, 1] < 0)[0]
-    assert _same_bits(msh.outward_normals(m, ids, top.edge_elems[ids, 0]),
-                      _centroid_normals(m, ids, top.edge_elems[ids, 0]))
-
     ids, efluid, _, normal = msh.interface_edges(m)
-    mid = m.nodes[top.edge_nodes[ids]].mean(axis=1)
+    assert _same_bits(normal, -_centroid_normals(m, ids, efluid))
+    mid = m.nodes[m.topology.edge_nodes[ids]].mean(axis=1)
     assert (((m.centroids()[efluid] - mid) * normal).sum(-1) > 0).all()
+
+
+def test_interface_edges_reject_fluid_element_on_the_edge_line(ex1_cfg, unit_pml):
+    # the third vertex of an interface edge's fluid element moved onto the
+    # (flat) interface line, strictly inside the edge: the fluid element
+    # lies on neither side of the edge
+    m = msh.generate_initial_mesh(ex1_cfg, unit_pml, 0.25)
+    top = m.topology
+    ids, efluid, _, _ = msh.interface_edges(m)
+    k = np.argmin(np.abs(m.nodes[top.edge_nodes[ids], 0].mean(axis=1) - 0.5))
+    a, b = m.nodes[top.edge_nodes[ids[k]]]
+    assert a[1] == b[1] == 0.0
+    third = np.setdiff1d(m.elems[efluid[k]], top.edge_nodes[ids[k]])
+    nodes = m.nodes.copy()
+    nodes[third] = a + 0.3 * (b - a)
+    moved = msh.Mesh(nodes=nodes, elems=m.elems, regions=m.regions,
+                     period=m.period, h1=m.h1, h2=m.h2, delta1=m.delta1,
+                     delta2=m.delta2, profile=m.profile)
+    with pytest.raises(GeometryError, match="fluid element not on the normal side"):
+        msh.interface_edges(moved)
 
 
 def test_edge_trace_matches_per_edge_interpolation(corner_cfg, unit_pml):

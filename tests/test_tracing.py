@@ -1,14 +1,19 @@
 """The span tracer of the benchmark (bench/tracing.py) finds every function
-it wraps: a renamed public function would blank its per-layer metrics."""
+it wraps, and its metrics cover every per-layer name BENCHMARK.json
+declares: a renamed or deleted function would blank its metrics."""
 
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
 from fsgrating import (adapt, assembly, config, estimator, mesh, solver,
                        spectral, vtkio)
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+#: per-layer metrics that the worker adds from its own clock
+WORKER_METRICS = {"trace.run_s", "trace.overhead_s"}
 
 
 def _tracing_module():
@@ -19,7 +24,8 @@ def _tracing_module():
 
 
 def test_tracer_wraps_every_layer_of_a_run(ex1_cfg, ex1_pml):
-    tracer = _tracing_module().Tracer()
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
     tracer.install(SimpleNamespace(
         config=config, spectral=spectral, mesh=mesh, assembly=assembly,
         solver=solver, estimator=estimator, adapt=adapt, vtkio=vtkio))
@@ -35,3 +41,6 @@ def test_tracer_wraps_every_layer_of_a_run(ex1_cfg, ex1_pml):
     for name in ("assembly.assemble", "estimator.element_residuals",
                  "estimator.edge_jumps", "estimator.indicators"):
         assert name in names
+    metrics = tracing.layer_metrics(tracer, result.mesh, len(result.records))
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in declared} - WORKER_METRICS <= set(metrics)
