@@ -346,26 +346,32 @@ def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig) -> LinearSystem:
 
     fluid_law, solid_law = field_laws(cfg)
 
-    # (row unknowns, column unknowns, local blocks) of each family
-    blocks = [(fluid, fluid, element_matrices(corners[fluid_sel], fluid_law, cfg, pml)),
-              (solid, solid, element_matrices(corners[~fluid_sel], solid_law, cfg, pml)),
-              (isolid, ifluid, b1), (ifluid, isolid, b2)]
+    # (row unknowns, column unknowns, local blocks formed when scattered)
+    families = [
+        (fluid, fluid, lambda: element_matrices(corners[fluid_sel], fluid_law, cfg, pml)),
+        (solid, solid, lambda: element_matrices(corners[~fluid_sel], solid_law, cfg, pml)),
+        (isolid, ifluid, lambda: b1), (ifluid, isolid, lambda: b2)]
     # weights by 1 + (column on a slave) - (row on a slave); a slave row and
     # column weigh exactly 1, since |multiplier| = 1
     m, n = dofmap.multiplier, dofmap.n_free
     weights = np.array([np.conj(m), 1.0, m])
-    rows, cols, vals = [], [], []
-    for (r, r_slave), (c, c_slave), k in blocks:
+    # one COO triple, int32 as the CSR keeps it, filled family by family
+    size = sum(r.size * c.shape[1] for (r, _), (c, _), _ in families)
+    rows, cols = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    vals = np.empty(size, dtype=complex)
+    stop = 0
+    for (r, r_slave), (c, c_slave), local in families:
+        k = local()
+        start, stop = stop, stop + k.size
         on = r_slave.any(1) | c_slave.any(1)      # blocks touching a slave
         k[on] *= weights[1 + c_slave[on, None, :] - r_slave[on, :, None]]
         # a missing unknown (-1) goes to the extra row and column n, which
         # the slice below drops
-        rows.append(np.broadcast_to(np.where(r < 0, n, r)[:, :, None], k.shape).ravel())
-        cols.append(np.broadcast_to(np.where(c < 0, n, c)[:, None, :], k.shape).ravel())
-        vals.append(k.ravel())
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n + 1, n + 1)).tocsr()[:n, :n]
+        rows[start:stop].reshape(k.shape)[...] = np.where(r < 0, n, r)[:, :, None]
+        cols[start:stop].reshape(k.shape)[...] = np.where(c < 0, n, c)[:, None, :]
+        vals[start:stop] = k.ravel()
+        del k
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsr()[:n, :n]
     # structural zeros (the pressure against u1 on flat interface edges)
     # would change the fill-reducing ordering of the factorisation
     a.eliminate_zeros()

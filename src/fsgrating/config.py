@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -246,8 +247,9 @@ def screen(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
            max_iter: int, dof_cap: int, h0: float | None):
     """Every input rule of an adaptive run: ConfigError on a bad layer, a Wood
     order in the window (WoodAnomalyError), tol < 0 or NaN (+inf is valid),
-    tau outside (0, 1), max_iter < 1, dof_cap < 1, and an initial mesh size
-    h0 outside (0, inf); h0 is None when no mesh is built from it."""
+    tau outside (0, 1), a max_iter that is not an integer of at least 1 (a
+    float such as 2.5, 3.0 or NaN included), dof_cap < 1, and an initial
+    mesh size h0 outside (0, inf); h0 is None when no mesh is built from it."""
     validate_pml(pml)
     w = mode_window(cfg)
     order_table(cfg, np.arange(-w, w + 1)).check()
@@ -255,8 +257,9 @@ def screen(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
         raise ConfigError(f"run.tol must be nonnegative, got {tol!r}")
     if not 0 < tau < 1:
         raise ConfigError("run.tau must lie in (0, 1)")
-    if max_iter < 1:
-        raise ConfigError("run.max_iter must be at least 1")
+    # the budget is a range() count: every float fails, 3.0 and NaN included
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise ConfigError(f"run.max_iter must be an integer >= 1, got {max_iter!r}")
     if not dof_cap >= 1:
         raise ConfigError(f"run.dof_cap must be at least 1, got {dof_cap!r}")
     if h0 is not None and not 0 < h0 < math.inf:

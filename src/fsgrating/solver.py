@@ -51,32 +51,35 @@ class SolveReport:
 def solve(system: LinearSystem) -> tuple:
     """Sparse LU solve of the reduced system plus quasi-periodic expansion.
 
-    Entries below NOISE_RTOL times the largest one are dropped from the
-    matrix that is factored.  Its rows and columns are renumbered by one
-    reverse Cuthill-McKee permutation of the pattern of A^T + A, which
-    undoes the scattered node numbering that bisection leaves.  SuperLU
-    then factors the permuted matrix in symmetric mode: minimum degree on
-    A^T + A, diagonal pivots preferred while they are at least 0.1 of the
-    largest entry of their column.  Raises SingularSystemError on a zero or
-    tiny pivot (a Wood/Jones degeneracy or corrupted constraints).  The
-    relative residual is taken on the full, unpermuted matrix; above
-    RESIDUAL_RTOL one step of iterative refinement with the same factor is
-    taken, and a residual still above it raises SingularSystemError; a NaN
-    pivot or residual fails these gates too, so no NaN state is returned.
+    The factored matrix is one CSC copy of the system matrix, without the
+    entries below NOISE_RTOL times the largest one, and with its rows and
+    columns renumbered by one reverse Cuthill-McKee permutation of the
+    pattern of A^T + A, which undoes the scattered node numbering that
+    bisection leaves.  SuperLU factors it in symmetric mode: minimum degree
+    on A^T + A, diagonal pivots preferred while they are at least 0.1 of
+    the largest entry of their column.  The copy is then freed, so the
+    memory peak of the solve holds the caller's matrix (left as it is),
+    the factor and the CSC copy of the factor that the pivot gate reads.
+    Raises SingularSystemError on a zero or tiny pivot (a Wood/Jones
+    degeneracy or corrupted constraints).  The relative residual is taken
+    on the system matrix; above RESIDUAL_RTOL one step of iterative
+    refinement with the same factor is taken, and a residual still above
+    it raises SingularSystemError; a NaN pivot or residual fails these
+    gates too, so no NaN state is returned.
     The free values are gathered onto the nodes (zero on the outer layer
     boundaries) and the slave nodes are scaled by the dofmap multiplier, so
     the returned state honours the quasi-periodic boundary relation exactly.
     """
-    a = system.matrix.tocsc()
+    a = system.matrix
     if a.shape[0] < 1:
         raise SingularSystemError("empty system")
     t0 = time.perf_counter()
-    amax = max(np.abs(a.data).max(), np.finfo(float).tiny)
-    # a copy, since tocsc() returns a CSC system matrix itself
-    kept = a.copy()
+    kept = a.tocsc(copy=True)
+    amax = max(np.abs(kept.data).max(), np.finfo(float).tiny)
     kept.data[np.abs(kept.data) < NOISE_RTOL * amax] = 0
     kept.eliminate_zeros()
     perm = reverse_cuthill_mckee(kept, symmetric_mode=False)
+    kept = kept[perm][:, perm]
     try:
         # SuperLU Users' Guide (Li, Demmel, Gilbert): for a structurally
         # symmetric matrix, minimum degree on A^T + A with a small diagonal
@@ -84,13 +87,16 @@ def solve(system: LinearSystem) -> tuple:
         # 1.0 pivots off the diagonal, ruins that ordering and took 133 s
         # (fill 92.8M) on a 65k-dof adapted flat system; 0.0 let the pivot
         # growth of a kappa = 20 run reach 67, against 3.3 at 0.1.
-        lu = splu(kept[perm][:, perm], permc_spec="MMD_AT_PLUS_A",
+        lu = splu(kept, permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SingularSystemError(f"factorization failed: {exc}") from exc
+    del kept
     # the first access to lu.U (or lu.L) builds both factors as CSC
-    # matrices; scipy 1.17 caches them on the SuperLU object, so they stay
-    # in memory for as long as lu lives
+    # matrices, which scipy 1.17 caches on the SuperLU object for as long
+    # as lu lives: next to the factor and the caller's matrix, this copy
+    # sets the peak of the solve (+78 MB resident on the final flat bench
+    # system); it stays, since the pivot gate reads U's diagonal
     u_factor = lu.U
     udiag = np.abs(u_factor.diagonal())
     growth = float(np.abs(u_factor.data).max() / amax)

@@ -98,7 +98,8 @@ def test_invalid_max_iter_rejected(ex1_cfg, pml_mild):
     "select tuned rho", "select Im sigma = 0", "select delta = 0",
     "bound_F1 Im sigma = 0", "bound_F1 delta = 0", "bound_F2 Im sigma = 0",
     "bound_F2 delta = 0", "adapt nan tol", "adapt h0 = 0", "adapt h0 < 0",
-    "adapt nan h0", "adapt infinite h0", "adapt dof_cap = 0", "adapt dof_cap < 0"])
+    "adapt nan h0", "adapt infinite h0", "adapt dof_cap = 0", "adapt dof_cap < 0",
+    "adapt max_iter = 2.5", "adapt nan max_iter"])
 def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, monkeypatch,
                                                case):
     # every case raises at the front door: no mesh is built, nothing assembled
@@ -147,6 +148,11 @@ def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, monkeypatch,
         "adapt infinite h0": lambda: run(h0=math.inf),
         "adapt dof_cap = 0": lambda: run(h0=0.3, dof_cap=0),
         "adapt dof_cap < 0": lambda: run(h0=0.3, dof_cap=-5),
+        # `max_iter < 1` is false for both, but neither is a range() count
+        "adapt max_iter = 2.5": lambda: adapt.run(ex1_cfg, pml_mild, tol=0.5, tau=0.25,
+                                                  max_iter=2.5, h0=0.5),
+        "adapt nan max_iter": lambda: adapt.run(ex1_cfg, pml_mild, tol=0.5, tau=0.25,
+                                                max_iter=math.nan, h0=0.5),
     }
     wood = "grazing" in case or "tuned rho" in case
     with pytest.raises(WoodAnomalyError if wood else ConfigError):

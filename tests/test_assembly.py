@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -345,6 +347,83 @@ def test_assembled_operator_is_reciprocal(ex1_cfg, corner_cfg, profile, seed,
     sa_mirrored = sp.diags(scale) @ asm.assemble(m, mirrored, pml).matrix
     assert abs(dof.multiplier.imag) > 0.1
     assert abs(sa.T - sa_mirrored).max() <= 1e-14 * abs(sa).max()
+
+
+#: the traced peak of assemble in units of one COO triple: 2.68 measured
+#: on the corner mesh of test_assemble_memory_budget, plus 10 %
+MEMORY_BUDGET = 2.95
+
+
+def concatenated_scatter(m, cfg, pml):
+    """assemble's matrix from one int64 COO list per family, concatenated
+    and converted by scipy, with the same family order and fold."""
+    dof = asm.build_dofmap(m, cfg)
+    corners = m.corner_coords()
+    fluid = msh._is_fluid(m.regions)
+    ids, _, _, normal = msh.interface_edges(m)
+    nodes = m.topology.edge_nodes[ids]
+    b1, b2 = asm.interface_coupling(m.nodes[nodes], normal, cfg)
+    fluid_law, solid_law = asm.field_laws(cfg)
+    pf = asm._unknowns(dof, m.elems[fluid], False)
+    us = asm._unknowns(dof, m.elems[~fluid], True)
+    ipf, ius = asm._unknowns(dof, nodes, False), asm._unknowns(dof, nodes, True)
+    families = [(pf, pf, asm.element_matrices(corners[fluid], fluid_law, cfg, pml)),
+                (us, us, asm.element_matrices(corners[~fluid], solid_law, cfg, pml)),
+                (ius, ipf, b1), (ipf, ius, b2)]
+    mult, n = dof.multiplier, dof.n_free
+    weights = np.array([np.conj(mult), 1.0, mult])
+    rows, cols, vals = [], [], []
+    for (r, r_slave), (c, c_slave), k in families:
+        on = r_slave.any(1) | c_slave.any(1)
+        k[on] *= weights[1 + c_slave[on, None, :] - r_slave[on, :, None]]
+        rows.append(np.broadcast_to(np.where(r < 0, n, r)[:, :, None], k.shape).ravel())
+        cols.append(np.broadcast_to(np.where(c < 0, n, c)[:, None, :], k.shape).ravel())
+        vals.append(k.ravel())
+    a = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n + 1, n + 1)).tocsr()[:n, :n]
+    a.eliminate_zeros()
+    return a
+
+
+@given(seed=st.integers(0, 2 ** 16),
+       fractions=st.lists(st.floats(0.05, 1.0), max_size=3))
+def test_assemble_returns_canonical_csr(corner_cfg, seed, fractions):
+    pml = PmlConfig(1.0, 1.0, 1 + 1j, 1 + 1j, 2.0)
+    m = msh.generate_initial_mesh(corner_cfg, pml, 0.5)
+    rng = np.random.default_rng(seed)
+    for frac in fractions:
+        m = msh.bisect(m, rng.choice(m.n_elems, size=max(1, int(frac * m.n_elems)),
+                                     replace=False))
+    a = asm.assemble(m, corner_cfg, pml).matrix
+    assert a.format == "csr"
+    assert a.indices.dtype == a.indptr.dtype == np.int32
+    # strictly increasing columns within each row: sorted, no duplicates
+    same_row = np.diff(np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))) == 0
+    assert (np.diff(a.indices)[same_row] > 0).all()
+    assert (a.data != 0).all()
+    ref = concatenated_scatter(m, corner_cfg, pml)
+    assert np.array_equal(a.indptr, ref.indptr)
+    assert np.array_equal(a.indices, ref.indices)
+    assert np.array_equal(a.data, ref.data)
+
+
+def test_assemble_memory_budget(corner_cfg, corner_pml):
+    # the traced peak of assemble above what is traced on entry, in bytes
+    # of one COO triple: 4 + 4 + 16 per local entry (int32 row and column,
+    # complex value); the kernels' transients and the CSR come on top
+    m = msh.generate_initial_mesh(corner_cfg, corner_pml, 0.05)
+    fluid = msh._is_fluid(m.regions)
+    # 3x3 entries per fluid element, 6x6 per solid one, 2x4 + 4x2 per interface edge
+    entries = 9 * fluid.sum() + 36 * (~fluid).sum() + 16 * len(msh.interface_edges(m)[0])
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        asm.assemble(m, corner_cfg, corner_pml)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= MEMORY_BUDGET * 24 * entries
 
 
 def test_interface_nodes_carry_three_dofs(corner_cfg, pml_mild):

@@ -104,6 +104,26 @@ def test_rounding_noise_left_out_of_factor(small_system):
         <= 1e-12 * np.abs(clean_state.p).max()
 
 
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_solve_leaves_system_matrix_untouched(small_system, fmt):
+    # the factor input is a pruned copy: the residual gate reads the
+    # caller's matrix with its noise entries, in either format
+    system = small_system
+    n = system.dofmap.n_free
+    amax = abs(system.matrix).max()
+    i = np.arange(n)
+    system.matrix = (system.matrix + sp.csr_matrix(
+        (np.full(n, 1e-16 * amax), (i, i[::-1])), shape=(n, n))).asformat(fmt)
+    assert (abs(system.matrix.data) < solver.NOISE_RTOL * amax).any()
+    parts = ("data", "indices", "indptr")
+    before = [getattr(system.matrix, p).copy() for p in parts]
+    solver.solve(system)
+    assert system.matrix.format == fmt
+    for p, want in zip(parts, before):
+        got = getattr(system.matrix, p)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), p
+
+
 def test_ordering_beats_colamd_on_corner_refined_mesh(corner_cfg, corner_pml):
     """Bisection at the apex scatters the node numbering; the RCM plus
     A^T+A minimum-degree factor must stay smaller than COLAMD's there."""
