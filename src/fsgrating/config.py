@@ -215,9 +215,10 @@ class OrderTable:
                 for j, i in zip(*np.nonzero(self.wood))]
 
     def check(self):
-        """Raise WoodAnomalyError naming every Wood order of the table."""
+        """Raise WoodAnomalyError naming every Wood order; else the table."""
         if self.wood.any():
             raise WoodAnomalyError("; ".join(map(str, self.findings())))
+        return self
 
 
 def order_table(cfg: ProblemConfig, ns) -> OrderTable:
@@ -243,6 +244,13 @@ def validate(cfg: ProblemConfig) -> list:
     return order_table(cfg, np.arange(-w, w + 1)).findings()
 
 
+def _checked_window(cfg: ProblemConfig, pml: PmlConfig) -> OrderTable:
+    """validate_pml(pml), then the Wood-checked table of |n| <= mode_window(cfg)."""
+    validate_pml(pml)
+    w = mode_window(cfg)
+    return order_table(cfg, np.arange(-w, w + 1)).check()
+
+
 def screen(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
            max_iter: int, dof_cap: int, h0: float | None):
     """Every input rule of an adaptive run: ConfigError on a bad layer, a Wood
@@ -250,9 +258,7 @@ def screen(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     tau outside (0, 1), a max_iter that is not an integer of at least 1 (a
     float such as 2.5, 3.0 or NaN included), dof_cap < 1, and an initial
     mesh size h0 outside (0, inf); h0 is None when no mesh is built from it."""
-    validate_pml(pml)
-    w = mode_window(cfg)
-    order_table(cfg, np.arange(-w, w + 1)).check()
+    _checked_window(cfg, pml)
     if not tol >= 0:
         raise ConfigError(f"run.tol must be nonnegative, got {tol!r}")
     if not 0 < tau < 1:
@@ -293,11 +299,13 @@ def select_pml_parameters(cfg: ProblemConfig, target: float,
 
     if not target > 0:
         raise ConfigError(f"PML target must be positive, got {target!r}")
+    table = _checked_window(cfg, template)
     root = math.sqrt(cfg.period)
     pml = template
     for _ in range(MAX_DOUBLINGS + 1):
-        if (spectral.bound_F1(cfg, pml) * root <= target
-                and spectral.bound_F2(cfg, pml) * root <= target):
+        validate_pml(pml)  # again per doubling, which can overflow to inf
+        if (spectral._bound_F1(table, pml) * root <= target
+                and spectral._bound_F2(cfg, table, pml) * root <= target):
             return pml
         pml = replace(pml, sigma1=2 * complex(pml.sigma1),
                       sigma2=2 * complex(pml.sigma2))

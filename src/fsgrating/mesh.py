@@ -273,7 +273,6 @@ def generate_initial_mesh(cfg: ProblemConfig, pml: PmlConfig, h0: float) -> Mesh
     if not h0 > 0:
         raise GeometryError("h0 must be positive")
     pts = np.asarray(cfg.profile)
-    ys = pts[:, 1]
 
     xs = [np.asarray([pts[0, 0]])]
     for (xa, ya), (xb, yb) in zip(pts[:-1], pts[1:]):
@@ -282,25 +281,19 @@ def generate_initial_mesh(cfg: ProblemConfig, pml: PmlConfig, h0: float) -> Mesh
     columns = np.concatenate(xs)
     f_col = profile_height(cfg.profile, columns)
 
-    n_bot = max(1, int(math.ceil(pml.delta2 / h0)))
-    n_top = max(1, int(math.ceil(pml.delta1 / h0)))
-    n_sol = max(1, int(math.ceil((ys.max() - cfg.h2) / h0)))
-    n_flu = max(1, int(math.ceil((cfg.h1 - ys.min()) / h0)))
+    n_bot, n_sol, n_flu, n_top = (max(1, int(math.ceil(d / h0))) for d in (
+        pml.delta2, pts[:, 1].max() - cfg.h2, cfg.h1 - pts[:, 1].min(), pml.delta1))
     n_rows = n_bot + n_sol + n_flu + n_top + 1
 
-    def column_stack(fc):
-        return np.concatenate([
-            np.linspace(cfg.h2 - pml.delta2, cfg.h2, n_bot + 1),
-            np.linspace(cfg.h2, fc, n_sol + 1)[1:],
-            np.linspace(fc, cfg.h1, n_flu + 1)[1:],
-            np.linspace(cfg.h1, cfg.h1 + pml.delta1, n_top + 1)[1:],
-        ])
-
-    stacks = [column_stack(fc) for fc in f_col]
-    stacks[-1] = stacks[0].copy()  # exact mirror of the periodic boundary
-
+    # row heights (n_rows, n_cols); array end points match per-column linspace bitwise
     n_cols = columns.size
-    nodes = np.column_stack([np.repeat(columns, n_rows), np.concatenate(stacks)])
+    bands = (np.linspace(cfg.h2 - pml.delta2, cfg.h2, n_bot + 1)[:, None],
+             np.linspace(cfg.h2, f_col, n_sol + 1)[1:],
+             np.linspace(f_col, cfg.h1, n_flu + 1)[1:],
+             np.linspace(cfg.h1, cfg.h1 + pml.delta1, n_top + 1)[1:, None])
+    heights = np.concatenate([np.broadcast_to(b, (b.shape[0], n_cols)) for b in bands])
+    heights[:, -1] = heights[:, 0]  # exact mirror of the periodic boundary
+    nodes = np.column_stack([np.repeat(columns, n_rows), heights.T.ravel()])
     band_of_row = np.repeat(np.array([SOLID_PML, SOLID, FLUID, FLUID_PML],
                                      dtype=np.int8), [n_bot, n_sol, n_flu, n_top])
 

@@ -23,6 +23,8 @@ NOISE_RTOL = 1e-14
 #: relative residual above which one refinement step is taken, and above
 #: which the refined solution is rejected
 RESIDUAL_RTOL = 1e-10
+#: entries of U per |U| slice of the pivot growth, so no temporary is U-sized
+GROWTH_SLICE = 1 << 16
 
 
 @dataclass
@@ -99,7 +101,9 @@ def solve(system: LinearSystem) -> tuple:
     # system); it stays, since the pivot gate reads U's diagonal
     u_factor = lu.U
     udiag = np.abs(u_factor.diagonal())
-    growth = float(np.abs(u_factor.data).max() / amax)
+    growth = float(np.max([np.abs(u_factor.data[i:i + GROWTH_SLICE]).max()
+                           for i in range(0, u_factor.data.size, GROWTH_SLICE)])
+                   / amax)
     # NaN compares false, so each gate is written to fail on it
     if not udiag.min() > PIVOT_RTOL * amax:
         raise SingularSystemError(

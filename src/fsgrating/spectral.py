@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (PmlConfig, ProblemConfig, derive, mode_window, order_table,
-                     validate_pml)
+from .config import (OrderTable, PmlConfig, ProblemConfig, _checked_window, derive,
+                     mode_window, order_table)
 from .errors import ConfigError, DegenerateModeError, SingularSystemError
 
 __all__ = [
@@ -97,8 +97,7 @@ def mode(cfg: ProblemConfig, n: int) -> ModeData:
     outgoing branch: theta if propagating, i*theta otherwise.  Raises
     WoodAnomalyError if |alpha_n| sits on a wavenumber circle (WOOD_RTOL).
     """
-    table = order_table(cfg, [n])
-    table.check()
+    table = order_table(cfg, [n]).check()
     betas = [complex(th) if prop else 1j * float(th)
              for th, prop in zip(table.theta[:, 0], table.propagating[:, 0])]
     return ModeData(n, float(table.alpha_n[0]), *betas)
@@ -271,15 +270,10 @@ def layer_traction_of_modes(m: ModeData, coeffs: np.ndarray,
     return np.array([t1, t2], dtype=complex)
 
 
-def _decay_max(cfg: ProblemConfig, rows, eta: complex, c: float) -> float:
+def _decay_max(table: OrderTable, rows, eta: complex, c: float) -> float:
     """Largest theta/(e^(c*theta*part) - 1), theta the minimum over the
-    propagating (part = Im eta) or evanescent (part = Re eta) window orders
-    of a wavenumber row; an empty family drops its term, an overflowing
-    exponent gives 0.  Raises WoodAnomalyError on a Wood order in the window.
-    """
-    w = mode_window(cfg)
-    table = order_table(cfg, np.arange(-w, w + 1))
-    table.check()
+    propagating (part = Im eta) or evanescent (part = Re eta) orders of a
+    row of the window table; an empty family drops its term, an overflow gives 0."""
     terms = []
     for j in rows:
         prop = table.propagating[j]
@@ -291,6 +285,20 @@ def _decay_max(cfg: ProblemConfig, rows, eta: complex, c: float) -> float:
     return max(terms)
 
 
+def _bound_F1(table: OrderTable, pml: PmlConfig) -> float:
+    """bound_F1 of an admissible layer on the Wood-checked window table."""
+    return 2 * _decay_max(table, (0,), pml_eta(pml).eta1, 2.0)
+
+
+def _bound_F2(cfg: ProblemConfig, table: OrderTable, pml: PmlConfig) -> float:
+    """bound_F2 of an admissible layer on the Wood-checked window table."""
+    _, k1, k2 = table.wavenumbers
+    poly = max(6 * k2, k2 ** 2 + 4, 8 * k2 ** 4, 8 * k2 ** 3 / k1 ** 2,
+               12 * (k2 ** 2 + 16) ** 2 / k1 ** 2)
+    return (34 * cfg.omega ** 2 * cfg.rho / k1 ** 4
+            * _decay_max(table, (1, 2), pml_eta(pml).eta2, 0.5) * poly)
+
+
 def bound_F1(cfg: ProblemConfig, pml: PmlConfig) -> float:
     """Decay bound of the acoustic layer truncation error.
 
@@ -300,8 +308,7 @@ def bound_F1(cfg: ProblemConfig, pml: PmlConfig) -> float:
     simply drops its term.  Raises ConfigError for an inadmissible layer
     (validate_pml) and WoodAnomalyError if the window holds a Wood order.
     """
-    validate_pml(pml)
-    return 2 * _decay_max(cfg, (0,), pml_eta(pml).eta1, 2.0)
+    return _bound_F1(_checked_window(cfg, pml), pml)
 
 
 def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
@@ -311,13 +318,7 @@ def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
     families of Theta/(e^(Theta*eta2-part/2) - 1) * a polynomial factor in
     kappa1, kappa2.  Raises ConfigError and WoodAnomalyError as bound_F1 does.
     """
-    validate_pml(pml)
-    d = derive(cfg)
-    k1, k2 = d.kappa1, d.kappa2
-    poly = max(6 * k2, k2 ** 2 + 4, 8 * k2 ** 4, 8 * k2 ** 3 / k1 ** 2,
-               12 * (k2 ** 2 + 16) ** 2 / k1 ** 2)
-    return (34 * cfg.omega ** 2 * cfg.rho / k1 ** 4
-            * _decay_max(cfg, (1, 2), pml_eta(pml).eta2, 0.5) * poly)
+    return _bound_F2(cfg, _checked_window(cfg, pml), pml)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fsgrating import (BudgetError, ConfigError, PmlConfig, ProblemConfig,
-                       derive, mode_window, select_pml_parameters, validate,
-                       validate_pml)
-from fsgrating import spectral
+                       WoodAnomalyError, derive, mode_window,
+                       select_pml_parameters, validate, validate_pml)
+from fsgrating import config, spectral
 
 
 def make_cfg(**kw):
@@ -123,3 +126,79 @@ def test_select_pml_parameters_unreachable(ex1_cfg):
     template = PmlConfig(1e-20, 1e-20, 1 + 1j, 1 + 1j, 2.0)
     with pytest.raises(BudgetError):
         select_pml_parameters(ex1_cfg, 1e-8, template)
+
+
+def _reference_search(cfg, target, template):
+    """The doubling search written over the public bounds: each doubling
+    evaluates bound_F1, then bound_F2 once F1 meets the target."""
+    root = math.sqrt(cfg.period)
+    pml = template
+    for _ in range(config.MAX_DOUBLINGS + 1):
+        if (spectral.bound_F1(cfg, pml) * root <= target
+                and spectral.bound_F2(cfg, pml) * root <= target):
+            return pml
+        pml = replace(pml, sigma1=2 * complex(pml.sigma1),
+                      sigma2=2 * complex(pml.sigma2))
+    raise BudgetError("no doubling meets the target")
+
+
+#: the bench configurations (conftest fixture name) and their layer thickness
+BENCH_LAYERS = [("ex1_cfg", 3.0), ("corner_cfg", 3.0), ("highfreq_cfg", 1.0)]
+
+
+def _template(delta):
+    return PmlConfig(delta, delta, 1 + 1j, 1 + 1j, 2.0)
+
+
+@pytest.mark.parametrize("name, delta", BENCH_LAYERS)
+def test_select_pml_parameters_matches_reference_on_bench_configs(request, name,
+                                                                   delta):
+    cfg, template = request.getfixturevalue(name), _template(delta)
+    assert (select_pml_parameters(cfg, 1e-8, template)
+            == _reference_search(cfg, 1e-8, template))
+    assert select_pml_parameters(cfg, math.inf, template) == template
+
+
+@given(case=st.sampled_from(BENCH_LAYERS), exponent=st.floats(-12, -2))
+def test_select_pml_parameters_matches_reference_on_random_targets(
+        ex1_cfg, corner_cfg, highfreq_cfg, case, exponent):
+    name, delta = case
+    cfg = {"ex1_cfg": ex1_cfg, "corner_cfg": corner_cfg,
+           "highfreq_cfg": highfreq_cfg}[name]
+    target = 10.0 ** exponent
+    assert (select_pml_parameters(cfg, target, _template(delta))
+            == _reference_search(cfg, target, _template(delta)))
+
+
+def test_select_pml_parameters_errors_match_reference(ex1_cfg):
+    thin = PmlConfig(1e-20, 1e-20, 1 + 1j, 1 + 1j, 2.0)
+    # a strength that overflows to inf before the target is met: each
+    # doubled layer is screened, as each bound call screens it
+    overflowing = PmlConfig(1e-310, 1e-310, 1e300 + 1e300j, 1e300 + 1e300j, 2.0)
+    for search in (select_pml_parameters, _reference_search):
+        with pytest.raises(BudgetError):
+            search(ex1_cfg, 1e-8, thin)
+        with pytest.raises(ConfigError, match="finite"):
+            search(ex1_cfg, 1e-8, overflowing)
+        with pytest.raises(WoodAnomalyError):
+            search(make_cfg(theta=np.pi / 2 - 1e-13), 1e-8, _template(3.0))
+
+
+def test_select_pml_parameters_screens_template_before_any_bound(monkeypatch):
+    def no_bound(*args):
+        raise AssertionError("a bound was evaluated")
+
+    monkeypatch.setattr(spectral, "_decay_max", no_bound)
+    monkeypatch.setattr(spectral, "_bound_F1", no_bound)
+    monkeypatch.setattr(spectral, "_bound_F2", no_bound)
+    # the layer rules come before the Wood screen, as in the public bounds
+    wood = make_cfg(theta=np.pi / 2 - 1e-13)
+    for cfg in (make_cfg(), wood):
+        for bad in (PmlConfig(3.0, 3.0, 1 + 0j, 1 + 1j, 2.0),
+                    PmlConfig(3.0, 0.0, 1 + 1j, 1 + 1j, 2.0)):
+            for call in (lambda: select_pml_parameters(cfg, 1e-8, bad),
+                         lambda: spectral.bound_F1(cfg, bad),
+                         lambda: spectral.bound_F2(cfg, bad)):
+                with pytest.raises(ConfigError) as exc:
+                    call()
+                assert not isinstance(exc.value, WoodAnomalyError)

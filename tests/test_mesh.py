@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import pml_for
 from fsgrating import PmlConfig
 from fsgrating import mesh as msh
 from fsgrating.errors import GeometryError
@@ -319,3 +320,83 @@ def test_edge_trace_matches_per_edge_interpolation(corner_cfg, unit_pml):
     xb = m.nodes[top.edge_nodes[ids, 1]]
     want = xa[:, None, :] + t[None, :, None] * (xb - xa)[:, None, :]
     assert _same_bits(msh.edge_trace(m, ids, m.nodes, t), want)
+
+
+def _per_column_mesh(cfg, pml, h0):
+    """Reference initial mesh: the row heights built column by column, one
+    scalar linspace per band and column, the last column a copy of the first."""
+    pts = np.asarray(cfg.profile)
+    ys = pts[:, 1]
+    xs = [np.asarray([pts[0, 0]])]
+    for (xa, _), (xb, _) in zip(pts[:-1], pts[1:]):
+        nseg = max(1, int(np.ceil((xb - xa) / h0)))
+        xs.append(np.linspace(xa, xb, nseg + 1)[1:])
+    columns = np.concatenate(xs)
+    f_col = msh.profile_height(cfg.profile, columns)
+    n_bot = max(1, int(np.ceil(pml.delta2 / h0)))
+    n_top = max(1, int(np.ceil(pml.delta1 / h0)))
+    n_sol = max(1, int(np.ceil((ys.max() - cfg.h2) / h0)))
+    n_flu = max(1, int(np.ceil((cfg.h1 - ys.min()) / h0)))
+    n_rows = n_bot + n_sol + n_flu + n_top + 1
+
+    def column_stack(fc):
+        return np.concatenate([
+            np.linspace(cfg.h2 - pml.delta2, cfg.h2, n_bot + 1),
+            np.linspace(cfg.h2, fc, n_sol + 1)[1:],
+            np.linspace(fc, cfg.h1, n_flu + 1)[1:],
+            np.linspace(cfg.h1, cfg.h1 + pml.delta1, n_top + 1)[1:],
+        ])
+
+    stacks = [column_stack(fc) for fc in f_col]
+    stacks[-1] = stacks[0].copy()
+    nodes = np.column_stack([np.repeat(columns, n_rows), np.concatenate(stacks)])
+    band_of_row = np.repeat(np.array([msh.SOLID_PML, msh.SOLID, msh.FLUID,
+                                      msh.FLUID_PML], dtype=np.int8),
+                            [n_bot, n_sol, n_flu, n_top])
+    n_cols = columns.size
+    sw = (np.arange(n_cols - 1)[:, None] * n_rows + np.arange(n_rows - 1)).ravel()
+    se, nw = sw + n_rows, sw + 1
+    ne = se + 1
+    d_sw_ne = ((nodes[sw] - nodes[ne]) ** 2).sum(-1)
+    d_se_nw = ((nodes[se] - nodes[nw]) ** 2).sum(-1)
+    elems = np.where((d_sw_ne <= d_se_nw)[:, None],
+                     np.column_stack([se, ne, sw, nw, sw, ne]),
+                     np.column_stack([sw, se, nw, ne, nw, se])).reshape(-1, 3)
+    regions = np.repeat(np.tile(band_of_row, n_cols - 1), 2)
+    return nodes, elems, regions, n_rows
+
+
+def _assert_matches_per_column(cfg, pml, h0):
+    m = msh.generate_initial_mesh(cfg, pml, h0)
+    nodes, elems, regions, n_rows = _per_column_mesh(cfg, pml, h0)
+    for got, want in ((m.nodes, nodes), (m.elems, elems), (m.regions, regions)):
+        assert np.array_equal(got, want) and _same_bits(got, want)
+    # the periodic mirror: the last column's heights are the first column's
+    heights = m.nodes[:, 1].reshape(-1, n_rows)
+    assert _same_bits(heights[-1], heights[0])
+
+
+@pytest.mark.parametrize("name, delta, bench_h0", [
+    ("ex1_cfg", 3.0, 0.15), ("corner_cfg", 3.0, 0.15), ("highfreq_cfg", 1.0, 0.06)])
+@pytest.mark.parametrize("h0", ["bench", 0.037, 0.5])
+def test_initial_mesh_bit_identical_to_per_column_build(request, name, delta,
+                                                        bench_h0, h0):
+    """The one-linspace-per-band heights against the per-column build, on the
+    flat, corner and kappa = 20 configurations with their bench layers."""
+    cfg = request.getfixturevalue(name)
+    _assert_matches_per_column(cfg, pml_for(cfg, delta),
+                               bench_h0 if h0 == "bench" else h0)
+
+
+@given(inner_x=st.lists(st.integers(1, 19), max_size=6, unique=True),
+       heights=st.lists(st.floats(-0.8, 0.8, exclude_min=True, exclude_max=True),
+                        min_size=7, max_size=7),
+       h0=st.floats(0.05, 0.5), seam=st.sampled_from([0.0, 5e-13]))
+def test_initial_mesh_bit_identical_on_random_profiles(corner_cfg, inner_x, heights,
+                                                       h0, seam):
+    # seam: the end heights may differ within the profile tolerance, so the
+    # mirror of the first column has something to overwrite
+    xs = [0.0] + [k / 20 for k in sorted(inner_x)] + [1.0]
+    ys = heights[:len(xs) - 1] + [heights[0] + seam]
+    cfg = dataclasses.replace(corner_cfg, profile=list(zip(xs, ys)))
+    _assert_matches_per_column(cfg, PmlConfig(1.0, 0.7, 1 + 1j, 1 + 1j, 2.0), h0)

@@ -228,3 +228,22 @@ def test_gates_reject_nan(small_system, monkeypatch, pivot):
     with pytest.raises(SingularSystemError,
                        match="tiny pivot nan" if pivot else "residual nan"):
         solver.solve(small_system)
+
+
+@pytest.mark.parametrize("slice_size", [None, 7, 8])
+def test_pivot_growth_is_the_largest_entry_of_u(small_system, monkeypatch,
+                                                slice_size):
+    # the growth is read slice by slice; it must equal the whole-array
+    # maximum bit for bit, also with small slices and a shorter last slice
+    kept = []
+
+    def keep(*args, **kw):
+        kept.append(splu(*args, **kw))
+        return kept[-1]
+
+    monkeypatch.setattr(solver, "splu", keep)
+    if slice_size is not None:
+        monkeypatch.setattr(solver, "GROWTH_SLICE", slice_size)
+    _, report = solver.solve(small_system)
+    assert report.pivot_growth == (np.abs(kept[0].U.data).max()
+                                   / np.abs(small_system.matrix.data).max())
