@@ -36,11 +36,12 @@ from . import spectral
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, RIGHT, Mesh, _is_fluid,
-                   edge_trace, interface_edges, twice_signed_areas)
+                   edge_trace, interface_edges, p1_gradients)
 
 __all__ = [
-    "stretch", "stretch_derivative", "Law", "field_laws", "DofMap", "LinearSystem",
-    "build_dofmap", "element_matrices", "interface_coupling", "load_vector", "assemble",
+    "stretch", "stretch_derivative", "touches_layers", "Law", "field_laws", "DofMap",
+    "LinearSystem", "build_dofmap", "element_matrices", "interface_coupling",
+    "load_vector", "assemble",
 ]
 
 
@@ -68,6 +69,13 @@ def stretch_derivative(x2, cfg: ProblemConfig, pml: PmlConfig):
     ds[dn] = (-complex(pml.sigma2) * t / pml.delta2
               * ((cfg.h2 - x2[dn]) / pml.delta2) ** (t - 1))
     return ds if ds.shape else complex(ds)
+
+
+def touches_layers(x2, cfg: ProblemConfig) -> np.ndarray:
+    """Mask of the rows of x2, vertex heights of shape (K, V), with a
+    vertex strictly outside [h2, h1].  On the convex hull of every other
+    row s = 1 and ds/dx2 = 0, so the stretch need not be evaluated there."""
+    return ((x2 > cfg.h1) | (x2 < cfg.h2)).any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -190,31 +198,13 @@ def _unknowns(dofmap: DofMap, nodes, solid: bool):
 # ----------------------------------------------------------------------
 # element matrices
 
-def _p1_gradients(corners):
-    """Constant P1 shape gradients and areas for corners of shape (M, 3, 2)."""
-    x = corners[..., 0]
-    y = corners[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = twice_signed_areas(corners)
-    grads = np.stack([b, c], axis=-1) / area2[:, None, None]
-    return grads, 0.5 * area2
-
-
-def _touches_layers(x2, cfg: ProblemConfig) -> np.ndarray:
-    """Mask of the rows of x2, vertex heights of shape (K, V), with a
-    vertex strictly outside [h2, h1].  On the convex hull of every other
-    row s = 1 and ds/dx2 = 0, so the stretch need not be evaluated there."""
-    return ((x2 > cfg.h1) | (x2 < cfg.h2)).any(axis=1)
-
-
 def _stretch_sums(corners, cfg, pml):
     """Degree-5 quadrature sums of s, 1/s and the s-weighted mass over each
     element; the stretch is evaluated on the layer elements only."""
     bary, w = quad.TRI5_BARY, quad.TRI5_W
     # mass[e, i, j] = sum_q s[e, q] * w[q] * bary[q, i] * bary[q, j]
     table = (w[:, None, None] * bary[:, :, None] * bary[:, None, :]).reshape(w.size, 9)
-    layer = _touches_layers(corners[..., 1], cfg)
+    layer = touches_layers(corners[..., 1], cfg)
     s = stretch(quad.triangle_points(corners[layer], bary)[..., 1], cfg, pml)
     s_avg = np.full(corners.shape[0], w.sum(), dtype=complex)
     s_avg[layer] = np.einsum("q,eq->e", w, s)
@@ -231,7 +221,7 @@ def element_matrices(corners, law: Law, cfg: ProblemConfig, pml: PmlConfig):
     C*i + c testing component c at corner i: block (c, k) sums the outer
     products dphi_i/dx_d * dphi_j/dx_l times part[c, d, k, l] times the sums
     of s, 1/s or 1; the laws are symmetric, so block (k, c) is its transpose."""
-    grads, area = _p1_gradients(corners)
+    grads, area = p1_gradients(corners)
     if (area <= 0).any():
         raise GeometryError(f"degenerate {law.side} element")
     s_avg, sinv_avg, mass = _stretch_sums(corners, cfg, pml)

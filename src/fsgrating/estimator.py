@@ -11,17 +11,18 @@ read the law of assembly.field_laws, the one definition the element
 kernels assemble, so the fluxes here are the conormal derivatives of the
 assembled form; the residual, the jump pairs and the energy norm each take
 one path over the two fields, the pressure carried as a one-component
-field.  indicators forms the areas and the constant gradients of both
-fields once, for the residual and the jump passes.
+field.  Each pass forms the P1 geometry it reads: the residual all areas
+and the gradients (mesh.p1_gradients) of the layer elements only, the
+jumps each field's gradients on its elements; indicators calls both.
 
 The stretch is paid for inside the layers only.  On an element with no
 vertex strictly outside [h2, h1], s = 1 and R is mass times the P1 field,
 whose L2 norm is closed form from the P1 mass matrix; layer elements take
 the 7-point rule.  A jump's normal flux is one matmul per edge of the
-gradient jump and the normal with the law's s-, 1/s- and constant parts;
-off the layers the parts add up to one constant per edge, and only edges
-with an endpoint strictly inside a layer weigh them by s and 1/s at the 4
-points of the edge rule.
+gradient jump and the normal with the law's s-, 1/s- and constant parts,
+weighted by s and 1/s at the 4 points of the edge rule on edges with an
+endpoint strictly inside a layer, and by s = 1 at one point elsewhere,
+where the flux is one constant per edge.
 
 Edge families:
 
@@ -54,12 +55,12 @@ import numpy as np
 
 from . import quadrature as quad
 from . import spectral
-from .assembly import (Law, _p1_gradients, _touches_layers, field_laws,
-                       stretch, stretch_derivative)
+from .assembly import Law, field_laws, stretch, stretch_derivative, touches_layers
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (FLUID, GAMMA_MINUS, GAMMA_PLUS, INTERIOR, LEFT, SOLID,
-                   Mesh, _is_fluid, edge_normals, edge_trace, interface_edges)
+                   Mesh, _is_fluid, edge_normals, edge_trace, interface_edges,
+                   p1_gradients, twice_signed_areas)
 from .solver import SystemState
 
 __all__ = ["IndicatorField", "EdgeJumps", "element_residuals",
@@ -90,33 +91,15 @@ class EdgeJumps:
     norm_solid: np.ndarray
 
 
-@dataclass
-class _P1Data:
-    """What the residual and the jump passes share: the areas, the mask of
-    the elements with a vertex strictly outside [h2, h1], and per field
-    (law, its elements, nodal values (N, C), constant gradients (M, C, 2),
-    zero off its elements)."""
-
-    area: np.ndarray
-    layer: np.ndarray
-    fields: tuple
-
-
-def _p1_data(mesh: Mesh, state: SystemState, cfg: ProblemConfig) -> _P1Data:
-    corners = mesh.corner_coords()
-    grads, area = _p1_gradients(corners)
+def _fields(mesh: Mesh, state: SystemState, cfg: ProblemConfig):
+    """(law, its elements, nodal values (N, C)) of the pressure and the
+    displacement, the pressure as a one-component field."""
     fluid = _is_fluid(mesh.regions)
-    fields = []
-    for law, sel, nodal in zip(field_laws(cfg), (fluid, ~fluid),
-                               (state.p[:, None], state.u)):
-        g = np.zeros((mesh.n_elems, law.components, 2), complex)
-        g[sel] = _p1_gradient(nodal[mesh.elems[sel]], grads[sel])
-        fields.append((law, sel, nodal, g))
-    return _P1Data(area, _touches_layers(corners[..., 1], cfg), tuple(fields))
+    return zip(field_laws(cfg), (fluid, ~fluid), (state.p[:, None], state.u))
 
 
 def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
-                      pml: PmlConfig, *, _p1: _P1Data | None = None) -> np.ndarray:
+                      pml: PmlConfig) -> np.ndarray:
     """L2(T) norms of the strong residual per element.
 
     For P1 fields with s = s(x2) the divergence of the flux is d(1/s)/dx2
@@ -125,48 +108,47 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     outside [h2, h1], s = 1 and the residual is mass*field, a P1 field,
     whose norm is closed form: |mass| * sqrt(area/12 * (|sum_i v_i|^2 +
     sum_i |v_i|^2)) over the corner values v_i, summed over the
-    components.  Layer elements take the degree-5 rule.  _p1 is private:
-    indicators passes the data it shares with edge_jumps.
+    components.  Layer elements take the degree-5 rule with the field
+    gradients, formed on those elements only.
     """
-    p1 = _p1_data(mesh, state, cfg) if _p1 is None else _p1
+    corners = mesh.corner_coords()
+    area = 0.5 * twice_signed_areas(corners)
+    layer = touches_layers(corners[..., 1], cfg)
     out = np.empty(mesh.n_elems)
-    for law, sel, nodal, g in p1.fields:
-        plain = sel & ~p1.layer
+    for law, sel, nodal in _fields(mesh, state, cfg):
+        plain = sel & ~layer
         v = nodal[mesh.elems[plain]]                                # (E, 3, C)
         sq = (np.abs(v.sum(axis=1)) ** 2 + (np.abs(v) ** 2).sum(axis=1)).sum(-1)
-        out[plain] = abs(law.mass) * np.sqrt(p1.area[plain] / 12.0 * sq)
+        out[plain] = abs(law.mass) * np.sqrt(area[plain] / 12.0 * sq)
 
-        on = np.nonzero(sel & p1.layer)[0]
-        x2 = quad.triangle_points(mesh.nodes[mesh.elems[on]])[..., 1]
+        on = np.nonzero(sel & layer)[0]
+        x2 = quad.triangle_points(corners[on])[..., 1]
         s = stretch(x2, cfg, pml)
         dsinv = -stretch_derivative(x2, cfg, pml) / s ** 2
-        vq = _p1_values(nodal[mesh.elems[on]])
+        v = nodal[mesh.elems[on]]
+        g, vq = _p1_gradient(v, p1_gradients(corners[on])[0]), _p1_values(v)
         sinv_part = law.parts()[1]
         r = []
         for c in range(law.components):
-            terms = (coef * dsinv * g[on, None, k, l] for (k, l), coef in
+            terms = (coef * dsinv * g[:, None, k, l] for (k, l), coef in
                      np.ndenumerate(sinv_part[c, 1]) if coef)
             r.append(functools.reduce(operator.iadd, terms) + law.mass * s * vq[..., c])
-        out[on] = _quad_norm(p1.area[on], quad.TRI5_W, *r)
+        out[on] = _quad_norm(area[on], quad.TRI5_W, *r)
     return out
 
 
-def _normal_flux(law: Law, g, normals, s=None):
-    """Normal flux of the law for constant gradients g (E, C, 2) and unit
-    normals (E, 2): flux(g, 1, 1).n, shape (E, C), or, given the stretch s
-    (E, Q) at the edge points, flux(g, s, 1/s).n, shape (E, Q, C).  One
-    matmul of the products g[k, l] * n[d] with the law's parts gives the
-    normal flux of each part per edge; only then are the s- and 1/s-parts
-    weighted at the points."""
+def _normal_flux(law: Law, g, normals, s):
+    """Normal flux flux(g, s, 1/s).n of the law, shape (E, Q, C), for
+    constant gradients g (E, C, 2), unit normals (E, 2) and the stretch s
+    (E, Q) at the edge points (ones (E, 1) where s = 1).  One matmul of the
+    products g[k, l] * n[d] with the law's parts gives the normal flux of
+    each part per edge; only then are the s- and 1/s-parts weighted at the
+    points."""
     c2 = 2 * law.components
-    # [(k, l, d), part, c]; off the layers the parts, which are disjoint, add up
-    parts = np.stack(law.parts()).transpose(3, 4, 2, 0, 1).reshape(2 * c2, 3, -1)
-    if s is None:
-        parts = parts.sum(axis=1, keepdims=True)
+    # [(k, l, d), (part, c)]
+    parts = np.stack(law.parts()).transpose(3, 4, 2, 0, 1).reshape(2 * c2, -1)
     gn = (g.reshape(-1, c2, 1) * normals[:, None, :]).reshape(-1, 2 * c2)
-    fn = (gn @ parts.reshape(2 * c2, -1)).reshape(len(g), -1, law.components)
-    if s is None:
-        return fn[:, 0]
+    fn = (gn @ parts).reshape(len(g), 3, law.components)
     s = s[..., None]
     return s * fn[:, None, 0] + (1.0 / s) * fn[:, None, 1] + fn[:, None, 2]
 
@@ -187,7 +169,7 @@ def _p1_gradient(nodal, grads):
 
 
 def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
-               pml: PmlConfig, *, _p1: _P1Data | None = None) -> EdgeJumps:
+               pml: PmlConfig) -> EdgeJumps:
     """Jump residual norms on every edge not on the outer layer boundaries.
 
     For P1 fields each part of a jump's normal flux is constant along the
@@ -195,10 +177,15 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     parts by s and 1/s at the 4 points of the rule; on every other edge
     s = 1, so the jump is one constant and its norm that value times the
     square root of the length.  Interface edges take the 4-point rule for
-    the incident wave.  _p1 is private: indicators passes the data it
-    shares with element_residuals.
+    the incident wave.  Each field's gradients are formed on its own
+    elements only: formed on all elements, they took twice as long.
     """
-    p1 = _p1_data(mesh, state, cfg) if _p1 is None else _p1
+    grads = p1_gradients(mesh.corner_coords())[0]
+    fields = []
+    for law, sel, nodal in _fields(mesh, state, cfg):
+        g = np.zeros((mesh.n_elems, law.components, 2), complex)
+        g[sel] = _p1_gradient(nodal[mesh.elems[sel]], grads[sel])
+        fields.append((law, sel, g))
     top = mesh.topology
     norms = np.zeros((2, top.edge_nodes.shape[0]))    # pressure, displacement side
     tq, wq = quad.EDGE4_X, quad.EDGE4_W
@@ -217,8 +204,8 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     phase = np.conj(derive(cfg).bloch)
     # a jump norm does not depend on the sign of the normal
     normals = edge_normals(mesh, ids)
-    layer = _touches_layers(mesh.nodes[top.edge_nodes[ids], 1], cfg)
-    for (law, field_elems, _, g), norm in zip(p1.fields, norms):
+    layer = touches_layers(mesh.nodes[top.edge_nodes[ids], 1], cfg)
+    for (law, field_elems, g), norm in zip(fields, norms):
         on = field_elems[t0]
         # the flux is linear in the gradient and the mate's normal is the
         # opposite one, so the pair's jump is the flux of the gradient
@@ -227,11 +214,10 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
         jump[on[:inner.size].sum():] *= phase
         np.subtract(g[t0[on]], jump, out=jump)
         e, n, lay = ids[on], normals[on], layer[on]
-        fn = _normal_flux(law, jump[~lay], n[~lay])
-        norm[e[~lay]] = _quad_norm(lengths[e[~lay]], _ONE, *fn.T[..., None])
-        s = stretch(edge_trace(mesh, e[lay], mesh.nodes[:, 1], tq), cfg, pml)
-        fn = _normal_flux(law, jump[lay], n[lay], s)
-        norm[e[lay]] = _quad_norm(lengths[e[lay]], wq, *np.moveaxis(fn, -1, 0))
+        s_lay = stretch(edge_trace(mesh, e[lay], mesh.nodes[:, 1], tq), cfg, pml)
+        for sub, s, w in ((~lay, np.ones(((~lay).sum(), 1)), _ONE), (lay, s_lay, wq)):
+            fn = _normal_flux(law, jump[sub], n[sub], s)
+            norm[e[sub]] = _quad_norm(lengths[e[sub]], w, *np.moveaxis(fn, -1, 0))
     norms[:, mates] = norms[:, left]
 
     # interface edges: transmission mismatch against the incident wave;
@@ -240,16 +226,17 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     pts = edge_trace(mesh, ids, mesh.nodes, tq)
     pin, gin = spectral.incident_wave(cfg, pts)
     dn_in = (gin * n[:, None, :]).sum(-1)
-    (p_law, _, _, gp), (u_law, _, _, gu) = p1.fields
-    dn_ph = _normal_flux(p_law, gp[ef], n)
+    (p_law, _, gp), (u_law, _, gu) = fields
+    s = np.ones((len(ids), 1))
+    dn_ph = _normal_flux(p_law, gp[ef], n, s)[..., 0]
     un = (edge_trace(mesh, ids, state.u, tq) * n[:, None, :]).sum(-1)
     jf = 2.0 * (dn_in + dn_ph - cfg.rho_f * cfg.omega ** 2 * un)
     norms[0, ids] = _quad_norm(lengths[ids], wq, jf)
 
     p_tot = pin + edge_trace(mesh, ids, state.p, tq)
-    tr = _normal_flux(u_law, gu[es], n)
+    tr = _normal_flux(u_law, gu[es], n, s)
     norms[1, ids] = _quad_norm(lengths[ids], wq,
-                               *(-2.0 * (p_tot * n[:, None, c] + tr[:, c, None])
+                               *(-2.0 * (p_tot * n[:, None, c] + tr[..., c])
                                  for c in (0, 1)))
     return EdgeJumps(*norms)
 
@@ -267,13 +254,13 @@ def indicators(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
                pml: PmlConfig) -> IndicatorField:
     """Combine residuals and jumps into eta_T and the global eps_f/eps_p."""
     top = mesh.topology
-    p1 = _p1_data(mesh, state, cfg)
-    resid = element_residuals(mesh, state, cfg, pml, _p1=p1)
-    jumps = edge_jumps(mesh, state, cfg, pml, _p1=p1)
+    resid = element_residuals(mesh, state, cfg, pml)
+    jumps = edge_jumps(mesh, state, cfg, pml)
 
     # each element sums h_e ||J_e||^2 of its own field over its three edges
     jump_sq = np.empty(mesh.n_elems)
-    for (_, sel, _, _), norm in zip(p1.fields, (jumps.norm_fluid, jumps.norm_solid)):
+    for (_, sel, _), norm in zip(_fields(mesh, state, cfg),
+                                 (jumps.norm_fluid, jumps.norm_solid)):
         jump_sq[sel] = (norm ** 2 * top.edge_lengths)[top.elem_edges[sel]].sum(axis=1)
 
     eta = mesh.diameters() * resid + np.sqrt(0.5 * jump_sq)
@@ -316,7 +303,7 @@ def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
              exact.displacement_gradient)):
         elems = mesh.elems[mesh.regions == region]
         corners = mesh.nodes[elems]
-        grads, area = _p1_gradients(corners)
+        grads, area = p1_gradients(corners)
         pts = quad.triangle_points(corners)
         g, vq = _p1_gradient(nodal[elems], grads), _p1_values(nodal[elems])
         ge = g[:, None] - gradient(pts).reshape(vq.shape + (2,))

@@ -25,7 +25,7 @@ from .errors import GeometryError
 __all__ = [
     "Mesh", "MeshTopology", "generate_initial_mesh", "bisect", "audit",
     "edge_trace", "edge_normals", "interface_edges", "profile_height",
-    "twice_signed_areas",
+    "twice_signed_areas", "p1_gradients",
     "FLUID", "FLUID_PML", "SOLID", "SOLID_PML",
     "INTERIOR", "INTERFACE", "LEFT", "RIGHT", "GAMMA_PLUS", "GAMMA_MINUS",
     "DIRICHLET_TOP", "DIRICHLET_BOTTOM",
@@ -51,6 +51,16 @@ def twice_signed_areas(corners):
     x, y = corners[..., 0], corners[..., 1]
     return ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
             - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0]))
+
+
+def p1_gradients(corners):
+    """Constant P1 shape gradients (M, 3, 2) and areas (M,) of the triangles
+    of corners (M, 3, 2), for the element kernels and the estimator."""
+    x, y = corners[..., 0], corners[..., 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    area2 = twice_signed_areas(corners)
+    return np.stack([b, c], axis=-1) / area2[:, None, None], 0.5 * area2
 
 
 def profile_height(profile, x1):

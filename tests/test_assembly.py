@@ -579,8 +579,15 @@ def test_kernel_areas_are_the_audit_areas(corner_cfg, pml_mild):
     m = msh.generate_initial_mesh(corner_cfg, pml_mild, 0.25)
     for _ in range(6):
         m = msh.bisect(m, np.nonzero((m.corner_coords()[..., 0] == 0).any(1))[0])
-    _, area = asm._p1_gradients(m.corner_coords())
+    corners = m.corner_coords()
+    grads, area = msh.p1_gradients(corners)
     assert np.array_equal(area, m.areas())
+    # the shape functions sum to one and reproduce x: sum_i grad phi_i = 0
+    # and sum_i x_i (x) grad phi_i = I
+    tol = 1e-12 * np.abs(grads).max()
+    assert np.abs(grads.sum(axis=1)).max() <= tol
+    eye = np.einsum("eid,eil->edl", corners, grads)
+    assert np.abs(eye - np.eye(2)).max() <= tol
 
 
 @pytest.mark.parametrize("region", [msh.FLUID, msh.SOLID])

@@ -68,7 +68,7 @@ def reference_element_residuals(mesh, state, cfg, pml):
     """element_residuals with the stretch evaluated at all 7 points of
     every element."""
     corners = mesh.corner_coords()
-    grads, area = asm._p1_gradients(corners)
+    grads, area = msh.p1_gradients(corners)
     x2 = quad.triangle_points(corners)[..., 1]
     s = asm.stretch(x2, cfg, pml)
     dsinv = -asm.stretch_derivative(x2, cfg, pml) / s ** 2
@@ -216,7 +216,7 @@ def test_interface_factor_two_and_half_weight(flat_setup):
     pts = xa + tq[:, None] * (xb - xa)
     h = np.hypot(*(xb - xa))
     p_in = np.exp(1j * (d.alpha * pts[:, 0] - d.beta * pts[:, 1]))
-    grads, _ = asm._p1_gradients(m.corner_coords()[None, fluid_elem][0][None])
+    grads, _ = msh.p1_gradients(m.corner_coords()[None, fluid_elem][0][None])
     gp = (state.p[m.elems[fluid_elem]][:, None]
           * grads[0].astype(complex)).sum(0)
     shape = np.stack([1 - tq, tq], 1)
@@ -291,7 +291,7 @@ def _check_jump_norms_against_loop(cfg, pml, m):
         + 1j * rng.normal(size=(sm.sum(), 2))
     jumps = est.edge_jumps(m, state, cfg, pml)
     top = m.topology
-    grads, _ = asm._p1_gradients(m.corner_coords())
+    grads, _ = msh.p1_gradients(m.corner_coords())
     tq, wq = quad.EDGE4_X, quad.EDGE4_W
 
     def flux_f(elem, pts, nrm):
@@ -560,7 +560,7 @@ def test_triangle_points_match_barycentric_sums(corner_cfg, pml_mild):
 
 def test_p1_gradient_and_values_match_element_loop(corner_cfg, pml_mild):
     m = msh.generate_initial_mesh(corner_cfg, pml_mild, 0.3)
-    grads, _ = asm._p1_gradients(m.corner_coords())
+    grads, _ = msh.p1_gradients(m.corner_coords())
     rng = np.random.default_rng(8)
     for shape in ((m.n_nodes,), (m.n_nodes, 2)):
         nodal = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[m.elems]

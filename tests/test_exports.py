@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +22,20 @@ def test_all_lists_exactly_the_public_definitions(mod):
                and (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == mod.__name__]
     assert [n for n in defined if n not in mod.__all__] == []
+
+
+#: (importing module, source module, name) of the private names one module
+#: still takes from another; this list may only shrink
+PRIVATE_IMPORTS = {("assembly", "mesh", "_is_fluid"),
+                   ("estimator", "mesh", "_is_fluid"),
+                   ("spectral", "config", "_checked_window")}
+
+
+def test_no_private_names_cross_modules():
+    found = set()
+    for path in Path(fsgrating.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                found |= {(path.stem, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    assert sorted(found) == sorted(PRIVATE_IMPORTS)
