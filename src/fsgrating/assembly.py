@@ -35,8 +35,8 @@ from . import quadrature as quad
 from . import spectral
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
-from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, RIGHT, Mesh, _is_fluid,
-                   edge_trace, interface_edges, p1_gradients)
+from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, RIGHT, Mesh, edge_trace,
+                   interface_edges, is_fluid, p1_gradients)
 
 __all__ = [
     "stretch", "stretch_derivative", "touches_layers", "Law", "field_laws", "DofMap",
@@ -325,7 +325,7 @@ def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig) -> LinearSystem:
     """
     dofmap = build_dofmap(mesh, cfg)
     corners = mesh.corner_coords()
-    fluid_sel = _is_fluid(mesh.regions)
+    fluid_sel = is_fluid(mesh.regions)
     fluid = _unknowns(dofmap, mesh.elems[fluid_sel], solid=False)     # (Ef, 3)
     solid = _unknowns(dofmap, mesh.elems[~fluid_sel], solid=True)     # (Es, 6)
     ids, _, _, normal = interface_edges(mesh)

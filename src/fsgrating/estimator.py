@@ -59,7 +59,7 @@ from .assembly import Law, field_laws, stretch, stretch_derivative, touches_laye
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (FLUID, GAMMA_MINUS, GAMMA_PLUS, INTERIOR, LEFT, SOLID,
-                   Mesh, _is_fluid, edge_normals, edge_trace, interface_edges,
+                   Mesh, edge_normals, edge_trace, interface_edges, is_fluid,
                    p1_gradients, twice_signed_areas)
 from .solver import SystemState
 
@@ -94,7 +94,7 @@ class EdgeJumps:
 def _fields(mesh: Mesh, state: SystemState, cfg: ProblemConfig):
     """(law, its elements, nodal values (N, C)) of the pressure and the
     displacement, the pressure as a one-component field."""
-    fluid = _is_fluid(mesh.regions)
+    fluid = is_fluid(mesh.regions)
     return zip(field_laws(cfg), (fluid, ~fluid), (state.p[:, None], state.u))
 
 
@@ -288,26 +288,24 @@ def _trace_norm(mesh, values, tag):
 def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
     """Energy-norm error against analytic evaluators over the physical bands.
 
-    exact provides pressure/pressure_gradient/displacement/
-    displacement_gradient callables on point arrays (the flat-interface
-    oracle does).  The absorbing layers are excluded; the norm is the
+    exact provides pressure and displacement callables that return the
+    value and the gradient at point arrays (the flat-interface oracle
+    does).  The absorbing layers are excluded; the norm is the
     natural one of the coupled problem, Re flux(e, 1, 1) : conj(grad e)
     + |e|^2 with the law of each field: H1 for the pressure, the elastic
     strain form plus L2 for the displacement.
     """
     p_law, u_law = field_laws(cfg)
     total = 0.0
-    for law, region, nodal, value, gradient in (
-            (p_law, FLUID, state.p[:, None], exact.pressure, exact.pressure_gradient),
-            (u_law, SOLID, state.u, exact.displacement,
-             exact.displacement_gradient)):
+    for law, region, nodal, field in ((p_law, FLUID, state.p[:, None], exact.pressure),
+                                      (u_law, SOLID, state.u, exact.displacement)):
         elems = mesh.elems[mesh.regions == region]
         corners = mesh.nodes[elems]
         grads, area = p1_gradients(corners)
-        pts = quad.triangle_points(corners)
+        value, gradient = field(quad.triangle_points(corners))
         g, vq = _p1_gradient(nodal[elems], grads), _p1_values(nodal[elems])
-        ge = g[:, None] - gradient(pts).reshape(vq.shape + (2,))
-        ve = vq - value(pts).reshape(vq.shape)
+        ge = g[:, None] - gradient.reshape(vq.shape + (2,))
+        ve = vq - value.reshape(vq.shape)
         dens = ((law.flux(ge, 1.0, 1.0) * np.conj(ge)).real.sum((-2, -1))
                 + (np.abs(ve) ** 2).sum(-1))
         total += float((area * np.einsum("q,eq->e", quad.TRI5_W, dens)).sum())

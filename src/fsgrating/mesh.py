@@ -25,7 +25,7 @@ from .errors import GeometryError
 __all__ = [
     "Mesh", "MeshTopology", "generate_initial_mesh", "bisect", "audit",
     "edge_trace", "edge_normals", "interface_edges", "profile_height",
-    "twice_signed_areas", "p1_gradients",
+    "twice_signed_areas", "p1_gradients", "is_fluid",
     "FLUID", "FLUID_PML", "SOLID", "SOLID_PML",
     "INTERIOR", "INTERFACE", "LEFT", "RIGHT", "GAMMA_PLUS", "GAMMA_MINUS",
     "DIRICHLET_TOP", "DIRICHLET_BOTTOM",
@@ -41,7 +41,7 @@ GAMMA_PLUS, GAMMA_MINUS, DIRICHLET_TOP, DIRICHLET_BOTTOM = 4, 5, 6, 7
 _TOL = 1e-12
 
 
-def _is_fluid(regions):
+def is_fluid(regions):
     return regions <= FLUID_PML
 
 
@@ -141,7 +141,7 @@ class Mesh:
         """(N, 2) mask of the nodes incident to a fluid-side element (column
         0, pressure unknowns) and to a solid-side element (column 1)."""
         mask = np.zeros((self.n_nodes, 2), dtype=bool)
-        side = np.repeat(~_is_fluid(self.regions), 3).astype(np.intp)
+        side = np.repeat(~is_fluid(self.regions), 3).astype(np.intp)
         mask[self.elems.ravel(), side] = True
         return mask
 
@@ -190,8 +190,8 @@ def _build_topology(mesh: Mesh) -> MeshTopology:
 
     interior_like = tags == INTERIOR
     both = edge_elems[:, 1] >= 0
-    grp0 = _is_fluid(mesh.regions[edge_elems[:, 0]])
-    grp1 = np.where(both, _is_fluid(mesh.regions[edge_elems[:, 1]]), grp0)
+    grp0 = is_fluid(mesh.regions[edge_elems[:, 0]])
+    grp1 = np.where(both, is_fluid(mesh.regions[edge_elems[:, 1]]), grp0)
     tags[interior_like & both & (grp0 != grp1)] = INTERFACE
     interior_like = tags == INTERIOR
     tags[interior_like & on_line(x2, mesh.h1)] = GAMMA_PLUS
@@ -252,7 +252,7 @@ def interface_edges(mesh: Mesh):
     top = mesh.topology
     ids = np.nonzero(top.edge_tags == INTERFACE)[0]
     el = top.edge_elems[ids]
-    fluid0 = _is_fluid(mesh.regions[el[:, 0]])
+    fluid0 = is_fluid(mesh.regions[el[:, 0]])
     efluid = np.where(fluid0, el[:, 0], el[:, 1])
     esolid = np.where(fluid0, el[:, 1], el[:, 0])
     normal = edge_normals(mesh, ids)
@@ -339,7 +339,7 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     Each element is then split at its cut edges in one pass (two, three or
     four children).
     """
-    marked = np.asarray(list(marked), dtype=np.int64)
+    marked = np.asarray(marked, dtype=np.int64)
     if marked.size == 0:
         raise ValueError("bisect needs a nonempty marked set")
     if marked.min() < 0 or marked.max() >= mesh.n_elems:

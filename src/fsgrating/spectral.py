@@ -77,16 +77,6 @@ class ModeData:
     beta_n_2: complex
 
     @property
-    def theta_n(self) -> float:
-        """|kappa^2 - alpha_n^2|^(1/2)."""
-        return abs(self.beta_n)
-
-    @property
-    def prop_acoustic(self) -> bool:
-        """A propagating acoustic order (|alpha_n| below kappa)."""
-        return self.beta_n.real > 0
-
-    @property
     def chi(self) -> complex:
         """chi_n = alpha_n^2 + beta_n^(1)*beta_n^(2), the mode-coupling factor."""
         return self.alpha_n ** 2 + self.beta_n_1 * self.beta_n_2
@@ -325,53 +315,30 @@ def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
 class FlatSolution:
     """Analytic single-order solution for a flat interface at x2 = 0.
 
-    The scattered pressure is one outgoing order q1*exp(i(alpha*x1 +
-    beta0*x2)); the transmitted displacement combines one downgoing
-    compressional and one downgoing shear order with weights q2, q3.
+    order is the order-0 record (alpha, beta, beta1, beta2).  The scattered
+    pressure is the outgoing plane wave q1*exp(i(alpha*x1 + beta*x2)); the
+    transmitted displacement adds the downgoing compressional wave
+    q2*(alpha, -beta1) and shear wave q3*(beta2, alpha), with wave vectors
+    (alpha, -beta1) and (alpha, -beta2).  Each field returns (value,
+    gradient) at points x of shape (..., 2), d/dx_j in the gradient's last axis.
     """
 
-    cfg: ProblemConfig
     q1: complex
     q2: complex
     q3: complex
-    alpha: float
-    beta0: complex
-    beta1: complex
-    beta2: complex
+    order: ModeData
 
     def pressure(self, x):
-        """Scattered pressure at points x of shape (..., 2)."""
-        x = np.asarray(x, dtype=float)
-        return self.q1 * np.exp(1j * (self.alpha * x[..., 0] + self.beta0 * x[..., 1]))
-
-    def pressure_gradient(self, x):
-        """Gradient of the scattered pressure, shape (..., 2)."""
-        p = self.pressure(x)
-        return np.stack([1j * self.alpha * p, 1j * self.beta0 * p], axis=-1)
-
-    def _phases(self, x):
-        x = np.asarray(x, dtype=float)
-        ph1 = np.exp(1j * (self.alpha * x[..., 0] - self.beta1 * x[..., 1]))
-        ph2 = np.exp(1j * (self.alpha * x[..., 0] - self.beta2 * x[..., 1]))
-        return ph1, ph2
+        """Scattered pressure (...) and its gradient (..., 2)."""
+        return _plane_wave(x, self.q1, self.order.alpha_n, self.order.beta_n)
 
     def displacement(self, x):
-        """Transmitted displacement at points x, shape (..., 2)."""
-        ph1, ph2 = self._phases(x)
-        u1 = self.q2 * self.alpha * ph1 + self.q3 * self.beta2 * ph2
-        u2 = -self.q2 * self.beta1 * ph1 + self.q3 * self.alpha * ph2
-        return np.stack([u1, u2], axis=-1)
-
-    def displacement_gradient(self, x):
-        """Jacobian d u_i / d x_j of the displacement, shape (..., 2, 2)."""
-        ph1, ph2 = self._phases(x)
-        a, b1, b2 = self.alpha, self.beta1, self.beta2
-        g = np.empty(ph1.shape + (2, 2), dtype=complex)
-        g[..., 0, 0] = 1j * a * (self.q2 * a * ph1 + self.q3 * b2 * ph2)
-        g[..., 0, 1] = -1j * (self.q2 * a * b1 * ph1 + self.q3 * b2 * b2 * ph2)
-        g[..., 1, 0] = 1j * a * (-self.q2 * b1 * ph1 + self.q3 * a * ph2)
-        g[..., 1, 1] = -1j * (-self.q2 * b1 * b1 * ph1 + self.q3 * a * b2 * ph2)
-        return g
+        """Transmitted displacement (..., 2) and its Jacobian d u_i / d x_j
+        (..., 2, 2)."""
+        a, b1, b2 = self.order.alpha_n, self.order.beta_n_1, self.order.beta_n_2
+        u1, g1 = _plane_wave(x, self.q2 * np.array([a, -b1]), a, -b1)
+        u2, g2 = _plane_wave(x, self.q3 * np.array([b2, a]), a, -b2)
+        return u1 + u2, g1 + g2
 
 
 def flat_interface_solution(cfg: ProblemConfig) -> FlatSolution:
@@ -401,17 +368,23 @@ def flat_interface_solution(cfg: ProblemConfig) -> FlatSolution:
     if not res <= 1e-12:
         raise SingularSystemError(
             f"flat-interface system nearly singular (residual {res:.2e})")
-    return FlatSolution(cfg=cfg, q1=q[0], q2=q[1], q3=q[2],
-                        alpha=a, beta0=b0, beta1=b1, beta2=b2)
+    return FlatSolution(q1=q[0], q2=q[1], q3=q[2], order=m0)
+
+
+def _plane_wave(x, amplitude, k1, k2):
+    """The plane wave amplitude*exp(i(k1*x1 + k2*x2)) at points x of shape
+    (..., 2), for a scalar or a vector amplitude, and its gradient
+    i*(k1, k2) times the value, d/dx_j in a new last axis."""
+    x = np.asarray(x, dtype=float)
+    value = np.multiply.outer(np.exp(1j * (k1 * x[..., 0] + k2 * x[..., 1])), amplitude)
+    return value, value[..., None] * np.array([1j * k1, 1j * k2])
 
 
 def incident_wave(cfg: ProblemConfig, x):
     """Incoming plane wave p_in = exp(i(alpha*x1 - beta*x2)) at points x of
     shape (..., 2) and its gradient i*(alpha, -beta)*p_in, shape (..., 2)."""
     d = derive(cfg)
-    x = np.asarray(x, dtype=float)
-    p = np.exp(1j * (d.alpha * x[..., 0] - d.beta * x[..., 1]))
-    return p, np.stack([1j * d.alpha * p, -1j * d.beta * p], axis=-1)
+    return _plane_wave(x, 1.0, d.alpha, -d.beta)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ def test_mode_order_zero(ex1_cfg):
     assert m.alpha_n == pytest.approx(0.5, abs=1e-15)
     assert m.beta_n == pytest.approx(np.sqrt(0.75), abs=1e-12)
     assert m.beta_n == pytest.approx(0.866025, abs=1e-6)
-    assert m.prop_acoustic
+    assert m.beta_n.real > 0
 
 
 def test_mode_order_one_evanescent(ex1_cfg):
@@ -23,7 +23,7 @@ def test_mode_order_one_evanescent(ex1_cfg):
     assert m.alpha_n == pytest.approx(6.783185, abs=1e-6)
     assert m.beta_n.real == 0.0
     assert m.beta_n.imag == pytest.approx(np.sqrt(m.alpha_n ** 2 - 1.0), abs=1e-12)
-    assert not m.prop_acoustic
+    assert not m.beta_n.real > 0
 
 
 def test_mode_symmetry_at_normal_incidence(ex1_cfg):
@@ -54,7 +54,7 @@ def test_acoustic_dtn_coefficients(ex1_cfg):
     m1 = spectral.mode(ex1_cfg, 1)
     c = spectral.acoustic_dtn_coeff(m1)
     assert c.imag == pytest.approx(0.0, abs=1e-15)
-    assert c.real == pytest.approx(-m1.theta_n, abs=1e-12)
+    assert c.real == pytest.approx(-abs(m1.beta_n), abs=1e-12)
     # on-axis order at normal incidence
     cfg = type(ex1_cfg)(**{**ex1_cfg.__dict__, "theta": 0.0})
     assert spectral.acoustic_dtn_coeff(spectral.mode(cfg, 0)) == pytest.approx(
@@ -118,12 +118,12 @@ def test_pml_eta_closed_form_and_quadrature():
 def test_acoustic_pml_dtn_limits(ex1_cfg):
     m1 = spectral.mode(ex1_cfg, 1)   # evanescent
     coeff = spectral.acoustic_pml_dtn_coeff(m1, 50.0 + 10.0j)
-    assert coeff == pytest.approx(-m1.theta_n, abs=1e-15)
+    assert coeff == pytest.approx(-abs(m1.beta_n), abs=1e-15)
 
     m0 = spectral.mode(ex1_cfg, 0)
     eta1 = 6 + 3j
     coeff = spectral.acoustic_pml_dtn_coeff(m0, eta1)
-    bound = 2 * m0.theta_n / np.expm1(2 * eta1.imag * m0.theta_n)
+    bound = 2 * abs(m0.beta_n) / np.expm1(2 * eta1.imag * abs(m0.beta_n))
     assert abs(coeff - 1j * m0.beta_n) <= bound * (1 + 1e-12)
 
 
@@ -268,9 +268,8 @@ def test_flat_solution_satisfies_interface_conditions(ex1_cfg):
     sol = spectral.flat_interface_solution(ex1_cfg)
     x = np.stack([np.linspace(0.05, 0.95, 7), np.zeros(7)], axis=-1)
     p_in, g_in = spectral.incident_wave(ex1_cfg, x)
-    g_sc = sol.pressure_gradient(x)
-    u = sol.displacement(x)
-    gu = sol.displacement_gradient(x)
+    p_sc, g_sc = sol.pressure(x)
+    u, gu = sol.displacement(x)
     w2 = ex1_cfg.omega ** 2
     # kinematic: dn(p_in + p_sc) = rho_f omega^2 u.n with n = (0, 1)
     kin = g_in[:, 1] + g_sc[:, 1] - ex1_cfg.rho_f * w2 * u[:, 1]
@@ -280,17 +279,18 @@ def test_flat_solution_satisfies_interface_conditions(ex1_cfg):
     sig12 = mu * (gu[:, 0, 1] + gu[:, 1, 0])
     sig22 = (2 * mu + lam) * gu[:, 1, 1] + lam * gu[:, 0, 0]
     assert np.max(np.abs(sig12)) <= 1e-10
-    assert np.max(np.abs(p_in + sol.pressure(x) + sig22)) <= 1e-10
+    assert np.max(np.abs(p_in + p_sc + sig22)) <= 1e-10
 
 
 def test_flat_solution_single_outgoing_order(ex1_cfg):
     sol = spectral.flat_interface_solution(ex1_cfg)
     x = np.stack([np.linspace(0, 0.9, 10), np.full(10, 0.37)], axis=-1)
-    demod = sol.pressure(x) * np.exp(-1j * (sol.alpha * x[:, 0]
-                                            + sol.beta0 * x[:, 1]))
+    p_sc = sol.pressure(x)[0]
+    demod = p_sc * np.exp(-1j * (sol.order.alpha_n * x[:, 0]
+                                 + sol.order.beta_n * x[:, 1]))
     assert np.max(np.abs(demod - sol.q1)) <= 1e-13
     # all other order coefficients vanish: the demodulated trace is constant
-    coeffs = np.fft.fft(sol.pressure(x) * np.exp(-1j * sol.alpha * x[:, 0]))
+    coeffs = np.fft.fft(p_sc * np.exp(-1j * sol.order.alpha_n * x[:, 0]))
     assert np.max(np.abs(coeffs[1:])) <= 1e-10 * abs(coeffs[0])
 
 
@@ -298,12 +298,27 @@ def test_flat_solution_quasi_periodic(ex1_cfg):
     sol = spectral.flat_interface_solution(ex1_cfg)
     x = np.array([[0.3, 0.6], [0.8, 0.2]])
     shifted = x + np.array([ex1_cfg.period, 0.0])
-    phase = np.exp(1j * sol.alpha * ex1_cfg.period)
-    assert np.allclose(sol.pressure(shifted), phase * sol.pressure(x),
+    phase = np.exp(1j * sol.order.alpha_n * ex1_cfg.period)
+    assert np.allclose(sol.pressure(shifted)[0], phase * sol.pressure(x)[0],
                        rtol=1e-13)
     xs = np.array([[0.3, -0.6], [0.8, -0.2]])
-    assert np.allclose(sol.displacement(xs + np.array([ex1_cfg.period, 0.0])),
-                       phase * sol.displacement(xs), rtol=1e-13)
+    assert np.allclose(sol.displacement(xs + np.array([ex1_cfg.period, 0.0]))[0],
+                       phase * sol.displacement(xs)[0], rtol=1e-13)
+
+
+def test_plane_wave_gradients_match_central_differences(ex1_cfg):
+    sol = spectral.flat_interface_solution(ex1_cfg)
+    rng = np.random.default_rng(0)
+    x2 = rng.uniform(0.05, 1.0, 20) * np.repeat([1.0, -1.0], 10)
+    x = np.column_stack([rng.uniform(0.0, 1.0, 20), x2])
+    h = 1e-6
+    for field in (lambda y: spectral.incident_wave(ex1_cfg, y),
+                  sol.pressure, sol.displacement):
+        value, grad = field(x)
+        fd = np.stack([(field(x + h * e)[0] - field(x - h * e)[0]) / (2 * h)
+                       for e in np.eye(2)], axis=-1)
+        assert grad.shape == value.shape + (2,)
+        assert np.max(np.abs(grad - fd)) <= 1e-7 * np.max(np.abs(grad))
 
 
 def test_flat_solution_requires_flat_profile(corner_cfg):
@@ -334,8 +349,6 @@ def test_order_table_matches_modes(ex1_cfg, corner_cfg, highfreq_cfg):
                 assert abs(beta) == table.theta[j, i]
                 assert (beta.real > 0) == table.propagating[j, i]
                 assert beta.real == 0 or beta.imag == 0
-            assert m.theta_n == table.theta[0, i]
-            assert m.prop_acoustic == table.propagating[0, i]
 
     grazing = type(ex1_cfg)(**{**ex1_cfg.__dict__, "theta": np.pi / 2 - 1e-13})
     for cfg in (grazing, tuned_rho(ex1_cfg)):
