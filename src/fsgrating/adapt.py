@@ -16,7 +16,7 @@ import numpy as np
 
 from . import assembly, estimator, solver
 from .config import PmlConfig, ProblemConfig, screen
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 from .mesh import Mesh, audit, bisect, generate_initial_mesh
 
 __all__ = ["ConvergenceRecord", "AdaptResult", "run", "records_to_csv"]
@@ -59,17 +59,25 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     dof_cap : stop refining once the free-dof count reaches this; at least 1.
     exact : optional analytic evaluators; when given, every record carries
         the energy-norm error over the physical bands.
+    mesh : optional initial mesh; its period, h1, h2, delta1, delta2 and
+        profile must equal those of cfg and pml.
     observer : optional callable (iteration, mesh, state, field, marked)
         invoked after each estimate, with marked=None on the final pass.
 
     Raises
     ------
-    ConfigError : from config.screen, before any mesh is built.
+    ConfigError : from config.screen before any mesh is built; a foreign mesh.
     GeometryError, SingularSystemError : a bad mesh, a failed solve.
     """
     screen(cfg, pml, tol, tau, max_iter, dof_cap, h0 if mesh is None else None)
     if mesh is None:
         mesh = generate_initial_mesh(cfg, pml, h0)
+    for name, want in (("period", cfg.period), ("h1", cfg.h1), ("h2", cfg.h2),
+                       ("delta1", pml.delta1), ("delta2", pml.delta2),
+                       ("profile", cfg.profile)):
+        if getattr(mesh, name) != want:
+            raise ConfigError(f"the mesh was built for {name} = "
+                              f"{getattr(mesh, name)!r}, the run has {want!r}")
     records = []
     t_start = time.perf_counter()
     for it in range(max_iter):

@@ -39,36 +39,27 @@ from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, RIGHT, Mesh, edge_trace,
                    interface_edges, is_fluid, p1_gradients)
 
 __all__ = [
-    "stretch", "stretch_derivative", "touches_layers", "Law", "field_laws", "DofMap",
+    "stretch", "touches_layers", "Law", "field_laws", "DofMap",
     "LinearSystem", "build_dofmap", "element_matrices", "interface_coupling",
     "load_vector", "assemble",
 ]
 
 
 def stretch(x2, cfg: ProblemConfig, pml: PmlConfig):
-    """Complex medium function s(x2); 1 in the physical strip, ramped in the
-    layers as 1 + sigma*((distance into layer)/delta)^t."""
+    """The complex medium function s(x2) and its slope ds/dx2: 1 and 0 in
+    the physical strip, and in the layer of foot h, width delta and
+    outward sign, s = 1 + sigma*u^t and ds/dx2 = sign*sigma*t/delta*u^(t-1)
+    at the depth u = sign*(x2 - h)/delta.  A scalar height gives a pair of
+    Python complex values."""
     x2 = np.asarray(x2, dtype=float)
-    s = np.ones(x2.shape, dtype=complex)
-    up = x2 > cfg.h1
-    dn = x2 < cfg.h2
-    s[up] = 1.0 + complex(pml.sigma1) * ((x2[up] - cfg.h1) / pml.delta1) ** pml.t
-    s[dn] = 1.0 + complex(pml.sigma2) * ((cfg.h2 - x2[dn]) / pml.delta2) ** pml.t
-    return s if s.shape else complex(s)
-
-
-def stretch_derivative(x2, cfg: ProblemConfig, pml: PmlConfig):
-    """d s / d x2, used by the strong-form residual of the estimator."""
-    x2 = np.asarray(x2, dtype=float)
-    ds = np.zeros(x2.shape, dtype=complex)
-    up = x2 > cfg.h1
-    dn = x2 < cfg.h2
+    s, ds = np.ones(x2.shape, dtype=complex), np.zeros(x2.shape, dtype=complex)
     t = pml.t
-    ds[up] = (complex(pml.sigma1) * t / pml.delta1
-              * ((x2[up] - cfg.h1) / pml.delta1) ** (t - 1))
-    ds[dn] = (-complex(pml.sigma2) * t / pml.delta2
-              * ((cfg.h2 - x2[dn]) / pml.delta2) ** (t - 1))
-    return ds if ds.shape else complex(ds)
+    for on, sigma, h, delta, sign in ((x2 > cfg.h1, pml.sigma1, cfg.h1, pml.delta1, 1),
+                                      (x2 < cfg.h2, pml.sigma2, cfg.h2, pml.delta2, -1)):
+        u = sign * (x2[on] - h) / delta
+        s[on] = 1.0 + complex(sigma) * u ** t
+        ds[on] = sign * complex(sigma) * t / delta * u ** (t - 1)
+    return (s, ds) if x2.shape else (complex(s), complex(ds))
 
 
 def touches_layers(x2, cfg: ProblemConfig) -> np.ndarray:
@@ -205,7 +196,7 @@ def _stretch_sums(corners, cfg, pml):
     # mass[e, i, j] = sum_q s[e, q] * w[q] * bary[q, i] * bary[q, j]
     table = (w[:, None, None] * bary[:, :, None] * bary[:, None, :]).reshape(w.size, 9)
     layer = touches_layers(corners[..., 1], cfg)
-    s = stretch(quad.triangle_points(corners[layer], bary)[..., 1], cfg, pml)
+    s = stretch(quad.triangle_points(corners[layer], bary)[..., 1], cfg, pml)[0]
     s_avg = np.full(corners.shape[0], w.sum(), dtype=complex)
     s_avg[layer] = np.einsum("q,eq->e", w, s)
     sinv_avg = s_avg.copy()

@@ -31,6 +31,7 @@ __all__ = [
     "order_table",
     "validate",
     "validate_pml",
+    "checked_window",
     "screen",
     "select_pml_parameters",
 ]
@@ -244,7 +245,7 @@ def validate(cfg: ProblemConfig) -> list:
     return order_table(cfg, np.arange(-w, w + 1)).findings()
 
 
-def _checked_window(cfg: ProblemConfig, pml: PmlConfig) -> OrderTable:
+def checked_window(cfg: ProblemConfig, pml: PmlConfig) -> OrderTable:
     """validate_pml(pml), then the Wood-checked table of |n| <= mode_window(cfg)."""
     validate_pml(pml)
     w = mode_window(cfg)
@@ -258,7 +259,7 @@ def screen(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     tau outside (0, 1), a max_iter that is not an integer of at least 1 (a
     float such as 2.5, 3.0 or NaN included), dof_cap < 1, and an initial
     mesh size h0 outside (0, inf); h0 is None when no mesh is built from it."""
-    _checked_window(cfg, pml)
+    checked_window(cfg, pml)
     if not tol >= 0:
         raise ConfigError(f"run.tol must be nonnegative, got {tol!r}")
     if not 0 < tau < 1:
@@ -299,7 +300,7 @@ def select_pml_parameters(cfg: ProblemConfig, target: float,
 
     if not target > 0:
         raise ConfigError(f"PML target must be positive, got {target!r}")
-    table = _checked_window(cfg, template)
+    table = checked_window(cfg, template)
     root = math.sqrt(cfg.period)
     pml = template
     for _ in range(MAX_DOUBLINGS + 1):

@@ -18,11 +18,13 @@ jumps each field's gradients on its elements; indicators calls both.
 The stretch is paid for inside the layers only.  On an element with no
 vertex strictly outside [h2, h1], s = 1 and R is mass times the P1 field,
 whose L2 norm is closed form from the P1 mass matrix; layer elements take
-the 7-point rule.  A jump's normal flux is one matmul per edge of the
-gradient jump and the normal with the law's s-, 1/s- and constant parts,
-weighted by s and 1/s at the 4 points of the edge rule on edges with an
-endpoint strictly inside a layer, and by s = 1 at one point elsewhere,
-where the flux is one constant per edge.
+the 7-point rule, with s and ds/dx2 from one call of assembly.stretch and
+the P1 values from the barycentric map quadrature.triangle_points.  A
+jump's normal flux is one matmul per edge of the gradient jump and the
+normal with the law's s-, 1/s- and constant parts, weighted by s and 1/s
+at the 4 points of the edge rule on edges with an endpoint strictly
+inside a layer, and by s = 1 at one point elsewhere, where the flux is
+one constant per edge.
 
 Edge families:
 
@@ -55,7 +57,7 @@ import numpy as np
 
 from . import quadrature as quad
 from . import spectral
-from .assembly import Law, field_laws, stretch, stretch_derivative, touches_layers
+from .assembly import Law, field_laws, stretch, touches_layers
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (FLUID, GAMMA_MINUS, GAMMA_PLUS, INTERIOR, LEFT, SOLID,
@@ -123,10 +125,10 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
 
         on = np.nonzero(sel & layer)[0]
         x2 = quad.triangle_points(corners[on])[..., 1]
-        s = stretch(x2, cfg, pml)
-        dsinv = -stretch_derivative(x2, cfg, pml) / s ** 2
+        s, ds = stretch(x2, cfg, pml)
+        dsinv = -ds / s ** 2
         v = nodal[mesh.elems[on]]
-        g, vq = _p1_gradient(v, p1_gradients(corners[on])[0]), _p1_values(v)
+        g, vq = _p1_gradient(v, p1_gradients(corners[on])[0]), quad.triangle_points(v)
         sinv_part = law.parts()[1]
         r = []
         for c in range(law.components):
@@ -151,12 +153,6 @@ def _normal_flux(law: Law, g, normals, s):
     fn = (gn @ parts).reshape(len(g), 3, law.components)
     s = s[..., None]
     return s * fn[:, None, 0] + (1.0 / s) * fn[:, None, 1] + fn[:, None, 2]
-
-
-def _p1_values(nodal):
-    """Degree-5 quadrature-point values (E, Q) or (E, Q, C) of a P1 field
-    from its corner values per element, (E, 3) or (E, 3, C)."""
-    return np.moveaxis(np.tensordot(quad.TRI5_BARY, nodal, axes=(1, 1)), 0, 1)
 
 
 def _p1_gradient(nodal, grads):
@@ -214,7 +210,7 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
         jump[on[:inner.size].sum():] *= phase
         np.subtract(g[t0[on]], jump, out=jump)
         e, n, lay = ids[on], normals[on], layer[on]
-        s_lay = stretch(edge_trace(mesh, e[lay], mesh.nodes[:, 1], tq), cfg, pml)
+        s_lay = stretch(edge_trace(mesh, e[lay], mesh.nodes[:, 1], tq), cfg, pml)[0]
         for sub, s, w in ((~lay, np.ones(((~lay).sum(), 1)), _ONE), (lay, s_lay, wq)):
             fn = _normal_flux(law, jump[sub], n[sub], s)
             norm[e[sub]] = _quad_norm(lengths[e[sub]], w, *np.moveaxis(fn, -1, 0))
@@ -303,7 +299,7 @@ def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
         corners = mesh.nodes[elems]
         grads, area = p1_gradients(corners)
         value, gradient = field(quad.triangle_points(corners))
-        g, vq = _p1_gradient(nodal[elems], grads), _p1_values(nodal[elems])
+        g, vq = _p1_gradient(nodal[elems], grads), quad.triangle_points(nodal[elems])
         ge = g[:, None] - gradient.reshape(vq.shape + (2,))
         ve = vq - value.reshape(vq.shape)
         dens = ((law.flux(ge, 1.0, 1.0) * np.conj(ge)).real.sum((-2, -1))

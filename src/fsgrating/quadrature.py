@@ -50,8 +50,8 @@ EDGE4_X, EDGE4_W = edge_rule(4)
 
 
 def triangle_points(nodes, bary=TRI5_BARY):
-    """Physical quadrature points for element corner arrays.
-
-    nodes has shape (E, 3, 2); the result has shape (E, Q, 2).
-    """
-    return bary @ nodes
+    """The barycentric map: the values at the points of the rule bary
+    (Q, 3) of fields linear on each triangle, from their corner values.
+    Corner coordinates (E, 3, 2) give the physical points (E, Q, 2), nodal
+    values (E, 3) or (E, 3, C) the P1 values (E, Q) or (E, Q, C)."""
+    return np.moveaxis(np.tensordot(bary, nodes, axes=(1, 1)), 0, 1)

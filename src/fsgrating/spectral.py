@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (OrderTable, PmlConfig, ProblemConfig, _checked_window, derive,
+from .config import (OrderTable, PmlConfig, ProblemConfig, checked_window, derive,
                      mode_window, order_table)
 from .errors import ConfigError, DegenerateModeError, SingularSystemError
 
@@ -298,7 +298,7 @@ def bound_F1(cfg: ProblemConfig, pml: PmlConfig) -> float:
     simply drops its term.  Raises ConfigError for an inadmissible layer
     (validate_pml) and WoodAnomalyError if the window holds a Wood order.
     """
-    return _bound_F1(_checked_window(cfg, pml), pml)
+    return _bound_F1(checked_window(cfg, pml), pml)
 
 
 def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
@@ -308,7 +308,7 @@ def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
     families of Theta/(e^(Theta*eta2-part/2) - 1) * a polynomial factor in
     kappa1, kappa2.  Raises ConfigError and WoodAnomalyError as bound_F1 does.
     """
-    return _bound_F2(cfg, _checked_window(cfg, pml), pml)
+    return _bound_F2(cfg, checked_window(cfg, pml), pml)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from conftest import pml_for, tuned_rho
 from fsgrating import (ConfigError, PmlConfig, WoodAnomalyError,
                        select_pml_parameters, validate)
 from fsgrating import adapt, assembly, solver, spectral
-from fsgrating.mesh import audit
+from fsgrating.mesh import audit, generate_initial_mesh
 
 
 @pytest.fixture
@@ -51,6 +52,20 @@ def test_marking_never_empty(ex1_cfg, pml_mild):
     adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=0.5, max_iter=4, h0=0.3,
               observer=observer)
     assert seen and min(seen) >= 1
+
+
+def test_run_rejects_a_mesh_built_for_another_strip(ex1_cfg, corner_cfg, pml_mild):
+    # the mesh brings the lines, tags and pairing, cfg and pml the ramp, the
+    # Bloch phase and the incident data: both must describe one strip
+    mesh = generate_initial_mesh(ex1_cfg, pml_mild, 0.3)
+    run = functools.partial(adapt.run, tol=math.inf, tau=0.5, max_iter=1, h0=0.3)
+    for cfg, pml, name in ((ex1_cfg, replace(pml_mild, delta1=3.0, delta2=3.0), "delta1"),
+                           (replace(ex1_cfg, h1=1.5), pml_mild, "h1"),
+                           (corner_cfg, pml_mild, "profile")):
+        with pytest.raises(ConfigError, match=f"for {name} = "):
+            run(cfg, pml, mesh=mesh)
+    assert (run(ex1_cfg, pml_mild, mesh=mesh).records[0].eps_f
+            == run(ex1_cfg, pml_mild).records[0].eps_f)
 
 
 def test_dof_cap_stops_loop(ex1_cfg, pml_mild):

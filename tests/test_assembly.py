@@ -69,13 +69,31 @@ def element_matrix(tri, cfg, pml, side):
 
 
 def test_stretch_values(ex1_cfg, pml_mild):
-    assert asm.stretch(0.0, ex1_cfg, pml_mild) == 1.0
-    assert asm.stretch(ex1_cfg.h1, ex1_cfg, pml_mild) == 1.0
-    outer = asm.stretch(ex1_cfg.h1 + pml_mild.delta1, ex1_cfg, pml_mild)
+    assert asm.stretch(0.0, ex1_cfg, pml_mild) == (1.0, 0.0)
+    assert asm.stretch(ex1_cfg.h1, ex1_cfg, pml_mild) == (1.0, 0.0)
+    outer = asm.stretch(ex1_cfg.h1 + pml_mild.delta1, ex1_cfg, pml_mild)[0]
     assert outer == pytest.approx(1.0 + complex(pml_mild.sigma1), rel=1e-14)
     # continuity at the layer foot
     eps = 1e-9
-    assert abs(asm.stretch(ex1_cfg.h1 + eps, ex1_cfg, pml_mild) - 1.0) < 1e-14
+    assert abs(asm.stretch(ex1_cfg.h1 + eps, ex1_cfg, pml_mild)[0] - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("t", [2.0, 3.0])
+def test_stretch_slope_matches_central_differences(ex1_cfg, t):
+    cfg = ex1_cfg
+    pml = PmlConfig(2.0, 1.5, 10 + 10j, 5 + 20j, t)
+    rng = np.random.default_rng(13)
+    h = 1e-6
+    # heights at least 1e-3 inside each layer, one layer at a time
+    for x2 in (cfg.h1 + rng.uniform(1e-3, pml.delta1, 20),
+               cfg.h2 - rng.uniform(1e-3, pml.delta2, 20)):
+        ds = asm.stretch(x2, cfg, pml)[1]
+        fd = (asm.stretch(x2 + h, cfg, pml)[0] - asm.stretch(x2 - h, cfg, pml)[0]) / (2 * h)
+        assert np.max(np.abs(ds - fd)) <= 1e-7 * np.max(np.abs(ds))
+    s, ds = asm.stretch(np.linspace(cfg.h2, cfg.h1, 41), cfg, pml)
+    assert np.array_equal(s, np.ones(41)) and np.array_equal(ds, np.zeros(41))
+    pair = asm.stretch(cfg.h2 - 0.5, cfg, pml)
+    assert [type(v) for v in pair] == [complex, complex]
 
 
 def test_fluid_element_matches_reference(ex1_cfg, pml_mild):
@@ -171,7 +189,7 @@ def galerkin_reference(tri, law, cfg, pml, bary=quad.TRI5_BARY, w=quad.TRI5_W):
     n = law.components
     k = np.zeros((3 * n, 3 * n), dtype=complex)
     for lam, wq in zip(bary, w):
-        s = asm.stretch(lam @ y, cfg, pml)
+        s = asm.stretch(lam @ y, cfg, pml)[0]
         for j in range(3):
             for trial in range(n):
                 g = np.zeros((n, 2))
@@ -198,7 +216,7 @@ def test_stretched_element_matrices_match_pointwise_galerkin_form(
                                    foot + sign * rng.uniform(0.05, 1.9, 3)])
             if _signed_area(tri) < 0:
                 tri = tri[[0, 2, 1]]
-            assert abs(asm.stretch(tri[:, 1].mean(), cfg, pml_mild) - 1) > 0.01
+            assert abs(asm.stretch(tri[:, 1].mean(), cfg, pml_mild)[0] - 1) > 0.01
             got = element_matrix(tri, cfg, pml_mild, side)
             ref = galerkin_reference(tri, law, cfg, pml_mild)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -228,7 +246,7 @@ def test_stretch_sums_match_every_point_stretch(ex1_cfg, corner_cfg, pml_mild,
         on = (x2 == h).any(axis=1)
         assert (on & (x2 > h).any(axis=1)).any() and (on & (x2 < h).any(axis=1)).any()
     bary, w = quad.TRI5_BARY, quad.TRI5_W
-    s = asm.stretch(quad.triangle_points(corners, bary)[..., 1], cfg, pml_mild)
+    s = asm.stretch(quad.triangle_points(corners, bary)[..., 1], cfg, pml_mild)[0]
     want = (np.einsum("q,eq->e", w, s), np.einsum("q,eq->e", w, 1.0 / s),
             np.einsum("eq,q,qi,qj->eij", s, w, bary, bary))
     got = asm._stretch_sums(corners, cfg, pml_mild)

@@ -70,16 +70,16 @@ def reference_element_residuals(mesh, state, cfg, pml):
     corners = mesh.corner_coords()
     grads, area = msh.p1_gradients(corners)
     x2 = quad.triangle_points(corners)[..., 1]
-    s = asm.stretch(x2, cfg, pml)
-    dsinv = -asm.stretch_derivative(x2, cfg, pml) / s ** 2
+    s, ds = asm.stretch(x2, cfg, pml)
+    dsinv = -ds / s ** 2
     fluid = mesh.regions <= 1
     out = np.zeros(mesh.n_elems)
     gp = est._p1_gradient(state.p[mesh.elems[fluid]], grads[fluid])
-    pq = est._p1_values(state.p[mesh.elems[fluid]])
+    pq = quad.triangle_points(state.p[mesh.elems[fluid]])
     r = dsinv[fluid] * gp[:, None, 1] + cfg.kappa ** 2 * s[fluid] * pq
     out[fluid] = est._quad_norm(area[fluid], quad.TRI5_W, r)
     gu = est._p1_gradient(state.u[mesh.elems[~fluid]], grads[~fluid])
-    uq = est._p1_values(state.u[mesh.elems[~fluid]])
+    uq = quad.triangle_points(state.u[mesh.elems[~fluid]])
     w2r = cfg.omega ** 2 * cfg.rho
     ds, ss = dsinv[~fluid], s[~fluid]
     r1 = cfg.mu * ds * gu[:, None, 0, 1] + w2r * ss * uq[..., 0]
@@ -130,8 +130,7 @@ def test_pml_residual_against_refined_quadrature(ex1_cfg):
         gp = (pe[:, None] * grad).sum(0)
 
         def integrand(pts):
-            s = asm.stretch(pts[:, 1], cfg, pml)
-            ds = asm.stretch_derivative(pts[:, 1], cfg, pml)
+            s, ds = asm.stretch(pts[:, 1], cfg, pml)
             lam = np.stack([1 - (pts[:, 0] - tri[0, 0]) * 0, ] * 3)
             # P1 values via barycentric solve
             T = np.array([[tri[0, 0], tri[1, 0], tri[2, 0]],
@@ -296,13 +295,13 @@ def _check_jump_norms_against_loop(cfg, pml, m):
 
     def flux_f(elem, pts, nrm):
         gp = (state.p[m.elems[elem]][:, None] * grads[elem].astype(complex)).sum(0)
-        s = asm.stretch(pts[:, 1], cfg, pml)
+        s = asm.stretch(pts[:, 1], cfg, pml)[0]
         return s * gp[0] * nrm[0] + gp[1] * nrm[1] / s
 
     def flux_s(elem, pts, nrm):
         gu = np.einsum("ic,id->cd", state.u[m.elems[elem]],
                        grads[elem].astype(complex))
-        s = asm.stretch(pts[:, 1], cfg, pml)
+        s = asm.stretch(pts[:, 1], cfg, pml)[0]
         mu, lam = cfg.mu, cfg.lam
         f1 = ((2 * mu + lam) * s * gu[0, 0] + lam * gu[1, 1]) * nrm[0] \
             + mu * (gu[0, 1] / s + gu[1, 0]) * nrm[1]
@@ -560,7 +559,7 @@ def test_p1_gradient_and_values_match_element_loop(corner_cfg, pml_mild):
     rng = np.random.default_rng(8)
     for shape in ((m.n_nodes,), (m.n_nodes, 2)):
         nodal = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[m.elems]
-        grad, values = est._p1_gradient(nodal, grads), est._p1_values(nodal)
+        grad, values = est._p1_gradient(nodal, grads), quad.triangle_points(nodal)
         for e in range(m.n_elems):
             # d/dx_d of the field, one corner term at a time
             want_g = sum(np.multiply.outer(nodal[e, i], grads[e, i]) for i in range(3))

@@ -31,8 +31,7 @@ def test_all_lists_exactly_the_public_definitions(mod):
 #: table-taking _bound_F1/_bound_F2, while the bench tracer wraps the public
 #: bound_F1/bound_F2 that check the window on each call.
 PRIVATE_IMPORTS = {("config", "spectral", "_bound_F1"),
-                   ("config", "spectral", "_bound_F2"),
-                   ("spectral", "config", "_checked_window")}
+                   ("config", "spectral", "_bound_F2")}
 
 
 def test_no_private_names_cross_modules():
