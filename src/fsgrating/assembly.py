@@ -13,12 +13,13 @@ with s = s(x2) the complex layer stretch (identically one in the physical
 bands), q and sigma the pressure flux and the stress of field_laws, and n
 the interface normal pointing into the fluid.  P1 elements on both fields;
 interface nodes carry one pressure and two displacement unknowns.  The
-constraints are folded in while the local blocks are scattered:
-outer-boundary unknowns are dropped, and each right-boundary column is
-added to its left partner's with the multiplier exp(i*alpha*L) and each
-row with the conjugate multiplier, which preserves the sesquilinear
-pairing.  Volume terms use the 7-point degree-5 triangle rule; interface
-integrals use 4-point Gauss lines (the incident wave oscillates).
+constraints are folded in while the local blocks and the load are
+scattered: outer-boundary unknowns are dropped, and each right-boundary
+column is added to its left partner's with the multiplier exp(i*alpha*L)
+and each row and load entry with the conjugate multiplier, which keeps
+the sesquilinear pairing; DofMap.expand unfolds the solution.  Volume
+terms use the 7-point degree-5 triangle rule; interface integrals use
+4-point Gauss lines (the incident wave oscillates).
 """
 
 from __future__ import annotations
@@ -35,13 +36,13 @@ from . import quadrature as quad
 from . import spectral
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
-from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, RIGHT, Mesh, edge_trace,
-                   interface_edges, is_fluid, p1_gradients)
+from .mesh import (DIRICHLET_BOTTOM, DIRICHLET_TOP, RIGHT, Mesh, interface_edges,
+                   is_fluid, p1_gradients)
 
 __all__ = [
     "stretch", "touches_layers", "Law", "field_laws", "DofMap",
-    "LinearSystem", "build_dofmap", "element_matrices", "interface_coupling",
-    "load_vector", "assemble",
+    "LinearSystem", "build_dofmap", "element_matrices", "interface_terms",
+    "assemble",
 ]
 
 
@@ -105,8 +106,6 @@ def field_laws(cfg: ProblemConfig) -> tuple:
     def stress(g, s, sinv):
         g11, g12 = g[..., 0, 0], g[..., 0, 1]
         g21, g22 = g[..., 1, 0], g[..., 1, 1]
-        # s and sinv multiply last: at the edge points they vary along an
-        # axis that g lacks, so the constant factors stay on the smaller g
         f = np.stack([s * ((2 * mu + lam) * g11) + lam * g22,
                       sinv * (mu * g12) + mu * g21,
                       s * (mu * g21) + mu * g12,
@@ -120,24 +119,47 @@ def field_laws(cfg: ProblemConfig) -> tuple:
 # ----------------------------------------------------------------------
 # degrees of freedom
 
+#: the DofMap.index columns of the pressure and of the displacement pair
+PRESSURE, DISPLACEMENT = slice(0, 1), slice(1, 3)
+
+
 @dataclass
 class DofMap:
     """Free unknowns per node, with the constraints folded into the numbering.
 
-    fluid_dof[n] is the free pressure index of node n and solid_dof[n] its
-    free (u1, u2) pair, -1 where node n carries no such unknown.  Free
-    indices run over the fluid nodes by id, then the solid pairs by id.
-    Nodes on the outer layer boundaries carry -1 (homogeneous Dirichlet).
-    A right-boundary node off those boundaries is a slave: it shares the
-    indices of its left partner, and its values are multiplier =
-    exp(i*alpha*period) times the partner's.
+    index[n] holds the free indices of the pressure, u1 and u2 of node n
+    (columns PRESSURE, DISPLACEMENT), -1 where it carries no such unknown.
+    Free indices run over the fluid nodes by id, then the solid pairs by
+    id.  Nodes on the outer layer boundaries carry -1 (homogeneous
+    Dirichlet).  A right-boundary node off those boundaries is a slave: it
+    shares the indices of its left partner, and its values are multiplier
+    = exp(i*alpha*period) times the partner's.
     """
 
-    fluid_dof: np.ndarray   # (N,) free index or -1
-    solid_dof: np.ndarray   # (N, 2) free indices or -1
+    index: np.ndarray       # (N, 3) free index of (p, u1, u2) or -1
     slave: np.ndarray       # (N,) right-boundary nodes folded onto their partner
     multiplier: complex
     n_free: int
+
+    def unknowns(self, nodes, columns: slice):
+        """Free indices of the unknowns in the index columns at the rows of
+        nodes, (u1, u2) interleaved per node for DISPLACEMENT, and 1 where
+        the unknown sits on a slave node, else 0."""
+        # fancy indexing of the strided column view was 7-15x slower than take
+        dofs = np.take(self.index[:, columns], nodes, axis=0)
+        return (dofs.reshape(len(nodes), -1),
+                np.repeat(self.slave[nodes].astype(np.int8), dofs.shape[-1], axis=1))
+
+    def expand(self, x):
+        """The (N, 3) nodal values of the reduced vector x: zero where a
+        node carries no unknown, multiplier times the partner's on a slave."""
+        # index -1 (no unknown) gathers the appended zero
+        values = np.append(x, 0j)[self.index]
+        # scalar times array, as in p[right] == multiplier * p[left]: numpy's
+        # array times scalar can differ in the last bit; a missing field stays +0
+        sel = self.slave[:, None] & (self.index >= 0)
+        values[sel] = self.multiplier * values[sel]
+        return values
 
 
 def build_dofmap(mesh: Mesh, cfg: ProblemConfig) -> DofMap:
@@ -164,26 +186,12 @@ def build_dofmap(mesh: Mesh, cfg: ProblemConfig) -> DofMap:
 
     owned = fields & ~(outer | slave)[:, None]
     n_fluid, n_solid = (int(n) for n in owned.sum(axis=0))
-    fluid_dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    fluid_dof[owned[:, 0]] = np.arange(n_fluid)
-    solid_dof = np.full((mesh.n_nodes, 2), -1, dtype=np.int64)
-    solid_dof[owned[:, 1]] = n_fluid + np.arange(2 * n_solid).reshape(-1, 2)
-    fluid_dof[right] = np.where(fields[right, 0], fluid_dof[partner], -1)
-    solid_dof[right] = np.where(fields[right, 1, None], solid_dof[partner], -1)
-    return DofMap(fluid_dof=fluid_dof, solid_dof=solid_dof, slave=slave,
-                  multiplier=derive(cfg).bloch,
+    index = np.full((mesh.n_nodes, 3), -1, dtype=np.int64)
+    index[owned[:, 0], PRESSURE] = np.arange(n_fluid)[:, None]
+    index[owned[:, 1], DISPLACEMENT] = n_fluid + np.arange(2 * n_solid).reshape(-1, 2)
+    index[right] = np.where(fields[right][:, [0, 1, 1]], index[partner], -1)
+    return DofMap(index=index, slave=slave, multiplier=derive(cfg).bloch,
                   n_free=n_fluid + 2 * n_solid)
-
-
-def _unknowns(dofmap: DofMap, nodes, solid: bool):
-    """Free indices of the unknowns at the rows of nodes, (u1, u2)
-    interleaved per node for the solid, and 1 where the unknown sits on a
-    slave node, else 0."""
-    on_slave = dofmap.slave[nodes].astype(np.int8)
-    if not solid:
-        return dofmap.fluid_dof[nodes], on_slave
-    return (dofmap.solid_dof[nodes].reshape(len(nodes), -1),
-            np.repeat(on_slave, 2, axis=1))
 
 
 # ----------------------------------------------------------------------
@@ -253,15 +261,15 @@ def element_matrices(corners, law: Law, cfg: ProblemConfig, pml: PmlConfig):
 # ----------------------------------------------------------------------
 # interface terms
 
-def interface_coupling(edge_coords, normals, cfg: ProblemConfig):
-    """Local interface blocks for straight edges.
+def interface_terms(edge_coords, normals, cfg: ProblemConfig):
+    """Local interface blocks and incident-wave loads for straight edges.
 
     edge_coords has shape (E, 2, 2) and normals, the unit normals pointing
-    into the fluid, shape (E, 2).  Returns (solid_rows_by_fluid_cols,
-    fluid_rows_by_solid_cols): the (E, 4, 2) blocks of int_e p (n . conj(psi))
-    and the (E, 2, 4) blocks of rho_f*omega^2 int_e (u . n) conj(phi), both
-    exact for linear traces.  Solid dofs are interleaved (u1, u2) per edge
-    node.
+    into the fluid, shape (E, 2).  Returns the (E, 4, 2) blocks of
+    int_e p (n . conj(psi)) and the (E, 2, 4) blocks of rho_f*omega^2
+    int_e (u . n) conj(phi), both exact for linear traces, and the 4-point
+    Gauss loads, (E, 2) of dn(p_in) conj(phi) and (E, 4) of -p_in n.conj(psi).
+    Solid dofs are interleaved (u1, u2) per edge node.
     """
     edge_coords = np.asarray(edge_coords, float)
     normals = np.asarray(normals, float)
@@ -273,29 +281,19 @@ def interface_coupling(edge_coords, normals, cfg: ProblemConfig):
     # displacement trial against pressure test: rho_f omega^2 n_c me[i, j]
     b2 = (cfg.rho_f * cfg.omega ** 2
           * normals[:, None, None, :] * me[:, :, :, None])        # (E, i, j, c)
-    return (b1.reshape(-1, 4, 2).astype(complex),
-            b2.reshape(-1, 2, 4).astype(complex))
-
-
-def load_vector(mesh: Mesh, cfg: ProblemConfig, dofmap: DofMap) -> np.ndarray:
-    """Reduced incident-wave load: dn(p_in) against pressure tests and
-    -p_in n against displacement tests, 4-point Gauss per interface edge.
-    Interface nodes lie strictly inside the cell, so all carry unknowns."""
-    b = np.zeros(dofmap.n_free, dtype=complex)
-    ids, _, _, normal = interface_edges(mesh)
-    nodes = mesh.topology.edge_nodes[ids]
     tq, wq = quad.EDGE4_X, quad.EDGE4_W
-    ph, grad = spectral.incident_wave(cfg, edge_trace(mesh, ids, mesh.nodes, tq))
-    dn = (grad * normal[:, None, :]).sum(-1)            # (E, Q)
+    # the Gauss points a + t*(b - a), as edge_trace takes them
+    ph, grad = spectral.incident_wave(
+        cfg, edge_coords[:, 0, None] + tq[:, None] * tang[:, None])
+    dn = (grad * normals[:, None, :]).sum(-1)           # (E, Q)
     shape = np.stack([1.0 - tq, tq], axis=1)            # (Q, 2)
-    wl = wq[None, :] * mesh.topology.edge_lengths[ids, None]
+    wl = wq[None, :] * length[:, None]
     fluid_loads = np.einsum("eq,qi,eq->ei", dn, shape, np.broadcast_to(wl, dn.shape))
     solid_loads = -np.einsum("eq,qi,eq,ec->eic", ph, shape,
-                             np.broadcast_to(wl, ph.shape), normal)
-    for solid, loads in ((False, fluid_loads), (True, solid_loads.reshape(-1, 4))):
-        dofs, on_slave = _unknowns(dofmap, nodes, solid)
-        np.add.at(b, dofs, np.where(on_slave, np.conj(dofmap.multiplier), 1.0) * loads)
-    return b
+                             np.broadcast_to(wl, ph.shape), normals)
+    return (b1.reshape(-1, 4, 2).astype(complex),
+            b2.reshape(-1, 2, 4).astype(complex),
+            fluid_loads, solid_loads.reshape(-1, 4))
 
 
 @dataclass
@@ -310,20 +308,20 @@ class LinearSystem:
 def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig) -> LinearSystem:
     """Assemble the reduced complex sparse system of the truncated problem.
 
-    Each local block is scattered straight into the free numbering, with
-    the entries of outer-boundary unknowns dropped and slave rows weighted
-    by conj(multiplier) and slave columns by multiplier.
+    Each local block and edge load is scattered straight into the free
+    numbering, with the entries of outer-boundary unknowns dropped, slave
+    rows weighted by conj(multiplier) and slave columns by multiplier.
     """
     dofmap = build_dofmap(mesh, cfg)
     corners = mesh.corner_coords()
     fluid_sel = is_fluid(mesh.regions)
-    fluid = _unknowns(dofmap, mesh.elems[fluid_sel], solid=False)     # (Ef, 3)
-    solid = _unknowns(dofmap, mesh.elems[~fluid_sel], solid=True)     # (Es, 6)
+    fluid = dofmap.unknowns(mesh.elems[fluid_sel], PRESSURE)          # (Ef, 3)
+    solid = dofmap.unknowns(mesh.elems[~fluid_sel], DISPLACEMENT)     # (Es, 6)
     ids, _, _, normal = interface_edges(mesh)
     nodes = mesh.topology.edge_nodes[ids]
-    b1, b2 = interface_coupling(mesh.nodes[nodes], normal, cfg)
-    ifluid = _unknowns(dofmap, nodes, solid=False)                    # (E, 2)
-    isolid = _unknowns(dofmap, nodes, solid=True)                     # (E, 4)
+    b1, b2, fluid_loads, solid_loads = interface_terms(mesh.nodes[nodes], normal, cfg)
+    ifluid = dofmap.unknowns(nodes, PRESSURE)                         # (E, 2)
+    isolid = dofmap.unknowns(nodes, DISPLACEMENT)                     # (E, 4)
 
     fluid_law, solid_law = field_laws(cfg)
 
@@ -347,7 +345,7 @@ def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig) -> LinearSystem:
         on = r_slave.any(1) | c_slave.any(1)      # blocks touching a slave
         k[on] *= weights[1 + c_slave[on, None, :] - r_slave[on, :, None]]
         # a missing unknown (-1) goes to the extra row and column n, which
-        # the slice below drops
+        # the slices below drop
         rows[start:stop].reshape(k.shape)[...] = np.where(r < 0, n, r)[:, :, None]
         cols[start:stop].reshape(k.shape)[...] = np.where(c < 0, n, c)[:, None, :]
         vals[start:stop] = k.ravel()
@@ -356,5 +354,7 @@ def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig) -> LinearSystem:
     # structural zeros (the pressure against u1 on flat interface edges)
     # would change the fill-reducing ordering of the factorisation
     a.eliminate_zeros()
-    return LinearSystem(matrix=a, rhs=load_vector(mesh, cfg, dofmap),
-                        dofmap=dofmap)
+    rhs = np.zeros(n + 1, dtype=complex)
+    for (r, r_slave), loads in ((ifluid, fluid_loads), (isolid, solid_loads)):
+        np.add.at(rhs, np.where(r < 0, n, r), weights[1 - r_slave] * loads)
+    return LinearSystem(matrix=a, rhs=rhs[:n], dofmap=dofmap)

@@ -30,7 +30,8 @@ GROWTH_SLICE = 1 << 16
 @dataclass
 class SystemState:
     """Expanded nodal solution: pressure on fluid-side nodes, displacement
-    pairs on solid-side nodes (zeros where a field has no dof)."""
+    pairs on solid-side nodes (zeros where a field has no dof); solve copies
+    them out of DofMap.expand, as the estimator gathers slower from views."""
 
     p: np.ndarray   # (N,) complex
     u: np.ndarray   # (N, 2) complex
@@ -68,9 +69,8 @@ def solve(system: LinearSystem) -> tuple:
     refinement with the same factor is taken, and a residual still above
     it raises SingularSystemError; a NaN pivot or residual fails these
     gates too, so no NaN state is returned.
-    The free values are gathered onto the nodes (zero on the outer layer
-    boundaries) and the slave nodes are scaled by the dofmap multiplier, so
-    the returned state honours the quasi-periodic boundary relation exactly.
+    The free values are expanded onto the nodes by DofMap.expand, so the
+    returned state honours the quasi-periodic boundary relation exactly.
     """
     a = system.matrix
     if a.shape[0] < 1:
@@ -132,15 +132,8 @@ def solve(system: LinearSystem) -> tuple:
                 f"one refinement step (normwise backward error {berr:.1e})")
     elapsed = time.perf_counter() - t0
 
-    dof = system.dofmap
-    # index -1 (no unknown) gathers the appended zero
-    x0 = np.append(x, 0j)
-    state = SystemState(p=x0[dof.fluid_dof], u=x0[dof.solid_dof])
-    # scalar times array, as in p[right] == multiplier * p[left]: numpy's
-    # array times scalar can differ in the last bit; a missing field stays +0
-    for values, dofs in ((state.p, dof.fluid_dof), (state.u, dof.solid_dof[:, 0])):
-        sel = dof.slave & (dofs >= 0)
-        values[sel] = dof.multiplier * values[sel]
+    values = system.dofmap.expand(x)
+    state = SystemState(p=values[:, 0].copy(), u=values[:, 1:].copy())
     return state, SolveReport(residual=residual, pivot_growth=growth,
                               seconds=elapsed, lu_fill=int(lu.nnz),
                               refined=refined)

@@ -77,18 +77,11 @@ def unconstrained_dofmap(mesh, cfg):
     nodes by id, then solid pairs by id) and the multiplier is 1."""
     fmask, smask = mesh.node_fields().T
     n_fluid, n_solid = int(fmask.sum()), int(smask.sum())
-    fluid_dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    fluid_dof[fmask] = np.arange(n_fluid)
-    solid_dof = np.full((mesh.n_nodes, 2), -1, dtype=np.int64)
-    solid_dof[smask] = n_fluid + np.arange(2 * n_solid).reshape(-1, 2)
-    return asm.DofMap(fluid_dof=fluid_dof, solid_dof=solid_dof,
-                      slave=np.zeros(mesh.n_nodes, dtype=bool),
+    index = np.full((mesh.n_nodes, 3), -1, dtype=np.int64)
+    index[fmask, 0] = np.arange(n_fluid)
+    index[smask, 1:] = n_fluid + np.arange(2 * n_solid).reshape(-1, 2)
+    return asm.DofMap(index=index, slave=np.zeros(mesh.n_nodes, dtype=bool),
                       multiplier=1.0 + 0.0j, n_free=n_fluid + 2 * n_solid)
-
-
-def _unknown_table(dofmap):
-    """(N, 3) table of the pressure, u1 and u2 indices of each node."""
-    return np.column_stack([dofmap.fluid_dof, dofmap.solid_dof])
 
 
 def constrained_reference(mesh, cfg, pml, monkeypatch):
@@ -110,7 +103,7 @@ def constrained_reference(mesh, cfg, pml, monkeypatch):
     outer = ((np.abs(x2 - (mesh.h1 + mesh.delta1)) <= tol)
              | (np.abs(x2 - (mesh.h2 - mesh.delta2)) <= tol))
     right = np.nonzero((np.abs(x1 - mesh.period) <= tol) & ~outer)[0]
-    table = _unknown_table(dof)
+    table = dof.index
     fixed = table[outer][table[outer] >= 0]
     own = table[right]
     src = table[mesh.topology.node_partner[right]]
@@ -130,7 +123,7 @@ def constrained_reference(mesh, cfg, pml, monkeypatch):
 def expand_reduced(raw_dof, dofmap, x):
     """A reduced vector x written out in the unconstrained numbering raw_dof:
     slave values scaled by the multiplier, outer-boundary values zero."""
-    raw_t, red_t = _unknown_table(raw_dof), _unknown_table(dofmap)
+    raw_t, red_t = raw_dof.index, dofmap.index
     w = np.where(dofmap.slave, dofmap.multiplier, 1.0)[:, None]
     sel = (raw_t >= 0) & (red_t >= 0)
     out = np.zeros(raw_dof.n_free, dtype=complex)

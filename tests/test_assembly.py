@@ -258,7 +258,7 @@ def test_stretch_sums_match_every_point_stretch(ex1_cfg, corner_cfg, pml_mild,
 def test_interface_coupling_blocks(ex1_cfg):
     edge = np.array([[0.2, 0.0], [0.5, 0.0]])
     n = np.array([0.0, 1.0])
-    b1, b2 = (b[0] for b in asm.interface_coupling(edge[None], n[None], ex1_cfg))
+    b1, b2 = (b[0] for b in asm.interface_terms(edge[None], n[None], ex1_cfg)[:2])
     h = 0.3
     me = h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
     # pressure couples only to the vertical displacement component
@@ -269,7 +269,7 @@ def test_interface_coupling_blocks(ex1_cfg):
                        ex1_cfg.rho_f * ex1_cfg.omega ** 2 * me, rtol=1e-14)
     # endpoint swap permutes rows/columns consistently
     b1r, b2r = (b[0] for b in
-                asm.interface_coupling(edge[None, ::-1], n[None], ex1_cfg))
+                asm.interface_terms(edge[None, ::-1], n[None], ex1_cfg)[:2])
     perm2 = [1, 0]
     perm4 = [2, 3, 0, 1]
     assert np.allclose(b1r, b1[perm4][:, perm2], rtol=1e-14)
@@ -280,10 +280,10 @@ def test_interface_coupling_density_scaling(ex1_cfg):
     edge = np.array([[0.2, 0.0], [0.5, 0.0]])
     n = np.array([0.0, 1.0])
     heavy = ProblemConfig(**{**ex1_cfg.__dict__, "rho_f": 2.0})
-    _, b2a = asm.interface_coupling(edge[None], n[None], ex1_cfg)
-    b1a, b2b = asm.interface_coupling(edge[None], n[None], heavy)
+    _, b2a = asm.interface_terms(edge[None], n[None], ex1_cfg)[:2]
+    b1a, b2b = asm.interface_terms(edge[None], n[None], heavy)[:2]
     assert np.allclose(b2b, 2 * b2a, rtol=1e-14)
-    b1b, _ = asm.interface_coupling(edge[None], n[None], heavy)
+    b1b, _ = asm.interface_terms(edge[None], n[None], heavy)[:2]
     assert np.allclose(b1a, b1b, rtol=1e-14)   # pressure block has no rho_f
 
 
@@ -294,34 +294,33 @@ def test_load_vector_limits(ex1_cfg, pml_mild):
     # near-zero wavenumber: fluid rows vanish, solid rows reduce to the
     # constant-pressure geometric load
     cfg0 = ProblemConfig(**{**ex1_cfg.__dict__, "kappa": 1e-9})
-    b0 = asm.load_vector(m, cfg0, asm.build_dofmap(m, cfg0))
-    fluid_rows = dofmap.fluid_dof[dofmap.fluid_dof >= 0]
+    b0 = asm.assemble(m, cfg0, pml_mild).rhs
+    fluid_rows = dofmap.index[dofmap.index[:, 0] >= 0, 0]
     assert np.max(np.abs(b0[fluid_rows])) <= 1e-8
     top = m.topology
     iface = np.nonzero(top.edge_tags == msh.INTERFACE)[0]
     # the right interface node shares its left partner's dofs
     total_u2 = sum(b0[d] for d in np.unique(
-        dofmap.solid_dof[np.unique(top.edge_nodes[iface]), 1]))
+        dofmap.index[np.unique(top.edge_nodes[iface]), 2]))
     assert total_u2 == pytest.approx(-ex1_cfg.period, rel=1e-6)
 
     # unit-modulus incident wave: per-row magnitude bounded by edge length
-    b = asm.load_vector(m, ex1_cfg, dofmap)
+    b = asm.assemble(m, ex1_cfg, pml_mild).rhs
     hmax = top.edge_lengths[iface].max()
-    rows = dofmap.fluid_dof[np.unique(top.edge_nodes[iface])]
+    rows = dofmap.index[np.unique(top.edge_nodes[iface]), 0]
     assert np.max(np.abs(b[rows])) <= 2 * hmax * ex1_cfg.kappa
 
 
 def test_load_quadrature_refinement(ex1_cfg, pml_mild):
     m = msh.generate_initial_mesh(ex1_cfg, pml_mild, 0.25)
-    dofmap = asm.build_dofmap(m, ex1_cfg)
-    b4 = asm.load_vector(m, ex1_cfg, dofmap)
+    b4 = asm.assemble(m, ex1_cfg, pml_mild).rhs
     saved = (quad.EDGE4_X.copy(), quad.EDGE4_W.copy())
     try:
         x8, w8 = quad.edge_rule(8)
         quad.EDGE4_X[:], quad.EDGE4_W[:] = 0, 0  # guard against silent reuse
         quad.EDGE4_X, quad.EDGE4_W = x8, w8
         asm.quad.EDGE4_X, asm.quad.EDGE4_W = x8, w8
-        b8 = asm.load_vector(m, ex1_cfg, dofmap)
+        b8 = asm.assemble(m, ex1_cfg, pml_mild).rhs
     finally:
         quad.EDGE4_X, quad.EDGE4_W = saved
         asm.quad.EDGE4_X, asm.quad.EDGE4_W = saved
@@ -360,7 +359,7 @@ def test_assembled_operator_is_reciprocal(ex1_cfg, corner_cfg, profile, seed,
     system = asm.assemble(m, cfg, pml)
     dof = system.dofmap
     scale = np.ones(dof.n_free)
-    scale[:dof.fluid_dof.max() + 1] = 1.0 / (cfg.rho_f * cfg.omega ** 2)
+    scale[:dof.index[:, 0].max() + 1] = 1.0 / (cfg.rho_f * cfg.omega ** 2)
     sa = sp.diags(scale) @ system.matrix
     sa_mirrored = sp.diags(scale) @ asm.assemble(m, mirrored, pml).matrix
     assert abs(dof.multiplier.imag) > 0.1
@@ -380,11 +379,11 @@ def concatenated_scatter(m, cfg, pml):
     fluid = msh.is_fluid(m.regions)
     ids, _, _, normal = msh.interface_edges(m)
     nodes = m.topology.edge_nodes[ids]
-    b1, b2 = asm.interface_coupling(m.nodes[nodes], normal, cfg)
+    b1, b2 = asm.interface_terms(m.nodes[nodes], normal, cfg)[:2]
     fluid_law, solid_law = asm.field_laws(cfg)
-    pf = asm._unknowns(dof, m.elems[fluid], False)
-    us = asm._unknowns(dof, m.elems[~fluid], True)
-    ipf, ius = asm._unknowns(dof, nodes, False), asm._unknowns(dof, nodes, True)
+    pf = dof.unknowns(m.elems[fluid], asm.PRESSURE)
+    us = dof.unknowns(m.elems[~fluid], asm.DISPLACEMENT)
+    ipf, ius = dof.unknowns(nodes, asm.PRESSURE), dof.unknowns(nodes, asm.DISPLACEMENT)
     families = [(pf, pf, asm.element_matrices(corners[fluid], fluid_law, cfg, pml)),
                 (us, us, asm.element_matrices(corners[~fluid], solid_law, cfg, pml)),
                 (ius, ipf, b1), (ipf, ius, b2)]
@@ -449,12 +448,12 @@ def test_interface_nodes_carry_three_dofs(corner_cfg, pml_mild):
     dofmap = asm.build_dofmap(m, corner_cfg)
     top = m.topology
     iface_nodes = np.unique(top.edge_nodes[top.edge_tags == msh.INTERFACE])
-    assert (dofmap.fluid_dof[iface_nodes] >= 0).all()
-    assert (dofmap.solid_dof[iface_nodes] >= 0).all()
+    assert (dofmap.index[iface_nodes, 0] >= 0).all()
+    assert (dofmap.index[iface_nodes, 1:] >= 0).all()
     # and the outer layer boundaries are eliminated
     on_top = np.abs(m.nodes[:, 1] - (m.h1 + m.delta1)) < 1e-12
     assert on_top.any()
-    assert (dofmap.fluid_dof[on_top] == -1).all()
+    assert (dofmap.index[on_top, 0] == -1).all()
 
 
 @given(profile=st.sampled_from(["flat", "corner"]), seed=st.integers(0, 2 ** 16),
@@ -478,11 +477,11 @@ def test_folded_dofmap_invariants(ex1_cfg, corner_cfg, profile, seed,
     # right-boundary nodes off the outer boundaries are slaves sharing
     # their partner's free indices; outer-boundary nodes carry none
     assert np.array_equal(np.nonzero(dof.slave)[0], right)
-    assert np.array_equal(dof.fluid_dof[right], dof.fluid_dof[left])
-    assert np.array_equal(dof.solid_dof[right], dof.solid_dof[left])
-    assert (dof.fluid_dof[outer] == -1).all() and (dof.solid_dof[outer] == -1).all()
+    assert np.array_equal(dof.index[right, 0], dof.index[left, 0])
+    assert np.array_equal(dof.index[right, 1:], dof.index[left, 1:])
+    assert (dof.index[outer, 0] == -1).all() and (dof.index[outer, 1:] == -1).all()
     # each free index belongs to exactly one non-slave (node, field) pair
-    owned = np.column_stack([dof.fluid_dof, dof.solid_dof])[~dof.slave]
+    owned = dof.index[~dof.slave]
     assert np.array_equal(np.sort(owned[owned >= 0]), np.arange(dof.n_free))
     # expanding a random reduced vector is quasi-periodic bit for bit
     n = dof.n_free
@@ -586,9 +585,9 @@ def test_slave_expansion_exact(ex1_cfg, pml_mild):
     right = right[~outer]
     left = top.node_partner[right]
     mult = system.dofmap.multiplier
-    fsel = system.dofmap.fluid_dof[right] >= 0
+    fsel = system.dofmap.index[right, 0] >= 0
     assert np.array_equal(state.p[right[fsel]], mult * state.p[left[fsel]])
-    ssel = system.dofmap.solid_dof[right, 0] >= 0
+    ssel = system.dofmap.index[right, 1] >= 0
     assert np.array_equal(state.u[right[ssel]], mult * state.u[left[ssel]])
 
 

@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from fsgrating import PmlConfig
+from fsgrating import PmlConfig, ProblemConfig, derive, validate
 from fsgrating import assembly as asm
 from fsgrating import mesh as msh
-from fsgrating import solver
+from fsgrating import solver, vtkio
 from fsgrating.errors import SingularSystemError
 
 
@@ -28,10 +28,31 @@ def test_identity_system(small_system):
     system.rhs = b
     state, report = solver.solve(system)
     dof = system.dofmap
-    fm = dof.fluid_dof >= 0
-    want = np.where(dof.slave, dof.multiplier, 1.0)[fm] * b[dof.fluid_dof[fm]]
+    fm = dof.index[:, 0] >= 0
+    want = np.where(dof.slave, dof.multiplier, 1.0)[fm] * b[dof.index[fm, 0]]
     assert np.allclose(state.p[fm], want, rtol=1e-14)
     assert report.residual <= 1e-14
+
+
+def test_expansion_leaves_missing_fields_positive_zero(ex1_cfg, tmp_path):
+    # the multiplier has a negative real part, so scaling a missing field
+    # on a slave node would turn 0+0j into -0.0, which the VTK writer prints
+    # as -0; the expansion scales only the unknowns a node carries
+    cfg = ProblemConfig(**{**ex1_cfg.__dict__, "period": 3.0, "theta": 0.6,
+                           "profile": [(0.0, 0.0), (3.0, 0.0)]})
+    assert validate(cfg) == [] and derive(cfg).bloch.real < 0
+    pml = PmlConfig(2.0, 2.0, 10 + 10j, 10 + 10j, 2.0)
+    m = msh.generate_initial_mesh(cfg, pml, 0.3)
+    system = asm.assemble(m, cfg, pml)
+    state, _ = solver.solve(system)
+    index, slave = system.dofmap.index, system.dofmap.slave
+    assert ((index < 0) & slave[:, None]).any()
+    missing = np.concatenate([state.p[index[:, 0] < 0], state.u[index[:, 1:] < 0]])
+    assert (missing == 0).all()
+    assert not np.signbit(missing.real).any() and not np.signbit(missing.imag).any()
+    path = tmp_path / "snapshot.vtk"
+    vtkio.write_fields(path, m, state, np.zeros(m.n_elems))
+    assert "-0" not in path.read_text().splitlines()
 
 
 def test_random_system_against_dense_oracle(small_system):
@@ -51,9 +72,9 @@ def test_random_system_against_dense_oracle(small_system):
     state, report = solver.solve(system)
     x_ref = np.linalg.solve(full, b)
     dof = system.dofmap
-    fm = dof.fluid_dof >= 0
+    fm = dof.index[:, 0] >= 0
     got = state.p[fm]
-    want = np.where(dof.slave, dof.multiplier, 1.0)[fm] * x_ref[dof.fluid_dof[fm]]
+    want = np.where(dof.slave, dof.multiplier, 1.0)[fm] * x_ref[dof.index[fm, 0]]
     scale = np.abs(want).max()
     assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
@@ -148,8 +169,7 @@ def test_solution_independent_of_numbering(small_system):
     renumber = lambda d: np.where(d >= 0, q_inv[d], -1)   # noqa: E731
     system.matrix = system.matrix.tocsr()[q][:, q]
     system.rhs = system.rhs[q]
-    system.dofmap = dataclasses.replace(dof, fluid_dof=renumber(dof.fluid_dof),
-                                        solid_dof=renumber(dof.solid_dof))
+    system.dofmap = dataclasses.replace(dof, index=renumber(dof.index))
     state_q, _ = solver.solve(system)
     for got, want in ((state_q.p, state.p), (state_q.u, state.u)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
