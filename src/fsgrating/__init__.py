@@ -11,15 +11,14 @@ flat-interface reference solution.
 """
 
 from .config import (DerivedParams, PmlConfig, ProblemConfig, derive,
-                     mode_window, select_pml_parameters, validate,
-                     validate_pml)
+                     mode_window, select_pml_parameters, validate)
 from .errors import (BudgetError, ConfigError, DegenerateModeError,
                      FsGratingError, GeometryError, SingularSystemError,
                      WoodAnomalyError)
 
 __all__ = [
     "ProblemConfig", "PmlConfig", "DerivedParams",
-    "derive", "validate", "validate_pml", "mode_window",
+    "derive", "validate", "mode_window",
     "select_pml_parameters",
     "FsGratingError", "ConfigError", "WoodAnomalyError",
     "DegenerateModeError", "GeometryError", "SingularSystemError",

@@ -69,7 +69,7 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     ConfigError : from config.screen before any mesh is built; a foreign mesh.
     GeometryError, SingularSystemError : a bad mesh, a failed solve.
     """
-    screen(cfg, pml, tol, tau, max_iter, dof_cap, h0 if mesh is None else None)
+    screen(cfg, tol, tau, max_iter, dof_cap, h0 if mesh is None else None)
     if mesh is None:
         mesh = generate_initial_mesh(cfg, pml, h0)
     for name, want in (("period", cfg.period), ("h1", cfg.h1), ("h2", cfg.h2),

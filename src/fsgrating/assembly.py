@@ -58,8 +58,8 @@ def stretch(x2, cfg: ProblemConfig, pml: PmlConfig):
     for on, sigma, h, delta, sign in ((x2 > cfg.h1, pml.sigma1, cfg.h1, pml.delta1, 1),
                                       (x2 < cfg.h2, pml.sigma2, cfg.h2, pml.delta2, -1)):
         u = sign * (x2[on] - h) / delta
-        s[on] = 1.0 + complex(sigma) * u ** t
-        ds[on] = sign * complex(sigma) * t / delta * u ** (t - 1)
+        s[on] = 1.0 + sigma * u ** t
+        ds[on] = sign * sigma * t / delta * u ** (t - 1)
     return (s, ds) if x2.shape else (complex(s), complex(ds))
 
 

@@ -76,9 +76,9 @@ def parse_config(path: str, overrides=()) -> tuple:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     for item in overrides:
-        key, _, value = item.partition("=")
+        key, eq, value = item.partition("=")
         section, _, name = key.partition(".")
-        if not (section and name and _):
+        if not (section and name and eq):
             raise ConfigError(f"override must look like section.key=value: {item}")
         if not cp.has_section(section):
             cp.add_section(section)
@@ -96,7 +96,7 @@ def parse_config(path: str, overrides=()) -> tuple:
                for key, (parse, default) in RUN_KEYS.items()}
     except (KeyError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
-    screen(problem, pml, run["tol"], run["tau"], run["max_iter"], run["dof_cap"],
+    screen(problem, run["tol"], run["tau"], run["max_iter"], run["dof_cap"],
            run["h0"])
     return problem, pml, run
 
@@ -111,9 +111,8 @@ def dump_config(problem: ProblemConfig, pml: PmlConfig, run: dict) -> str:
     cp["problem"] = {
         **{k: repr(float(getattr(problem, _field(k)))) for k in PROBLEM_KEYS},
         "profile": ", ".join(f"{x!r}:{y!r}" for x, y in problem.profile)}
-    sigma = complex(pml.sigma1)
-    cp["pml"] = {"delta": repr(float(pml.delta1)), "sigma_re": repr(sigma.real),
-                 "sigma_im": repr(sigma.imag), "t": repr(float(pml.t))}
+    cp["pml"] = {"delta": repr(float(pml.delta1)), "sigma_re": repr(pml.sigma1.real),
+                 "sigma_im": repr(pml.sigma1.imag), "t": repr(float(pml.t))}
     cp["run"] = {key: repr(parse(run[key])) for key, (parse, _) in RUN_KEYS.items()}
     buf = io.StringIO()
     cp.write(buf)
@@ -202,7 +201,7 @@ def _cmd_spectral_check(args, problem, pml, run) -> int:
 def _cmd_params(args, problem, pml, run) -> int:
     chosen = select_pml_parameters(problem, args.target, pml)
     root = math.sqrt(problem.period)
-    print(f"sigma = {complex(chosen.sigma1):.6g}")
+    print(f"sigma = {chosen.sigma1:.6g}")
     print(f"delta = {chosen.delta1:.6g}, {chosen.delta2:.6g}")
     print(f"F1*sqrt(period) = {spectral.bound_F1(problem, chosen) * root:.6e}")
     print(f"F2*sqrt(period) = {spectral.bound_F2(problem, chosen) * root:.6e}")

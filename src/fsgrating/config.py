@@ -30,7 +30,6 @@ __all__ = [
     "mode_window",
     "order_table",
     "validate",
-    "validate_pml",
     "checked_window",
     "screen",
     "select_pml_parameters",
@@ -112,7 +111,12 @@ class ProblemConfig:
 
 @dataclass(frozen=True)
 class PmlConfig:
-    """Absorbing-layer parameters: thicknesses, complex strengths, ramp degree."""
+    """Absorbing-layer parameters: thicknesses, complex strengths, ramp degree.
+
+    Only an admissible layer is built: Re sigma >= 0 and Im sigma > 0 (so
+    s1 >= 1 and s2 > 0), thicknesses > 0 and ramp degree t >= 1, all of
+    them finite; the strengths are stored as Python complex values.
+    """
 
     delta1: float
     delta2: float
@@ -120,22 +124,18 @@ class PmlConfig:
     sigma2: complex
     t: float = 2.0
 
-
-def validate_pml(pml: PmlConfig):
-    """Check that the induced medium function is admissible inside the layers.
-
-    Requires s1 >= 1 and s2 > 0, i.e. Re sigma >= 0 and Im sigma > 0,
-    positive thicknesses and ramp degree t >= 1, all of them finite.
-    """
-    if not (0 < pml.delta1 < math.inf and 0 < pml.delta2 < math.inf):
-        raise ConfigError("PML thicknesses must be positive and finite")
-    if not 1 <= pml.t < math.inf:
-        raise ConfigError("PML ramp degree t must be >= 1 and finite")
-    for name, sig in (("sigma1", complex(pml.sigma1)), ("sigma2", complex(pml.sigma2))):
-        if not 0 <= sig.real < math.inf:
-            raise ConfigError(f"Re {name} must be >= 0 and finite")
-        if not 0 < sig.imag < math.inf:
-            raise ConfigError(f"Im {name} must be > 0 and finite")
+    def __post_init__(self):
+        if not (0 < self.delta1 < math.inf and 0 < self.delta2 < math.inf):
+            raise ConfigError("PML thicknesses must be positive and finite")
+        if not 1 <= self.t < math.inf:
+            raise ConfigError("PML ramp degree t must be >= 1 and finite")
+        for name in ("sigma1", "sigma2"):
+            sig = complex(getattr(self, name))
+            object.__setattr__(self, name, sig)
+            if not 0 <= sig.real < math.inf:
+                raise ConfigError(f"Re {name} must be >= 0 and finite")
+            if not 0 < sig.imag < math.inf:
+                raise ConfigError(f"Im {name} must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -245,21 +245,20 @@ def validate(cfg: ProblemConfig) -> list:
     return order_table(cfg, np.arange(-w, w + 1)).findings()
 
 
-def checked_window(cfg: ProblemConfig, pml: PmlConfig) -> OrderTable:
-    """validate_pml(pml), then the Wood-checked table of |n| <= mode_window(cfg)."""
-    validate_pml(pml)
+def checked_window(cfg: ProblemConfig) -> OrderTable:
+    """The Wood-checked table of the orders |n| <= mode_window(cfg)."""
     w = mode_window(cfg)
     return order_table(cfg, np.arange(-w, w + 1)).check()
 
 
-def screen(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
-           max_iter: int, dof_cap: int, h0: float | None):
-    """Every input rule of an adaptive run: ConfigError on a bad layer, a Wood
+def screen(cfg: ProblemConfig, tol: float, tau: float, max_iter: int,
+           dof_cap: int, h0: float | None):
+    """Every input rule of an adaptive run besides the records' own: a Wood
     order in the window (WoodAnomalyError), tol < 0 or NaN (+inf is valid),
     tau outside (0, 1), a max_iter that is not an integer of at least 1 (a
     float such as 2.5, 3.0 or NaN included), dof_cap < 1, and an initial
     mesh size h0 outside (0, inf); h0 is None when no mesh is built from it."""
-    checked_window(cfg, pml)
+    checked_window(cfg)
     if not tol >= 0:
         raise ConfigError(f"run.tol must be nonnegative, got {tol!r}")
     if not 0 < tau < 1:
@@ -286,10 +285,10 @@ def select_pml_parameters(cfg: ProblemConfig, target: float,
     Raises
     ------
     ConfigError
-        If the template is not an admissible layer (validate_pml), or the
-        target is not positive: no layer meets a zero bound, and a NaN
-        target compares false against every bound.  +inf is the vacuous
-        target that the template already meets.
+        If the target is not positive: no layer meets a zero bound, and a
+        NaN target compares false against every bound.  +inf is the
+        vacuous target that the template already meets.  A doubled
+        strength that overflows to inf makes an inadmissible layer.
     WoodAnomalyError
         If the order window holds a Wood anomaly (the bounds degenerate).
     BudgetError
@@ -300,16 +299,14 @@ def select_pml_parameters(cfg: ProblemConfig, target: float,
 
     if not target > 0:
         raise ConfigError(f"PML target must be positive, got {target!r}")
-    table = checked_window(cfg, template)
+    table = checked_window(cfg)
     root = math.sqrt(cfg.period)
-    pml = template
-    for _ in range(MAX_DOUBLINGS + 1):
-        validate_pml(pml)  # again per doubling, which can overflow to inf
+    for k in range(MAX_DOUBLINGS + 1):
+        pml = replace(template, sigma1=2.0 ** k * template.sigma1,
+                      sigma2=2.0 ** k * template.sigma2)
         if (spectral._bound_F1(table, pml) * root <= target
                 and spectral._bound_F2(cfg, table, pml) * root <= target):
             return pml
-        pml = replace(pml, sigma1=2 * complex(pml.sigma1),
-                      sigma2=2 * complex(pml.sigma2))
     raise BudgetError(
         f"no sigma within {MAX_DOUBLINGS} doublings meets the PML target "
         f"{target:g}; increase the layer thickness")

@@ -45,7 +45,6 @@ def edge_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-EDGE3_X, EDGE3_W = edge_rule(3)
 EDGE4_X, EDGE4_W = edge_rule(4)
 
 

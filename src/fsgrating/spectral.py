@@ -125,8 +125,8 @@ def pml_eta(pml: PmlConfig) -> PmlEta:
     (1 + sigma/(t+1))*delta, so Re eta = (1 + Re sigma/(t+1))*delta and
     Im eta = Im sigma/(t+1)*delta.
     """
-    eta1 = (1.0 + complex(pml.sigma1) / (pml.t + 1.0)) * pml.delta1
-    eta2 = (1.0 + complex(pml.sigma2) / (pml.t + 1.0)) * pml.delta2
+    eta1 = (1.0 + pml.sigma1 / (pml.t + 1.0)) * pml.delta1
+    eta2 = (1.0 + pml.sigma2 / (pml.t + 1.0)) * pml.delta2
     return PmlEta(eta1=eta1, eta2=eta2)
 
 
@@ -295,10 +295,10 @@ def bound_F1(cfg: ProblemConfig, pml: PmlConfig) -> float:
     max of 2*Theta^i/(e^(2*Im(eta1)*Theta^i) - 1) over propagating orders
     and 2*Theta^e/(e^(2*Re(eta1)*Theta^e) - 1) over evanescent ones, with
     the minima taken over the finite order window; an empty order family
-    simply drops its term.  Raises ConfigError for an inadmissible layer
-    (validate_pml) and WoodAnomalyError if the window holds a Wood order.
+    simply drops its term.  Raises WoodAnomalyError if the window holds a
+    Wood order.
     """
-    return _bound_F1(checked_window(cfg, pml), pml)
+    return _bound_F1(checked_window(cfg), pml)
 
 
 def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
@@ -306,9 +306,9 @@ def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
 
     (34*omega^2*rho/kappa1^4) * max over the compressional and shear
     families of Theta/(e^(Theta*eta2-part/2) - 1) * a polynomial factor in
-    kappa1, kappa2.  Raises ConfigError and WoodAnomalyError as bound_F1 does.
+    kappa1, kappa2.  Raises WoodAnomalyError as bound_F1 does.
     """
-    return _bound_F2(cfg, checked_window(cfg, pml), pml)
+    return _bound_F2(cfg, checked_window(cfg), pml)
 
 
 @dataclass(frozen=True)
@@ -441,10 +441,10 @@ def spectral_selfcheck(cfg: ProblemConfig, pml: PmlConfig) -> list:
     detail = []
     for what, make in (
         ("delta", lambda f: replace(pml, delta1=pml.delta1 * f, delta2=pml.delta2 * f)),
-        ("re sigma", lambda f: replace(pml, sigma1=complex(pml.sigma1) + (f - 1),
-                                       sigma2=complex(pml.sigma2) + (f - 1))),
-        ("im sigma", lambda f: replace(pml, sigma1=complex(pml.sigma1) + 1j * (f - 1),
-                                       sigma2=complex(pml.sigma2) + 1j * (f - 1))),
+        ("re sigma", lambda f: replace(pml, sigma1=pml.sigma1 + (f - 1),
+                                       sigma2=pml.sigma2 + (f - 1))),
+        ("im sigma", lambda f: replace(pml, sigma1=pml.sigma1 + 1j * (f - 1),
+                                       sigma2=pml.sigma2 + 1j * (f - 1))),
     ):
         f1s = [bound_F1(cfg, make(f)) for f in (1.0, 2.0, 4.0)]
         f2s = [bound_F2(cfg, make(f)) for f in (1.0, 2.0, 4.0)]

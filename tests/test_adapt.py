@@ -132,8 +132,9 @@ def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, monkeypatch,
     grazing = replace(ex1_cfg, theta=np.pi / 2 - 1e-13)
     tuned = tuned_rho(ex1_cfg)
     template = PmlConfig(3.0, 3.0, 1 + 1j, 1 + 1j, 2.0)
-    no_im = replace(template, sigma1=1 + 0j, sigma2=1 + 0j)
-    no_delta = replace(template, delta1=0.0, delta2=0.0)
+    # a bad layer fails when it is built, inside each call
+    no_im = lambda: replace(template, sigma1=1 + 0j, sigma2=1 + 0j)
+    no_delta = lambda: replace(template, delta1=0.0, delta2=0.0)
 
     def run(**kw):
         return adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=0.5, max_iter=1, **kw)
@@ -146,12 +147,12 @@ def test_degenerate_inputs_raise_config_errors(ex1_cfg, pml_mild, monkeypatch,
         "adapt tuned rho": lambda: adapt.run(tuned, pml_mild, tol=0.0, tau=0.5,
                                              max_iter=1, h0=0.3),
         "select tuned rho": lambda: pml_for(tuned, 3.0),
-        "select Im sigma = 0": lambda: select_pml_parameters(ex1_cfg, 1e-8, no_im),
-        "select delta = 0": lambda: select_pml_parameters(ex1_cfg, 1e-8, no_delta),
-        "bound_F1 Im sigma = 0": lambda: spectral.bound_F1(ex1_cfg, no_im),
-        "bound_F1 delta = 0": lambda: spectral.bound_F1(ex1_cfg, no_delta),
-        "bound_F2 Im sigma = 0": lambda: spectral.bound_F2(ex1_cfg, no_im),
-        "bound_F2 delta = 0": lambda: spectral.bound_F2(ex1_cfg, no_delta),
+        "select Im sigma = 0": lambda: select_pml_parameters(ex1_cfg, 1e-8, no_im()),
+        "select delta = 0": lambda: select_pml_parameters(ex1_cfg, 1e-8, no_delta()),
+        "bound_F1 Im sigma = 0": lambda: spectral.bound_F1(ex1_cfg, no_im()),
+        "bound_F1 delta = 0": lambda: spectral.bound_F1(ex1_cfg, no_delta()),
+        "bound_F2 Im sigma = 0": lambda: spectral.bound_F2(ex1_cfg, no_im()),
+        "bound_F2 delta = 0": lambda: spectral.bound_F2(ex1_cfg, no_delta()),
         # NaN compares false against every eps_f: the budget would be spent
         "adapt nan tol": lambda: adapt.run(ex1_cfg, pml_mild, tol=math.nan,
                                            tau=0.5, max_iter=1, h0=0.3),

@@ -72,6 +72,22 @@ def test_overrides(ex1_ini):
         cli.parse_config(ex1_ini, ["nonsense"])
 
 
+@pytest.mark.parametrize("item", ["pml.t", "run.tol", "problem.profile"])
+def test_override_without_value_blames_the_override(ex1_ini, item):
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.parse_config(ex1_ini, [item])
+    assert str(exc.value) == f"override must look like section.key=value: {item}"
+
+
+def test_override_adds_a_missing_section(tmp_path, capsys):
+    path = tmp_path / "no_run.ini"
+    path.write_text(EX1_INI[:EX1_INI.index("[run]")])
+    code = cli.main(["adapt", "--config", str(path), "--dump-config",
+                     "--set", "run.max_iter=1"])
+    assert code == 0
+    assert "max_iter = 1\n" in capsys.readouterr().out
+
+
 def test_dump_config_flag(ex1_ini, capsys):
     code = cli.main(["adapt", "--config", ex1_ini, "--dump-config"])
     assert code == 0

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from fsgrating import (BudgetError, ConfigError, PmlConfig, ProblemConfig,
                        WoodAnomalyError, derive, mode_window,
-                       select_pml_parameters, validate, validate_pml)
+                       select_pml_parameters, validate)
 from fsgrating import config, spectral
 
 
@@ -44,19 +45,29 @@ def test_derive_scales_linearly_in_omega():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(mu=-1.0),
-    dict(mu=0.5, lam=-0.5),
-    dict(theta=np.pi / 2),
-    dict(h1=-0.5),                 # profile above the upper boundary
-    dict(profile=[(0.0, 0.0), (0.4, 0.1), (0.3, 0.2), (1.0, 0.0)]),
-    dict(profile=[(0.0, 0.0), (1.0, 0.3)]),   # ends at another height
-    dict(kappa=0.0),
-    dict(profile=[(0.0, 0.0), (np.nan, 0.5), (1.0, 0.0)]),   # NaN vertex x1
-    dict(profile=[(0.0, 0.0), (0.5, np.nan), (1.0, 0.0)]),   # NaN vertex x2
+    (dict(mu=-1.0), "mu must be positive and finite"),
+    (dict(mu=0.5, lam=-0.5), "lam + mu must be positive and finite"),
+    (dict(theta=np.pi / 2), "theta must lie strictly inside"),
+    # profile above the upper boundary
+    (dict(h1=-0.5), "profile must stay strictly between finite h2 and h1"),
+    (dict(profile=[(0.0, 0.0), (0.4, 0.1), (0.3, 0.2), (1.0, 0.0)]),
+     "profile x1 must be strictly increasing"),
+    # ends at another height
+    (dict(profile=[(0.0, 0.0), (1.0, 0.3)]),
+     "profile heights at x1=0 and x1=period must match"),
+    (dict(kappa=0.0), "kappa must be positive and finite"),
+    # NaN vertex x1, NaN vertex x2
+    (dict(profile=[(0.0, 0.0), (np.nan, 0.5), (1.0, 0.0)]),
+     "profile coordinates must be finite"),
+    (dict(profile=[(0.0, 0.0), (0.5, np.nan), (1.0, 0.0)]),
+     "profile coordinates must be finite"),
+    (dict(profile=[(0.0, 0.0)]), "profile needs at least two vertices"),
+    (dict(profile=[(0.1, 0.0), (1.0, 0.0)]), "profile must span x1 = 0 .. period"),
 ])
 def test_invalid_configs_rejected(bad):
-    with pytest.raises(ConfigError):
-        make_cfg(**bad)
+    kw, message = bad
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        make_cfg(**kw)
 
 
 def test_validate_example1_is_admissible():
@@ -95,15 +106,28 @@ def test_mode_window_covers_propagating_orders():
 
 
 def test_validate_pml_rules():
-    validate_pml(PmlConfig(1.0, 1.0, 1 + 1j, 2 + 3j, 2.0))
-    with pytest.raises(ConfigError):
-        validate_pml(PmlConfig(1.0, 1.0, 1 + 0j, 1 + 1j, 2.0))
-    with pytest.raises(ConfigError):
-        validate_pml(PmlConfig(1.0, 1.0, -1 + 1j, 1 + 1j, 2.0))
-    with pytest.raises(ConfigError):
-        validate_pml(PmlConfig(0.0, 1.0, 1 + 1j, 1 + 1j, 2.0))
-    with pytest.raises(ConfigError):
-        validate_pml(PmlConfig(1.0, 1.0, 1 + 1j, 1 + 1j, 0.5))
+    # an admissible layer builds, Re sigma = 0 included; strengths are complex
+    good = PmlConfig(1.0, 1.0, np.complex128(1 + 1j), 2j, 2.0)
+    assert type(good.sigma1) is complex and type(good.sigma2) is complex
+    assert good.sigma1 == 1 + 1j and good.sigma2 == 2j
+    # a bad layer fails when it is built, directly or through replace
+    thickness = "PML thicknesses must be positive and finite"
+    ramp = "PML ramp degree t must be >= 1 and finite"
+    for kw, message in [
+            (dict(delta1=0.0), thickness), (dict(delta2=-1.0), thickness),
+            (dict(delta1=math.inf), thickness), (dict(delta2=math.nan), thickness),
+            (dict(t=0.5), ramp), (dict(t=math.inf), ramp), (dict(t=math.nan), ramp),
+            (dict(sigma1=-1 + 1j), "Re sigma1 must be >= 0 and finite"),
+            (dict(sigma2=complex(math.inf, 1)), "Re sigma2 must be >= 0 and finite"),
+            (dict(sigma1=complex(math.nan, 1)), "Re sigma1 must be >= 0 and finite"),
+            (dict(sigma1=1 + 0j), "Im sigma1 must be > 0 and finite"),
+            (dict(sigma2=1 - 1j), "Im sigma2 must be > 0 and finite"),
+            (dict(sigma2=complex(1, math.inf)), "Im sigma2 must be > 0 and finite"),
+            (dict(sigma1=complex(1, math.nan)), "Im sigma1 must be > 0 and finite")]:
+        for build in (lambda: PmlConfig(**{**vars(good), **kw}),
+                      lambda: replace(good, **kw)):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                build()
 
 
 def test_select_pml_parameters_meets_target(ex1_cfg):
@@ -126,6 +150,14 @@ def test_select_pml_parameters_unreachable(ex1_cfg):
     template = PmlConfig(1e-20, 1e-20, 1 + 1j, 1 + 1j, 2.0)
     with pytest.raises(BudgetError):
         select_pml_parameters(ex1_cfg, 1e-8, template)
+
+
+def test_select_pml_parameters_builds_no_layer_after_the_last_round(ex1_cfg):
+    # 2**60 * sigma is finite, 2**61 * sigma is not: only a doubling after
+    # the last round would overflow, so the search still runs out of budget
+    last = PmlConfig(1e-320, 1e-320, 1e290 + 1e290j, 1e290 + 1e290j, 2.0)
+    with pytest.raises(BudgetError):
+        select_pml_parameters(ex1_cfg, 1e-8, last)
 
 
 def _reference_search(cfg, target, template):
@@ -173,7 +205,7 @@ def test_select_pml_parameters_matches_reference_on_random_targets(
 def test_select_pml_parameters_errors_match_reference(ex1_cfg):
     thin = PmlConfig(1e-20, 1e-20, 1 + 1j, 1 + 1j, 2.0)
     # a strength that overflows to inf before the target is met: each
-    # doubled layer is screened, as each bound call screens it
+    # doubled layer is checked when it is built
     overflowing = PmlConfig(1e-310, 1e-310, 1e300 + 1e300j, 1e300 + 1e300j, 2.0)
     for search in (select_pml_parameters, _reference_search):
         with pytest.raises(BudgetError):
@@ -191,14 +223,14 @@ def test_select_pml_parameters_screens_template_before_any_bound(monkeypatch):
     monkeypatch.setattr(spectral, "_decay_max", no_bound)
     monkeypatch.setattr(spectral, "_bound_F1", no_bound)
     monkeypatch.setattr(spectral, "_bound_F2", no_bound)
-    # the layer rules come before the Wood screen, as in the public bounds
+    # a bad layer fails when it is built, before the Wood screen
     wood = make_cfg(theta=np.pi / 2 - 1e-13)
     for cfg in (make_cfg(), wood):
-        for bad in (PmlConfig(3.0, 3.0, 1 + 0j, 1 + 1j, 2.0),
-                    PmlConfig(3.0, 0.0, 1 + 1j, 1 + 1j, 2.0)):
-            for call in (lambda: select_pml_parameters(cfg, 1e-8, bad),
-                         lambda: spectral.bound_F1(cfg, bad),
-                         lambda: spectral.bound_F2(cfg, bad)):
+        for bad in (lambda: PmlConfig(3.0, 3.0, 1 + 0j, 1 + 1j, 2.0),
+                    lambda: PmlConfig(3.0, 0.0, 1 + 1j, 1 + 1j, 2.0)):
+            for call in (lambda: select_pml_parameters(cfg, 1e-8, bad()),
+                         lambda: spectral.bound_F1(cfg, bad()),
+                         lambda: spectral.bound_F2(cfg, bad())):
                 with pytest.raises(ConfigError) as exc:
                     call()
                 assert not isinstance(exc.value, WoodAnomalyError)

@@ -471,7 +471,7 @@ def test_trace_norms_against_direct_quadrature(flat_setup):
         a, b = top.edge_nodes[e]
         pa, pb = state.p[a], state.p[b]
         h = top.edge_lengths[e]
-        tq, wq = quad.EDGE3_X, quad.EDGE3_W
+        tq, wq = quad.edge_rule(3)
         vals = (1 - tq) * pa + tq * pb
         total += h * (wq * np.abs(vals) ** 2).sum()
     assert field.trace_p == pytest.approx(np.sqrt(total), rel=1e-12)
@@ -480,7 +480,7 @@ def test_trace_norms_against_direct_quadrature(flat_setup):
         a, b = top.edge_nodes[e]
         ua, ub = state.u[a], state.u[b]
         h = top.edge_lengths[e]
-        tq, wq = quad.EDGE3_X, quad.EDGE3_W
+        tq, wq = quad.edge_rule(3)
         vals = (1 - tq)[:, None] * ua + tq[:, None] * ub
         total += h * (wq * (np.abs(vals) ** 2).sum(-1)).sum()
     assert total > 0

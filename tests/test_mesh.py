@@ -180,6 +180,84 @@ def test_audit_detects_broken_pairing(ex1_cfg, unit_pml):
     assert "mirror" in problems[0]
 
 
+def _corrupted(m, **fields):
+    """A copy of m with some fields replaced and its topology rebuilt."""
+    return dataclasses.replace(m, _topology=None, **fields)
+
+
+def _to_fluid_side(m, select):
+    """m with the solid-side elements of the mask select relabelled as
+    their fluid-side counterparts: SOLID as FLUID, SOLID_PML as FLUID_PML."""
+    regions = m.regions.copy()
+    regions[select & (regions == msh.SOLID)] = msh.FLUID
+    regions[select & (regions == msh.SOLID_PML)] = msh.FLUID_PML
+    return _corrupted(m, regions=regions)
+
+
+def _drop_interior_element(m):
+    keep = np.arange(m.n_elems) != np.argmin(
+        np.abs(m.centroids() - [0.5, 0.5]).sum(axis=1))
+    return _corrupted(m, elems=m.elems[keep], regions=m.regions[keep])
+
+
+def _cap_top_edge(m):
+    # a FLUID_PML triangle on a top edge, its apex 0.1 above the top line
+    top = m.topology
+    a, b = top.edge_nodes[np.nonzero(top.edge_tags == msh.DIRICHLET_TOP)[0][0]]
+    a, b = sorted((a, b), key=lambda n: m.nodes[n, 0])
+    apex = m.nodes[[a, b]].mean(axis=0) + [0.0, 0.1]
+    return _corrupted(m, nodes=np.vstack([m.nodes, apex]),
+                      elems=np.vstack([m.elems, [m.n_nodes, a, b]]),
+                      regions=np.append(m.regions, msh.FLUID_PML))
+
+
+def _fluid_element_as_solid(m):
+    regions = m.regions.copy()
+    regions[np.nonzero(regions == msh.FLUID)[0][0]] = msh.SOLID
+    return _corrupted(m, regions=regions)
+
+
+def _swap_partners_of_unequal_left_edges(m):
+    bad = _corrupted(m)
+    top = bad.topology
+    left = np.nonzero(top.edge_tags == msh.LEFT)[0]
+    mates = top.edge_lengths[top.edge_partner[left]]
+    pair = left[[np.argmin(mates), np.argmax(mates)]]
+    top.edge_partner[pair] = top.edge_partner[pair[::-1]]
+    return bad
+
+
+#: (finding of audit, layer thickness of the clean ex1 mesh, corruption)
+AUDIT_CASES = [
+    # the dropped triangle leaves its three edges hanging
+    ("3 hanging or mistagged boundary edges", 1.0, _drop_interior_element),
+    ("outer layer boundary edge with two adjacent elements", 1.0, _cap_top_edge),
+    (f"region {msh.SOLID} has elements leaving their band", 1.0,
+     _fluid_element_as_solid),
+    ("no interface edges found", 1.0,
+     lambda m: _to_fluid_side(m, np.ones(m.n_elems, dtype=bool))),
+    ("interface edge off the profile polyline", 1.0,
+     lambda m: _corrupted(m, profile=((0.0, 0.0), (0.5, 0.1), (1.0, 0.0)))),
+    ("interface polyline does not span the period", 1.0,
+     lambda m: _to_fluid_side(m, m.centroids()[:, 0] < 0.25)),
+    ("interface polyline has gaps or overlaps", 1.0,
+     lambda m: _to_fluid_side(m, (np.abs(m.centroids()[:, 0] - 0.5) < 0.1)
+                              & (m.regions == msh.SOLID))),
+    # the LEFT edges are 0.25 long in the strip and 0.225 in the layers
+    ("periodic partner edges differ in length", 0.9,
+     _swap_partners_of_unequal_left_edges),
+]
+
+
+@pytest.mark.parametrize("finding, delta, corrupt", AUDIT_CASES,
+                         ids=[case[0] for case in AUDIT_CASES])
+def test_audit_reports_each_corruption(ex1_cfg, finding, delta, corrupt):
+    m = msh.generate_initial_mesh(ex1_cfg, PmlConfig(delta, delta, 1 + 1j, 1 + 1j, 2.0),
+                                  0.25)
+    assert msh.audit(m) == []
+    assert finding in msh.audit(corrupt(m))
+
+
 def test_region_codes_partition(corner_cfg, unit_pml):
     m = msh.generate_initial_mesh(corner_cfg, unit_pml, 0.22)
     cents = m.centroids()

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
@@ -89,7 +91,8 @@ def test_elastic_dtn_matrix_mass_scaling(ex1_cfg):
 
 
 def test_pml_eta_closed_form_and_quadrature():
-    degenerate = PmlConfig(3.0, 3.0, 0j, 0j, 2.0)
+    # sigma = 0 is no admissible layer, so a duck-typed record carries it
+    degenerate = SimpleNamespace(delta1=3.0, delta2=3.0, sigma1=0j, sigma2=0j, t=2.0)
     eta = spectral.pml_eta(degenerate)
     assert eta.eta1 == pytest.approx(3.0) and eta.eta2 == pytest.approx(3.0)
 
