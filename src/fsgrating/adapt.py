@@ -32,6 +32,7 @@ class ConvergenceRecord:
     eps_p: float
     e_h: float | None
     seconds: float
+    report: solver.SolveReport  # of this iteration's solve
 
 
 @dataclass
@@ -39,7 +40,6 @@ class AdaptResult:
     records: list
     mesh: Mesh
     state: solver.SystemState
-    report: solver.SolveReport  # of the last solve
     indicators: estimator.IndicatorField
     status: str  # "converged" or "budget"
 
@@ -92,7 +92,7 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
         records.append(ConvergenceRecord(
             iteration=it, dof=system.dofmap.n_free, eps_f=field.eps_f,
             eps_p=field.eps_p, e_h=e_h,
-            seconds=time.perf_counter() - t_start))
+            seconds=time.perf_counter() - t_start, report=report))
         last = (field.eps_f <= tol or it == max_iter - 1
                 or system.dofmap.n_free >= dof_cap)
         marked = None if last else np.nonzero(field.eta > tau * field.eta.max())[0]
@@ -101,8 +101,7 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
         if last:
             break
         mesh = bisect(mesh, marked)
-    return AdaptResult(records=records, mesh=mesh, state=state, report=report,
-                       indicators=field,
+    return AdaptResult(records=records, mesh=mesh, state=state, indicators=field,
                        status="converged" if field.eps_f <= tol else "budget")
 
 

@@ -128,10 +128,10 @@ def _cmd_solve(args, problem, pml, run) -> int:
     result = adapt.run(problem, pml, **{**run, "tol": 0.0, "max_iter": 1})
     out = os.path.join(args.out, "solution.vtk")
     vtkio.write_fields(out, result.mesh, result.state, result.indicators.eta)
-    last, report = result.records[-1], result.report
-    print(f"dof={last.dof} residual={report.residual:.3e} "
+    last = result.records[-1]
+    print(f"dof={last.dof} residual={last.report.residual:.3e} "
           f"eps_f={last.eps_f:.6e} eps_p={last.eps_p:.3e} "
-          f"lu_fill={report.lu_fill}")
+          f"lu_fill={last.report.lu_fill}")
     print(f"wrote {out}")
     return 0
 

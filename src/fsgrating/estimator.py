@@ -19,12 +19,15 @@ The stretch is paid for inside the layers only.  On an element with no
 vertex strictly outside [h2, h1], s = 1 and R is mass times the P1 field,
 whose L2 norm is closed form from the P1 mass matrix; layer elements take
 the 7-point rule, with s and ds/dx2 from one call of assembly.stretch and
-the P1 values from the barycentric map quadrature.triangle_points.  A
-jump's normal flux is one matmul per edge of the gradient jump and the
-normal with the law's s-, 1/s- and constant parts, weighted by s and 1/s
-at the 4 points of the edge rule on edges with an endpoint strictly
-inside a layer, and by s = 1 at one point elsewhere, where the flux is
-one constant per edge.
+the P1 values from the barycentric map quadrature.triangle_points.  One
+matmul, _part_fluxes, gives the normal fluxes of the law's s-, 1/s- and
+constant parts per element or edge: the residual's divergence term is
+d(1/s)/dx2 times the 1/s-part flux along e2, and a jump's normal flux
+weighs the parts of the gradient jump by s and 1/s at the 4 points of the
+edge rule on edges with an endpoint strictly inside a layer, and by s = 1
+at one point elsewhere, where the flux is one constant per edge.  Nodal
+values are read at element corners by Mesh.at_corners and along edges by
+mesh.edge_trace; _quad_norm is the one L2 norm from quadrature points.
 
 Edge families:
 
@@ -49,8 +52,6 @@ the discretization and layer-truncation parts of the error bound.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,7 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     """L2(T) norms of the strong residual per element.
 
     For P1 fields with s = s(x2) the divergence of the flux is d(1/s)/dx2
-    times the x2 column of the law's 1/s-part (its s-part has none), plus
+    times the flux of the law's 1/s-part along e2 (its s-part has none), plus
     the mass term mass*s*field.  On an element with no vertex strictly
     outside [h2, h1], s = 1 and the residual is mass*field, a P1 field,
     whose norm is closed form: |mass| * sqrt(area/12 * (|sum_i v_i|^2 +
@@ -119,40 +120,30 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     out = np.empty(mesh.n_elems)
     for law, sel, nodal in _fields(mesh, state, cfg):
         plain = sel & ~layer
-        v = nodal[mesh.elems[plain]]                                # (E, 3, C)
+        v = mesh.at_corners(nodal, plain)                           # (E, 3, C)
         sq = (np.abs(v.sum(axis=1)) ** 2 + (np.abs(v) ** 2).sum(axis=1)).sum(-1)
         out[plain] = abs(law.mass) * np.sqrt(area[plain] / 12.0 * sq)
 
         on = np.nonzero(sel & layer)[0]
         x2 = quad.triangle_points(corners[on])[..., 1]
         s, ds = stretch(x2, cfg, pml)
-        dsinv = -ds / s ** 2
-        v = nodal[mesh.elems[on]]
+        v = mesh.at_corners(nodal, on)
         g, vq = _p1_gradient(v, p1_gradients(corners[on])[0]), quad.triangle_points(v)
-        sinv_part = law.parts()[1]
-        r = []
-        for c in range(law.components):
-            terms = (coef * dsinv * g[:, None, k, l] for (k, l), coef in
-                     np.ndenumerate(sinv_part[c, 1]) if coef)
-            r.append(functools.reduce(operator.iadd, terms) + law.mass * s * vq[..., c])
-        out[on] = _quad_norm(area[on], quad.TRI5_W, *r)
+        sinv_flux = _part_fluxes(law, g, np.array([[0.0, 1.0]]))[:, None, 1]
+        r = (-ds / s ** 2)[..., None] * sinv_flux + law.mass * s[..., None] * vq
+        out[on] = _quad_norm(area[on], quad.TRI5_W, r)
     return out
 
 
-def _normal_flux(law: Law, g, normals, s):
-    """Normal flux flux(g, s, 1/s).n of the law, shape (E, Q, C), for
-    constant gradients g (E, C, 2), unit normals (E, 2) and the stretch s
-    (E, Q) at the edge points (ones (E, 1) where s = 1).  One matmul of the
-    products g[k, l] * n[d] with the law's parts gives the normal flux of
-    each part per edge; only then are the s- and 1/s-parts weighted at the
-    points."""
+def _part_fluxes(law: Law, g, normals):
+    """Normal fluxes (E, 3, C) of the law's s-, 1/s- and constant parts for
+    constant gradients g (E, C, 2) and unit normals (E, 2) or one (1, 2):
+    one matmul of the products g[k, l] * n[d] with the law's parts."""
     c2 = 2 * law.components
     # [(k, l, d), (part, c)]
     parts = np.stack(law.parts()).transpose(3, 4, 2, 0, 1).reshape(2 * c2, -1)
     gn = (g.reshape(-1, c2, 1) * normals[:, None, :]).reshape(-1, 2 * c2)
-    fn = (gn @ parts).reshape(len(g), 3, law.components)
-    s = s[..., None]
-    return s * fn[:, None, 0] + (1.0 / s) * fn[:, None, 1] + fn[:, None, 2]
+    return (gn @ parts).reshape(len(g), 3, law.components)
 
 
 def _p1_gradient(nodal, grads):
@@ -180,7 +171,7 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     fields = []
     for law, sel, nodal in _fields(mesh, state, cfg):
         g = np.zeros((mesh.n_elems, law.components, 2), complex)
-        g[sel] = _p1_gradient(nodal[mesh.elems[sel]], grads[sel])
+        g[sel] = _p1_gradient(mesh.at_corners(nodal, sel), grads[sel])
         fields.append((law, sel, g))
     top = mesh.topology
     norms = np.zeros((2, top.edge_nodes.shape[0]))    # pressure, displacement side
@@ -211,38 +202,36 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
         np.subtract(g[t0[on]], jump, out=jump)
         e, n, lay = ids[on], normals[on], layer[on]
         s_lay = stretch(edge_trace(mesh, e[lay], mesh.nodes[:, 1], tq), cfg, pml)[0]
-        for sub, s, w in ((~lay, np.ones(((~lay).sum(), 1)), _ONE), (lay, s_lay, wq)):
-            fn = _normal_flux(law, jump[sub], n[sub], s)
-            norm[e[sub]] = _quad_norm(lengths[e[sub]], w, *np.moveaxis(fn, -1, 0))
+        for sub, s, w in ((~lay, 1.0, _ONE), (lay, s_lay[..., None], wq)):
+            fn = _part_fluxes(law, jump[sub], n[sub])[:, None]     # (E, 1, 3, C)
+            flux = s * fn[..., 0, :] + (1.0 / s) * fn[..., 1, :] + fn[..., 2, :]
+            norm[e[sub]] = _quad_norm(lengths[e[sub]], w, flux)
     norms[:, mates] = norms[:, left]
 
     # interface edges: transmission mismatch against the incident wave;
-    # they lie in the physical strip, where s = 1
+    # they lie in the physical strip, where s = 1 and the flux is the sum
+    # of the part fluxes
     ids, ef, es, n = interface_edges(mesh)
     pts = edge_trace(mesh, ids, mesh.nodes, tq)
     pin, gin = spectral.incident_wave(cfg, pts)
     dn_in = (gin * n[:, None, :]).sum(-1)
     (p_law, _, gp), (u_law, _, gu) = fields
-    s = np.ones((len(ids), 1))
-    dn_ph = _normal_flux(p_law, gp[ef], n, s)[..., 0]
+    dn_ph = _part_fluxes(p_law, gp[ef], n).sum(1)[:, None, 0]
     un = (edge_trace(mesh, ids, state.u, tq) * n[:, None, :]).sum(-1)
     jf = 2.0 * (dn_in + dn_ph - cfg.rho_f * cfg.omega ** 2 * un)
     norms[0, ids] = _quad_norm(lengths[ids], wq, jf)
 
     p_tot = pin + edge_trace(mesh, ids, state.p, tq)
-    tr = _normal_flux(u_law, gu[es], n, s)
+    tr = _part_fluxes(u_law, gu[es], n).sum(1)[:, None]
     norms[1, ids] = _quad_norm(lengths[ids], wq,
-                               *(-2.0 * (p_tot * n[:, None, c] + tr[..., c])
-                                 for c in (0, 1)))
+                               -2.0 * (p_tot[..., None] * n[:, None] + tr))
     return EdgeJumps(*norms)
 
 
-def _quad_norm(measure, w, *parts):
-    """sqrt(measure * sum_q w_q |v_q|^2) per row, for a field v whose
-    components are given at the quadrature points, each of shape (E, Q)."""
-    mag = np.abs(parts[0]) ** 2
-    for v in parts[1:]:
-        mag += np.abs(v) ** 2
+def _quad_norm(measure, w, v):
+    """sqrt(measure * sum_q w_q |v_q|^2) per row, for a field v at the
+    quadrature points, shape (E, Q) or (E, Q, C), |v_q|^2 summing the C."""
+    mag = (np.abs(v) ** 2).reshape(v.shape[:2] + (-1,)).sum(-1)
     return np.sqrt(measure * np.einsum("q,eq->e", w, mag))
 
 
@@ -275,9 +264,8 @@ def _trace_norm(mesh, values, tag):
     values, shape (N,) for a scalar or (N, C) for a C-component field."""
     top = mesh.topology
     ids = np.nonzero(top.edge_tags == tag)[0]
-    nodal = values.reshape(values.shape[0], -1)
-    vq = edge_trace(mesh, ids, nodal, quad.EDGE4_X)                 # (E, Q, C)
-    norms = _quad_norm(top.edge_lengths[ids], quad.EDGE4_W, *np.moveaxis(vq, -1, 0))
+    vq = edge_trace(mesh, ids, values, quad.EDGE4_X)        # (E, Q) or (E, Q, C)
+    norms = _quad_norm(top.edge_lengths[ids], quad.EDGE4_W, vq)
     return float(np.linalg.norm(norms))
 
 
@@ -295,11 +283,11 @@ def apriori_error(mesh: Mesh, state: SystemState, exact, cfg: ProblemConfig):
     total = 0.0
     for law, region, nodal, field in ((p_law, FLUID, state.p[:, None], exact.pressure),
                                       (u_law, SOLID, state.u, exact.displacement)):
-        elems = mesh.elems[mesh.regions == region]
-        corners = mesh.nodes[elems]
+        rows = mesh.regions == region
+        corners, v = mesh.at_corners(rows=rows), mesh.at_corners(nodal, rows)
         grads, area = p1_gradients(corners)
         value, gradient = field(quad.triangle_points(corners))
-        g, vq = _p1_gradient(nodal[elems], grads), quad.triangle_points(nodal[elems])
+        g, vq = _p1_gradient(v, grads), quad.triangle_points(v)
         ge = g[:, None] - gradient.reshape(vq.shape + (2,))
         ve = vq - value.reshape(vq.shape)
         dens = ((law.flux(ge, 1.0, 1.0) * np.conj(ge)).real.sum((-2, -1))

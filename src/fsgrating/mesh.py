@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PmlConfig, ProblemConfig
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 
 __all__ = [
     "Mesh", "MeshTopology", "generate_initial_mesh", "bisect", "audit",
@@ -111,9 +111,15 @@ class Mesh:
     def n_elems(self):
         return self.elems.shape[0]
 
+    def at_corners(self, values=None, rows=slice(None)):
+        """Nodal values (N, ...), the coordinates by default, at the corners
+        of the element rows, shape (E, 3, ...): the one gather by element."""
+        return np.take(self.nodes if values is None else values,
+                       self.elems[rows], axis=0)
+
     def corner_coords(self):
         """Element corner coordinates, shape (M, 3, 2)."""
-        return self.nodes[self.elems]
+        return self.at_corners()
 
     def areas(self):
         return 0.5 * twice_signed_areas(self.corner_coords())
@@ -257,7 +263,7 @@ def interface_edges(mesh: Mesh):
     esolid = np.where(fluid0, el[:, 1], el[:, 0])
     normal = edge_normals(mesh, ids)
     mid = mesh.nodes[top.edge_nodes[ids]].mean(axis=1)
-    cf = mesh.nodes[mesh.elems[efluid]].mean(axis=1)
+    cf = mesh.at_corners(rows=efluid).mean(axis=1)
     side = ((cf - mid) * normal).sum(-1)
     # also false on a NaN
     if not (np.abs(side) > 0).all():
@@ -281,7 +287,7 @@ def generate_initial_mesh(cfg: ProblemConfig, pml: PmlConfig, h0: float) -> Mesh
     without closure.
     """
     if not h0 > 0:
-        raise GeometryError("h0 must be positive")
+        raise ConfigError("h0 must be positive")
     pts = np.asarray(cfg.profile)
 
     xs = [np.asarray([pts[0, 0]])]
@@ -405,7 +411,8 @@ def bisect(mesh: Mesh, marked) -> Mesh:
 def audit(mesh: Mesh) -> list:
     """Check mesh invariants; returns a list of violation strings."""
     problems = []
-    areas = mesh.areas()
+    corners = mesh.corner_coords()
+    areas = 0.5 * twice_signed_areas(corners)
     if (areas <= 0).any():
         problems.append(f"{int((areas <= 0).sum())} elements with non-positive area")
 
@@ -428,7 +435,6 @@ def audit(mesh: Mesh) -> list:
     # region purity: vertices stay inside their band
     scale = max(1.0, mesh.period, mesh.h1 - mesh.h2)
     tol = 1e-9 * scale
-    corners = mesh.corner_coords()
     fy = profile_height(mesh.profile, corners[..., 0])
     y = corners[..., 1]
     lo = {FLUID: None, FLUID_PML: mesh.h1, SOLID: mesh.h2,

@@ -33,6 +33,24 @@ def test_records_monotone_and_audited(ex1_cfg, pml_mild):
     assert [r.iteration for r in res.records] == list(range(len(dofs)))
 
 
+def test_each_record_keeps_its_solve_report(ex1_cfg, pml_mild, monkeypatch):
+    reports = []
+    solve = solver.solve
+
+    def recording(system):
+        state, report = solve(system)
+        reports.append(report)
+        return state, report
+
+    monkeypatch.setattr(solver, "solve", recording)
+    res = adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=0.5, max_iter=3, h0=0.3)
+    assert len(res.records) == 3
+    assert all(r.report is rep for r, rep in zip(res.records, reports, strict=True))
+    for r in res.records:
+        assert r.report.residual <= solver.RESIDUAL_RTOL
+        assert r.report.lu_fill >= r.dof
+
+
 def test_run_is_deterministic(ex1_cfg, pml_mild):
     r1 = adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=0.5, max_iter=5, h0=0.3)
     r2 = adapt.run(ex1_cfg, pml_mild, tol=0.0, tau=0.5, max_iter=5, h0=0.3)
@@ -187,6 +205,6 @@ def test_near_wood_inputs_solve_with_checked_residual(ex1_cfg, circle, eps):
     assert validate(cfg) == []
     pml = pml_for(cfg, 3.0)
     res = adapt.run(cfg, pml, tol=0.0, tau=0.5, max_iter=1, h0=0.25)
-    assert res.report.residual <= solver.RESIDUAL_RTOL
+    assert res.records[-1].report.residual <= solver.RESIDUAL_RTOL
     assert math.isfinite(res.records[0].eps_f)
     assert math.isfinite(res.records[0].eps_p)

@@ -218,9 +218,9 @@ def test_solve_is_first_adaptive_iteration(ex1_ini, tmp_path, capsys):
 
     problem, pml, run = cli.parse_config(ex1_ini)
     result = adapt.run(problem, pml, **{**run, "max_iter": 1})
-    assert result.report.residual <= solver.RESIDUAL_RTOL
-    assert result.report.lu_fill > 0
-    assert int(printed["lu_fill"]) == result.report.lu_fill
+    assert result.records[-1].report.residual <= solver.RESIDUAL_RTOL
+    assert result.records[-1].report.lu_fill > 0
+    assert int(printed["lu_fill"]) == result.records[-1].report.lu_fill
 
 
 def test_verify_flat_rejects_corner_profile(tmp_path):

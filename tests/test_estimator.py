@@ -10,6 +10,7 @@ from fsgrating import estimator as est
 from fsgrating import mesh as msh
 from fsgrating import quadrature as quad
 from fsgrating import solver, spectral
+from fsgrating.errors import GeometryError
 
 
 @pytest.fixture
@@ -84,7 +85,7 @@ def reference_element_residuals(mesh, state, cfg, pml):
     ds, ss = dsinv[~fluid], s[~fluid]
     r1 = cfg.mu * ds * gu[:, None, 0, 1] + w2r * ss * uq[..., 0]
     r2 = (2 * cfg.mu + cfg.lam) * ds * gu[:, None, 1, 1] + w2r * ss * uq[..., 1]
-    out[~fluid] = est._quad_norm(area[~fluid], quad.TRI5_W, r1, r2)
+    out[~fluid] = est._quad_norm(area[~fluid], quad.TRI5_W, np.stack([r1, r2], -1))
     return out
 
 
@@ -374,6 +375,22 @@ def test_periodic_jump_pairs_equal(flat_setup):
     assert np.allclose(jumps.norm_solid[left], jumps.norm_solid[mates],
                        atol=1e-15)
     assert (jumps.norm_fluid[left] + jumps.norm_solid[left] > 0).any()
+
+
+@pytest.mark.parametrize("tag, column", [(msh.INTERIOR, "edge_elems"),
+                                         (msh.LEFT, "edge_partner")],
+                         ids=["interior-single-element", "left-no-partner"])
+def test_edge_jumps_reject_an_unpaired_edge(flat_setup, tag, column):
+    cfg, pml, m = flat_setup
+    top = m.topology
+    e = np.nonzero(top.edge_tags == tag)[0][0]
+    if column == "edge_elems":
+        top.edge_elems[e, 1] = -1
+    else:
+        top.edge_partner[e] = -1
+    with pytest.raises(GeometryError, match="interior edge with a single element "
+                       "or left edge without periodic partner"):
+        est.edge_jumps(m, solver.SystemState.zeros(m), cfg, pml)
 
 
 @pytest.mark.parametrize("corner", [False, True], ids=["flat", "corner"])

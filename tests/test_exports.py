@@ -52,3 +52,25 @@ def test_no_private_names_cross_modules():
                   if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                   and isinstance(node.value, ast.Name) and node.value.id in siblings}
     assert sorted(found) == sorted(PRIVATE_IMPORTS)
+
+
+def _reads_at_element_rows(tree):
+    """Lines where an array is read at element rows, x[m.elems],
+    x[m.elems[sel]] or x[elems] (also as the first index of a tuple)."""
+    def rows(index):
+        index = index.elts[0] if isinstance(index, ast.Tuple) else index
+        index = index.value if isinstance(index, ast.Subscript) else index
+        return (isinstance(index, ast.Attribute) and index.attr == "elems"
+                or isinstance(index, ast.Name) and index.id == "elems")
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+            and rows(node.slice)]
+
+
+def test_nodal_arrays_are_gathered_at_corners_in_one_place():
+    # Mesh.at_corners is the one gather of nodal values by element rows;
+    # stores such as mask[self.elems.ravel(), side] = True are not reads
+    found = [f"{path.stem}:{line}"
+             for path in sorted(Path(fsgrating.__file__).parent.glob("*.py"))
+             for line in _reads_at_element_rows(ast.parse(path.read_text()))]
+    assert found == []

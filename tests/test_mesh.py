@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import pml_for
 from fsgrating import PmlConfig
 from fsgrating import mesh as msh
-from fsgrating.errors import GeometryError
+from fsgrating.errors import ConfigError, GeometryError
 
 
 @pytest.fixture
@@ -21,6 +21,21 @@ def test_initial_flat_strip_counts(ex1_cfg, unit_pml):
     # 3 columns, 9 row lines (2 rows per band)
     assert m.n_nodes == 3 * 9
     assert m.n_elems == 2 * 2 * 8
+    assert msh.audit(m) == []
+
+
+@pytest.mark.parametrize("h0", [0.0, -1.0, float("nan")])
+def test_initial_mesh_rejects_a_bad_h0_as_config_error(ex1_cfg, unit_pml, h0):
+    # the bench and the demos call the generator without config.screen, so
+    # it raises the family that screen raises for the same input
+    with pytest.raises(ConfigError, match="h0 must be positive"):
+        msh.generate_initial_mesh(ex1_cfg, unit_pml, h0)
+
+
+def test_infinite_h0_gives_the_coarsest_grid(ex1_cfg, unit_pml):
+    m = msh.generate_initial_mesh(ex1_cfg, unit_pml, float("inf"))
+    # one column interval and one row per band: 4 quads
+    assert (m.n_nodes, m.n_elems) == (2 * 5, 2 * 4)
     assert msh.audit(m) == []
 
 
@@ -211,6 +226,18 @@ def _cap_top_edge(m):
                       regions=np.append(m.regions, msh.FLUID_PML))
 
 
+def _third_element_on_interior_edge(m):
+    # a triangle on an interior edge of its first element's region, its
+    # apex just off the edge midpoint
+    top = m.topology
+    e = np.nonzero(top.edge_tags == msh.INTERIOR)[0][0]
+    a, b = top.edge_nodes[e]
+    apex = m.nodes[[a, b]].mean(axis=0) + [0.01, 0.013]
+    return _corrupted(m, nodes=np.vstack([m.nodes, apex]),
+                      elems=np.vstack([m.elems, [a, b, m.n_nodes]]),
+                      regions=np.append(m.regions, m.regions[top.edge_elems[e, 0]]))
+
+
 def _fluid_element_as_solid(m):
     regions = m.regions.copy()
     regions[np.nonzero(regions == msh.FLUID)[0][0]] = msh.SOLID
@@ -232,6 +259,8 @@ AUDIT_CASES = [
     # the dropped triangle leaves its three edges hanging
     ("3 hanging or mistagged boundary edges", 1.0, _drop_interior_element),
     ("outer layer boundary edge with two adjacent elements", 1.0, _cap_top_edge),
+    ("an edge is shared by more than two elements", 1.0,
+     _third_element_on_interior_edge),
     (f"region {msh.SOLID} has elements leaving their band", 1.0,
      _fluid_element_as_solid),
     ("no interface edges found", 1.0,

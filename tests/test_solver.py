@@ -268,3 +268,22 @@ def test_pivot_growth_is_the_largest_entry_of_u(small_system, monkeypatch,
     _, report = solver.solve(small_system)
     assert report.pivot_growth == (np.abs(kept[0].U.data).max()
                                    / np.abs(small_system.matrix.data).max())
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (sp.csr_matrix((0, 0), dtype=complex), "empty system"),
+    (sp.diags([1.0, 0.0, 1.0]).astype(complex).tocsr(),
+     "factorization failed: Factor is exactly singular")],
+    ids=["empty", "zero-pivot"])
+def test_degenerate_matrices_raise_typed_errors(matrix, message):
+    # both fail before the dofmap is read
+    system = asm.LinearSystem(matrix=matrix, rhs=np.ones(matrix.shape[0], complex),
+                              dofmap=None)
+    with pytest.raises(SingularSystemError, match=message):
+        solver.solve(system)
+
+
+def test_state_holds_views_of_the_expanded_table(small_system):
+    # the columns are read in place, not copied
+    state, _ = solver.solve(small_system)
+    assert state.p.base is not None and state.p.base is state.u.base

@@ -8,7 +8,7 @@ from conftest import tuned_rho
 from fsgrating import PmlConfig, derive, mode_window, validate
 from fsgrating import spectral
 from fsgrating.config import order_table
-from fsgrating.errors import ConfigError, WoodAnomalyError
+from fsgrating.errors import ConfigError, DegenerateModeError, WoodAnomalyError
 
 
 def test_mode_order_zero(ex1_cfg):
@@ -72,6 +72,14 @@ def test_elastic_dtn_matrix_normal_incidence(ex1_cfg):
     assert w[0, 1] == 0 and w[1, 0] == 0
     assert w[0, 0] == pytest.approx(1j * w2r * m.beta_n_1 / chi, rel=1e-14)
     assert w[1, 1] == pytest.approx(1j * w2r * m.beta_n_2 / chi, rel=1e-14)
+
+
+def test_vanishing_mode_denominators_raise(ex1_cfg):
+    # chi_n = alpha_n^2 + beta_n^(1) beta_n^(2) = 0, and a layer of zero depth
+    with pytest.raises(DegenerateModeError, match="chi_n vanishes"):
+        spectral.elastic_dtn_matrix(spectral.ModeData(0, 0.0, 1, 0, 1), ex1_cfg)
+    with pytest.raises(DegenerateModeError, match=r"beta_n\*eta1 = 0"):
+        spectral.acoustic_pml_dtn_coeff(spectral.mode(ex1_cfg, 0), 0)
 
 
 def test_elastic_dtn_matrix_antisymmetric_offdiagonal(ex1_cfg):
