@@ -313,13 +313,13 @@ def assemble(mesh: Mesh, cfg: ProblemConfig, pml: PmlConfig) -> LinearSystem:
     rows weighted by conj(multiplier) and slave columns by multiplier.
     """
     dofmap = build_dofmap(mesh, cfg)
-    corners = mesh.corner_coords()
+    corners = mesh.at_corners()
     fluid_sel = is_fluid(mesh.regions)
     fluid = dofmap.unknowns(mesh.elems[fluid_sel], PRESSURE)          # (Ef, 3)
     solid = dofmap.unknowns(mesh.elems[~fluid_sel], DISPLACEMENT)     # (Es, 6)
     ids, _, _, normal = interface_edges(mesh)
     nodes = mesh.topology.edge_nodes[ids]
-    b1, b2, fluid_loads, solid_loads = interface_terms(mesh.nodes[nodes], normal, cfg)
+    b1, b2, fluid_loads, solid_loads = interface_terms(mesh.at_ends(edges=ids), normal, cfg)
     ifluid = dofmap.unknowns(nodes, PRESSURE)                         # (E, 2)
     isolid = dofmap.unknowns(nodes, DISPLACEMENT)                     # (E, 4)
 

@@ -114,7 +114,7 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     components.  Layer elements take the degree-5 rule with the field
     gradients, formed on those elements only.
     """
-    corners = mesh.corner_coords()
+    corners = mesh.at_corners()
     area = 0.5 * twice_signed_areas(corners)
     layer = touches_layers(corners[..., 1], cfg)
     out = np.empty(mesh.n_elems)
@@ -167,7 +167,7 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     the incident wave.  Each field's gradients are formed on its own
     elements only: formed on all elements, they took twice as long.
     """
-    grads = p1_gradients(mesh.corner_coords())[0]
+    grads = p1_gradients(mesh.at_corners())[0]
     fields = []
     for law, sel, nodal in _fields(mesh, state, cfg):
         g = np.zeros((mesh.n_elems, law.components, 2), complex)
@@ -191,7 +191,7 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     phase = np.conj(derive(cfg).bloch)
     # a jump norm does not depend on the sign of the normal
     normals = edge_normals(mesh, ids)
-    layer = touches_layers(mesh.nodes[top.edge_nodes[ids], 1], cfg)
+    layer = touches_layers(mesh.at_ends(mesh.nodes[:, 1], ids), cfg)
     for (law, field_elems, g), norm in zip(fields, norms):
         on = field_elems[t0]
         # the flux is linear in the gradient and the mate's normal is the

@@ -117,12 +117,14 @@ class Mesh:
         return np.take(self.nodes if values is None else values,
                        self.elems[rows], axis=0)
 
-    def corner_coords(self):
-        """Element corner coordinates, shape (M, 3, 2)."""
-        return self.at_corners()
+    def at_ends(self, values=None, edges=slice(None)):
+        """Nodal values (N, ...), the coordinates by default, at the ends of
+        the edge rows, lower node id first, shape (E, 2, ...): the one gather by edge."""
+        return np.take(self.nodes if values is None else values,
+                       self.topology.edge_nodes[edges], axis=0)
 
     def areas(self):
-        return 0.5 * twice_signed_areas(self.corner_coords())
+        return 0.5 * twice_signed_areas(self.at_corners())
 
     def diameters(self):
         """Longest edge of each element, read from the topology."""
@@ -130,11 +132,11 @@ class Mesh:
         return top.edge_lengths[top.elem_edges].max(axis=1)
 
     def centroids(self):
-        return self.corner_coords().mean(axis=1)
+        return self.at_corners().mean(axis=1)
 
     def min_angle(self):
         """Smallest interior angle over all elements, in radians."""
-        c = self.corner_coords()
+        c = self.at_corners()
         angles = []
         for k in range(3):
             u = c[:, (k + 1) % 3] - c[:, k]
@@ -179,7 +181,7 @@ def _build_topology(mesh: Mesh) -> MeshTopology:
     if (edge_elems[second, 1] != owner).any():
         raise GeometryError("an edge is shared by more than two elements")
 
-    x = mesh.nodes[edge_nodes]          # (E, 2, 2)
+    x = np.take(mesh.nodes, edge_nodes, axis=0)      # (E, 2, 2)
     lengths = np.sqrt(((x[:, 1] - x[:, 0]) ** 2).sum(-1))
 
     scale = max(1.0, mesh.period, mesh.h1 - mesh.h2)
@@ -236,19 +238,18 @@ def edge_trace(mesh: Mesh, edge_ids, values, t):
     """P1 trace va + t*(vb - va) of nodal values (N,) or (N, C) at t in
     [0, 1] along each edge from the lower to the higher node id, shape
     (E, len(t)) or (E, len(t), C); the edge points are the trace of nodes."""
-    en = mesh.topology.edge_nodes[edge_ids]
-    va, vb = values[en[:, 0]], values[en[:, 1]]
+    v = mesh.at_ends(values, edge_ids)
     tt = t.reshape((-1,) + (1,) * (values.ndim - 1))
-    return va[:, None] + tt * (vb - va)[:, None]
+    return v[:, None, 0] + tt * (v[:, 1] - v[:, 0])[:, None]
 
 
 def edge_normals(mesh: Mesh, edge_ids):
     """Unit normal of each edge edge_ids[k], the right-hand normal of the
     edge taken from its lower to its higher node id, shape (E, 2)."""
-    top = mesh.topology
-    en = top.edge_nodes[edge_ids]
-    tang = mesh.nodes[en[:, 1]] - mesh.nodes[en[:, 0]]
-    return np.stack([tang[:, 1], -tang[:, 0]], axis=-1) / top.edge_lengths[edge_ids, None]
+    x = mesh.at_ends(edges=edge_ids)
+    tang = x[:, 1] - x[:, 0]
+    return (np.stack([tang[:, 1], -tang[:, 0]], axis=-1)
+            / mesh.topology.edge_lengths[edge_ids, None])
 
 
 def interface_edges(mesh: Mesh):
@@ -262,7 +263,7 @@ def interface_edges(mesh: Mesh):
     efluid = np.where(fluid0, el[:, 0], el[:, 1])
     esolid = np.where(fluid0, el[:, 1], el[:, 0])
     normal = edge_normals(mesh, ids)
-    mid = mesh.nodes[top.edge_nodes[ids]].mean(axis=1)
+    mid = mesh.at_ends(edges=ids).mean(axis=1)
     cf = mesh.at_corners(rows=efluid).mean(axis=1)
     side = ((cf - mid) * normal).sum(-1)
     # also false on a NaN
@@ -377,7 +378,7 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     cut_ids = np.nonzero(cut)[0]
     mid_index = np.full(n_edges, -1, dtype=np.int64)
     mid_index[cut_ids] = mesh.n_nodes + np.arange(cut_ids.size)
-    midpoints = mesh.nodes[top.edge_nodes[cut_ids]].mean(axis=1)
+    midpoints = mesh.at_ends(edges=cut_ids).mean(axis=1)
     new_nodes = np.vstack([mesh.nodes, midpoints])
 
     e = mesh.elems
@@ -411,7 +412,7 @@ def bisect(mesh: Mesh, marked) -> Mesh:
 def audit(mesh: Mesh) -> list:
     """Check mesh invariants; returns a list of violation strings."""
     problems = []
-    corners = mesh.corner_coords()
+    corners = mesh.at_corners()
     areas = 0.5 * twice_signed_areas(corners)
     if (areas <= 0).any():
         problems.append(f"{int((areas <= 0).sum())} elements with non-positive area")
@@ -455,8 +456,7 @@ def audit(mesh: Mesh) -> list:
     if not iface.any():
         problems.append("no interface edges found")
     else:
-        en = top.edge_nodes[iface]
-        xe = mesh.nodes[en]
+        xe = mesh.at_ends(edges=iface)
         off = np.abs(xe[..., 1] - profile_height(mesh.profile, xe[..., 0]))
         if (off > tol).any():
             problems.append("interface edge off the profile polyline")

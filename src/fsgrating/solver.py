@@ -56,9 +56,9 @@ def solve(system: LinearSystem) -> tuple:
 
     The factored matrix is one CSC copy of the system matrix, without the
     entries below NOISE_RTOL times the largest one, and with its rows and
-    columns renumbered by one reverse Cuthill-McKee permutation of the
-    pattern of A^T + A, which undoes the scattered node numbering that
-    bisection leaves.  SuperLU factors it in symmetric mode: minimum degree
+    columns renumbered by one reverse Cuthill-McKee permutation of its
+    pattern, structurally symmetric, which undoes the scattered node
+    numbering that bisection leaves.  SuperLU factors it in symmetric mode: minimum degree
     on A^T + A, diagonal pivots preferred while they are at least 0.1 of
     the largest entry of their column.  The copy is then freed, so the
     memory peak of the solve holds the caller's matrix (left as it is),
@@ -80,7 +80,7 @@ def solve(system: LinearSystem) -> tuple:
     amax = max(np.abs(kept.data).max(), np.finfo(float).tiny)
     kept.data[np.abs(kept.data) < NOISE_RTOL * amax] = 0
     kept.eliminate_zeros()
-    perm = reverse_cuthill_mckee(kept, symmetric_mode=False)
+    perm = reverse_cuthill_mckee(kept, symmetric_mode=True)
     kept = kept[perm][:, perm]
     try:
         # SuperLU Users' Guide (Li, Demmel, Gilbert): for a structurally

@@ -240,7 +240,7 @@ def test_stretch_sums_match_every_point_stretch(ex1_cfg, corner_cfg, pml_mild,
     rng = np.random.default_rng(11)
     for _ in range(2):
         m = msh.bisect(m, rng.choice(m.n_elems, m.n_elems // 4, replace=False))
-    corners = m.corner_coords()
+    corners = m.at_corners()
     x2 = corners[..., 1]
     for h in (cfg.h1, cfg.h2):      # elements touch both band lines from both sides
         on = (x2 == h).any(axis=1)
@@ -375,7 +375,7 @@ def concatenated_scatter(m, cfg, pml):
     """assemble's matrix from one int64 COO list per family, concatenated
     and converted by scipy, with the same family order and fold."""
     dof = asm.build_dofmap(m, cfg)
-    corners = m.corner_coords()
+    corners = m.at_corners()
     fluid = msh.is_fluid(m.regions)
     ids, _, _, normal = msh.interface_edges(m)
     nodes = m.topology.edge_nodes[ids]
@@ -595,8 +595,8 @@ def test_kernel_areas_are_the_audit_areas(corner_cfg, pml_mild):
     # one signed-area formula: the kernels reject exactly what audit reports
     m = msh.generate_initial_mesh(corner_cfg, pml_mild, 0.25)
     for _ in range(6):
-        m = msh.bisect(m, np.nonzero((m.corner_coords()[..., 0] == 0).any(1))[0])
-    corners = m.corner_coords()
+        m = msh.bisect(m, np.nonzero((m.at_corners()[..., 0] == 0).any(1))[0])
+    corners = m.at_corners()
     grads, area = msh.p1_gradients(corners)
     assert np.array_equal(area, m.areas())
     # the shape functions sum to one and reproduce x: sum_i grad phi_i = 0

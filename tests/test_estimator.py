@@ -68,7 +68,7 @@ def test_physical_solid_residual_is_mass_norm(flat_setup):
 def reference_element_residuals(mesh, state, cfg, pml):
     """element_residuals with the stretch evaluated at all 7 points of
     every element."""
-    corners = mesh.corner_coords()
+    corners = mesh.at_corners()
     grads, area = msh.p1_gradients(corners)
     x2 = quad.triangle_points(corners)[..., 1]
     s, ds = asm.stretch(x2, cfg, pml)
@@ -96,7 +96,7 @@ def test_element_residuals_match_every_point_stretch(ex1_cfg, corner_cfg,
     cfg = corner_cfg if corner else ex1_cfg
     m = (_bisected_corner_mesh(cfg, pml_mild, 3) if corner
          else msh.generate_initial_mesh(cfg, pml_mild, 0.25))
-    x2 = m.corner_coords()[..., 1]
+    x2 = m.at_corners()[..., 1]
     for h in (cfg.h1, cfg.h2):      # elements touch both band lines from both sides
         on = (x2 == h).any(axis=1)
         assert (on & (x2 > h).any(axis=1)).any() and (on & (x2 < h).any(axis=1)).any()
@@ -119,7 +119,7 @@ def test_pml_residual_against_refined_quadrature(ex1_cfg):
     state = solver.SystemState.zeros(m)
     state.p[:] = rng.normal(size=m.n_nodes) + 1j * rng.normal(size=m.n_nodes)
     resid = est.element_residuals(m, state, cfg, pml)
-    corners = m.corner_coords()
+    corners = m.at_corners()
     for e in np.nonzero(m.regions == msh.FLUID_PML)[0][:10]:
         tri = corners[e]
         pe = state.p[m.elems[e]]
@@ -216,7 +216,7 @@ def test_interface_factor_two_and_half_weight(flat_setup):
     pts = xa + tq[:, None] * (xb - xa)
     h = np.hypot(*(xb - xa))
     p_in = np.exp(1j * (d.alpha * pts[:, 0] - d.beta * pts[:, 1]))
-    grads, _ = msh.p1_gradients(m.corner_coords()[None, fluid_elem][0][None])
+    grads, _ = msh.p1_gradients(m.at_corners()[None, fluid_elem][0][None])
     gp = (state.p[m.elems[fluid_elem]][:, None]
           * grads[0].astype(complex)).sum(0)
     shape = np.stack([1 - tq, tq], 1)
@@ -291,7 +291,7 @@ def _check_jump_norms_against_loop(cfg, pml, m):
         + 1j * rng.normal(size=(sm.sum(), 2))
     jumps = est.edge_jumps(m, state, cfg, pml)
     top = m.topology
-    grads, _ = msh.p1_gradients(m.corner_coords())
+    grads, _ = msh.p1_gradients(m.at_corners())
     tq, wq = quad.EDGE4_X, quad.EDGE4_W
 
     def flux_f(elem, pts, nrm):
@@ -560,7 +560,7 @@ def test_effectivity_sanity_band(ex1_cfg, ex1_pml):
 
 def test_triangle_points_match_barycentric_sums(corner_cfg, pml_mild):
     m = msh.generate_initial_mesh(corner_cfg, pml_mild, 0.2)
-    corners = m.corner_coords()
+    corners = m.at_corners()
     for bary in (quad.TRI5_BARY, quad.TRI7_BARY):
         pts = quad.triangle_points(corners, bary)
         assert pts.shape == (m.n_elems, len(bary), 2)
@@ -572,7 +572,7 @@ def test_triangle_points_match_barycentric_sums(corner_cfg, pml_mild):
 
 def test_p1_gradient_and_values_match_element_loop(corner_cfg, pml_mild):
     m = msh.generate_initial_mesh(corner_cfg, pml_mild, 0.3)
-    grads, _ = msh.p1_gradients(m.corner_coords())
+    grads, _ = msh.p1_gradients(m.at_corners())
     rng = np.random.default_rng(8)
     for shape in ((m.n_nodes,), (m.n_nodes, 2)):
         nodal = (rng.normal(size=shape) + 1j * rng.normal(size=shape))[m.elems]

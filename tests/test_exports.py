@@ -54,23 +54,26 @@ def test_no_private_names_cross_modules():
     assert sorted(found) == sorted(PRIVATE_IMPORTS)
 
 
-def _reads_at_element_rows(tree):
-    """Lines where an array is read at element rows, x[m.elems],
-    x[m.elems[sel]] or x[elems] (also as the first index of a tuple)."""
+def _reads_at_rows(tree, name):
+    """Lines where an array is read at the rows of the table name (elems or
+    edge_nodes), x[m.name], x[m.name[sel]] or x[name] (also as the first
+    index of a tuple)."""
     def rows(index):
         index = index.elts[0] if isinstance(index, ast.Tuple) else index
         index = index.value if isinstance(index, ast.Subscript) else index
-        return (isinstance(index, ast.Attribute) and index.attr == "elems"
-                or isinstance(index, ast.Name) and index.id == "elems")
+        return (isinstance(index, ast.Attribute) and index.attr == name
+                or isinstance(index, ast.Name) and index.id == name)
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
             and rows(node.slice)]
 
 
 def test_nodal_arrays_are_gathered_at_corners_in_one_place():
-    # Mesh.at_corners is the one gather of nodal values by element rows;
-    # stores such as mask[self.elems.ravel(), side] = True are not reads
-    found = [f"{path.stem}:{line}"
+    # Mesh.at_corners is the one gather of nodal values by element rows and
+    # Mesh.at_ends the one by edge rows; stores such as
+    # mask[self.elems.ravel(), side] = True are not reads
+    found = [f"{path.stem}:{line} {name}"
              for path in sorted(Path(fsgrating.__file__).parent.glob("*.py"))
-             for line in _reads_at_element_rows(ast.parse(path.read_text()))]
+             for name in ("elems", "edge_nodes")
+             for line in _reads_at_rows(ast.parse(path.read_text()), name)]
     assert found == []

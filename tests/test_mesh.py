@@ -429,6 +429,20 @@ def test_edge_trace_matches_per_edge_interpolation(corner_cfg, unit_pml):
     assert _same_bits(msh.edge_trace(m, ids, m.nodes, t), want)
 
 
+def test_at_ends_equals_fancy_indexing(corner_cfg, unit_pml):
+    m = msh.generate_initial_mesh(corner_cfg, unit_pml, 0.3)
+    m = msh.bisect(m, np.arange(0, m.n_elems, 3))
+    top = m.topology
+    rng = np.random.default_rng(5)
+    for values in (rng.normal(size=m.n_nodes), rng.normal(size=(m.n_nodes, 2)),
+                   rng.normal(size=(m.n_nodes, 3)) + 1j * rng.normal(size=(m.n_nodes, 3))):
+        for edges in (rng.permutation(top.edge_nodes.shape[0])[:50],
+                      top.edge_tags == msh.INTERFACE, slice(None)):
+            assert _same_bits(m.at_ends(values, edges), values[top.edge_nodes[edges]])
+    # the node coordinates by default, over all edges
+    assert _same_bits(m.at_ends(), m.nodes[top.edge_nodes])
+
+
 def _per_column_mesh(cfg, pml, h0):
     """Reference initial mesh: the row heights built column by column, one
     scalar linspace per band and column, the last column a copy of the first."""

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from fsgrating import PmlConfig, ProblemConfig, derive, validate
@@ -158,6 +159,22 @@ def test_ordering_beats_colamd_on_corner_refined_mesh(corner_cfg, corner_pml):
     assert report.residual <= 1e-10
     colamd = splu(system.matrix.tocsc(), permc_spec="COLAMD")
     assert report.lu_fill < colamd.nnz
+
+
+def test_pruned_pattern_is_structurally_symmetric(corner_cfg, corner_pml):
+    """The factor input, the matrix without its noise entries, has a
+    symmetric pattern, so RCM in symmetric mode gives the same permutation."""
+    m = msh.generate_initial_mesh(corner_cfg, corner_pml, 0.2)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        m = msh.bisect(m, rng.choice(m.n_elems, m.n_elems // 5, replace=False))
+    kept = asm.assemble(m, corner_cfg, corner_pml).matrix.tocsc(copy=True)
+    kept.data[np.abs(kept.data) < solver.NOISE_RTOL * np.abs(kept.data).max()] = 0
+    kept.eliminate_zeros()
+    pattern = (kept != 0).astype(np.int8)
+    assert (pattern != pattern.T).nnz == 0
+    np.testing.assert_array_equal(reverse_cuthill_mckee(kept, symmetric_mode=True),
+                                  reverse_cuthill_mckee(kept, symmetric_mode=False))
 
 
 def test_solution_independent_of_numbering(small_system):
