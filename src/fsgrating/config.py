@@ -12,6 +12,7 @@ that push the layer truncation error below a target.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -209,6 +210,11 @@ class OrderTable:
     propagating: np.ndarray
     wood: np.ndarray
 
+    @property
+    def beta(self) -> np.ndarray:
+        """The outgoing branch: theta where the order propagates, i*theta elsewhere."""
+        return np.where(self.propagating, self.theta, 1j * self.theta)
+
     def findings(self) -> list:
         """The Wood rows as findings, wavenumber by wavenumber."""
         return [WoodFinding(int(self.n[i]), WAVENUMBER_NAMES[j],
@@ -245,8 +251,10 @@ def validate(cfg: ProblemConfig) -> list:
     return order_table(cfg, np.arange(-w, w + 1)).findings()
 
 
+@functools.lru_cache
 def checked_window(cfg: ProblemConfig) -> OrderTable:
-    """The Wood-checked table of the orders |n| <= mode_window(cfg)."""
+    """The Wood-checked table of the orders |n| <= mode_window(cfg), built
+    once per configuration; a Wood configuration raises on every call."""
     w = mode_window(cfg)
     return order_table(cfg, np.arange(-w, w + 1)).check()
 
@@ -299,13 +307,12 @@ def select_pml_parameters(cfg: ProblemConfig, target: float,
 
     if not target > 0:
         raise ConfigError(f"PML target must be positive, got {target!r}")
-    table = checked_window(cfg)
     root = math.sqrt(cfg.period)
     for k in range(MAX_DOUBLINGS + 1):
         pml = replace(template, sigma1=2.0 ** k * template.sigma1,
                       sigma2=2.0 ** k * template.sigma2)
-        if (spectral._bound_F1(table, pml) * root <= target
-                and spectral._bound_F2(cfg, table, pml) * root <= target):
+        if (spectral.bound_F1(cfg, pml) * root <= target
+                and spectral.bound_F2(cfg, pml) * root <= target):
             return pml
     raise BudgetError(
         f"no sigma within {MAX_DOUBLINGS} doublings meets the PML target "

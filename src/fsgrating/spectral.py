@@ -57,11 +57,9 @@ COTH_LIMIT_EXPONENT = 40.0
 
 
 def _coth(y: complex) -> complex:
-    """coth(y) = (e^y + e^-y)/(e^y - e^-y), stable for Re y > 0."""
+    """coth(y) = (e^2y + 1)/(e^2y - 1); e^2y cannot overflow below the limit."""
     if y.real > COTH_LIMIT_EXPONENT:
         return 1.0 + 0.0j
-    if y.real < 0:
-        return -_coth(-y)
     e2 = cmath.exp(2.0 * y)
     return (e2 + 1.0) / (e2 - 1.0)
 
@@ -84,13 +82,11 @@ class ModeData:
 
 def mode(cfg: ProblemConfig, n: int) -> ModeData:
     """Order n of config.order_table with its vertical wavenumbers on the
-    outgoing branch: theta if propagating, i*theta otherwise.  Raises
-    WoodAnomalyError if |alpha_n| sits on a wavenumber circle (WOOD_RTOL).
+    outgoing branch, the column OrderTable.beta.  Raises WoodAnomalyError
+    if |alpha_n| sits on a wavenumber circle (WOOD_RTOL).
     """
     table = order_table(cfg, [n]).check()
-    betas = [complex(th) if prop else 1j * float(th)
-             for th, prop in zip(table.theta[:, 0], table.propagating[:, 0])]
-    return ModeData(n, float(table.alpha_n[0]), *betas)
+    return ModeData(n, float(table.alpha_n[0]), *map(complex, table.beta[:, 0]))
 
 
 def acoustic_dtn_coeff(m: ModeData) -> complex:
@@ -275,30 +271,16 @@ def _decay_max(table: OrderTable, rows, eta: complex, c: float) -> float:
     return max(terms)
 
 
-def _bound_F1(table: OrderTable, pml: PmlConfig) -> float:
-    """bound_F1 of an admissible layer on the Wood-checked window table."""
-    return 2 * _decay_max(table, (0,), pml_eta(pml).eta1, 2.0)
-
-
-def _bound_F2(cfg: ProblemConfig, table: OrderTable, pml: PmlConfig) -> float:
-    """bound_F2 of an admissible layer on the Wood-checked window table."""
-    _, k1, k2 = table.wavenumbers
-    poly = max(6 * k2, k2 ** 2 + 4, 8 * k2 ** 4, 8 * k2 ** 3 / k1 ** 2,
-               12 * (k2 ** 2 + 16) ** 2 / k1 ** 2)
-    return (34 * cfg.omega ** 2 * cfg.rho / k1 ** 4
-            * _decay_max(table, (1, 2), pml_eta(pml).eta2, 0.5) * poly)
-
-
 def bound_F1(cfg: ProblemConfig, pml: PmlConfig) -> float:
     """Decay bound of the acoustic layer truncation error.
 
     max of 2*Theta^i/(e^(2*Im(eta1)*Theta^i) - 1) over propagating orders
     and 2*Theta^e/(e^(2*Re(eta1)*Theta^e) - 1) over evanescent ones, with
-    the minima taken over the finite order window; an empty order family
-    simply drops its term.  Raises WoodAnomalyError if the window holds a
-    Wood order.
+    the minima taken over the window table config.checked_window; an empty
+    order family simply drops its term.  Raises WoodAnomalyError if the
+    window holds a Wood order.
     """
-    return _bound_F1(checked_window(cfg), pml)
+    return 2 * _decay_max(checked_window(cfg), (0,), pml_eta(pml).eta1, 2.0)
 
 
 def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
@@ -308,7 +290,12 @@ def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
     families of Theta/(e^(Theta*eta2-part/2) - 1) * a polynomial factor in
     kappa1, kappa2.  Raises WoodAnomalyError as bound_F1 does.
     """
-    return _bound_F2(cfg, checked_window(cfg), pml)
+    table = checked_window(cfg)
+    _, k1, k2 = table.wavenumbers
+    poly = max(6 * k2, k2 ** 2 + 4, 8 * k2 ** 4, 8 * k2 ** 3 / k1 ** 2,
+               12 * (k2 ** 2 + 16) ** 2 / k1 ** 2)
+    return (34 * cfg.omega ** 2 * cfg.rho / k1 ** 4
+            * _decay_max(table, (1, 2), pml_eta(pml).eta2, 0.5) * poly)
 
 
 @dataclass(frozen=True)

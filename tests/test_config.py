@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from fsgrating import (BudgetError, ConfigError, PmlConfig, ProblemConfig,
                        WoodAnomalyError, derive, mode_window,
                        select_pml_parameters, validate)
-from fsgrating import config, spectral
+from fsgrating import adapt, config, spectral
+from fsgrating.config import checked_window, order_table, screen
 
 
 def make_cfg(**kw):
@@ -221,8 +222,8 @@ def test_select_pml_parameters_screens_template_before_any_bound(monkeypatch):
         raise AssertionError("a bound was evaluated")
 
     monkeypatch.setattr(spectral, "_decay_max", no_bound)
-    monkeypatch.setattr(spectral, "_bound_F1", no_bound)
-    monkeypatch.setattr(spectral, "_bound_F2", no_bound)
+    monkeypatch.setattr(spectral, "bound_F1", no_bound)
+    monkeypatch.setattr(spectral, "bound_F2", no_bound)
     # a bad layer fails when it is built, before the Wood screen
     wood = make_cfg(theta=np.pi / 2 - 1e-13)
     for cfg in (make_cfg(), wood):
@@ -234,3 +235,34 @@ def test_select_pml_parameters_screens_template_before_any_bound(monkeypatch):
                 with pytest.raises(ConfigError) as exc:
                     call()
                 assert not isinstance(exc.value, WoodAnomalyError)
+
+
+def test_checked_window_is_one_table_per_configuration(ex1_cfg):
+    assert checked_window(ex1_cfg) is checked_window(replace(ex1_cfg))
+    assert checked_window(ex1_cfg) is not checked_window(make_cfg(theta=0.1))
+
+
+def test_screen_search_and_run_build_one_window_table(monkeypatch, ex1_cfg, ex1_pml):
+    sizes = []
+
+    def counting(cfg, ns):
+        sizes.append(len(ns))
+        return order_table(cfg, ns)
+
+    monkeypatch.setattr(config, "order_table", counting)
+    checked_window.cache_clear()
+    screen(ex1_cfg, 0.0, 0.5, 3, 500_000, 0.3)
+    select_pml_parameters(ex1_cfg, 1e-8, _template(3.0))
+    result = adapt.run(ex1_cfg, ex1_pml, tol=0.0, tau=0.5, max_iter=3, h0=0.3)
+    assert len(result.records) == 3
+    assert sizes == [2 * mode_window(ex1_cfg) + 1]
+
+
+def test_wood_window_raises_on_every_call():
+    wood = make_cfg(theta=np.pi / 2 - 1e-13)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(WoodAnomalyError) as exc:
+            checked_window(wood)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] != ""

@@ -24,14 +24,7 @@ def test_all_lists_exactly_the_public_definitions(mod):
     assert [n for n in defined if n not in mod.__all__] == []
 
 
-#: (reading module, source module, name) of the private names one module
-#: still takes from another, by import or by attribute read; this list may
-#: only shrink.  config.select_pml_parameters evaluates the bounds of every
-#: layer doubling on one Wood-checked window table through spectral's
-#: table-taking _bound_F1/_bound_F2, while the bench tracer wraps the public
-#: bound_F1/bound_F2 that check the window on each call.
-PRIVATE_IMPORTS = {("config", "spectral", "_bound_F1"),
-                   ("config", "spectral", "_bound_F2")}
+PRIVATE_IMPORTS = set()
 
 
 def test_no_private_names_cross_modules():

@@ -139,13 +139,18 @@ def test_acoustic_pml_dtn_limits(ex1_cfg):
 
 
 def test_acoustic_pml_dtn_against_exponential_ratio(ex1_cfg):
-    # real eta and real beta: compare with the defining exponential ratio
+    # real beta: compare with the defining exponential ratio, for real eta
+    # and for Im eta1 < 0, where Re y < 0 and e^2y cannot overflow
     m0 = spectral.mode(ex1_cfg, 0)
-    eta1 = 2.0
-    y = -1j * m0.beta_n * eta1
-    direct = 1j * m0.beta_n * (np.exp(y) + np.exp(-y)) / (np.exp(y) - np.exp(-y))
-    assert spectral.acoustic_pml_dtn_coeff(m0, eta1) == pytest.approx(
-        direct, rel=1e-13)
+    for eta1 in (2.0, 2.0 - 0.5j, 0.3 - 2j, 1.0 - 20j):
+        y = -1j * m0.beta_n * eta1
+        direct = 1j * m0.beta_n * (np.exp(y) + np.exp(-y)) / (np.exp(y) - np.exp(-y))
+        assert spectral.acoustic_pml_dtn_coeff(m0, eta1) == pytest.approx(
+            direct, rel=1e-13)
+    # far into Re y < 0 the coefficient tends to -i*beta_n
+    for eta1 in (2.0 - 50j, 2.0 - 1e4j):
+        assert spectral.acoustic_pml_dtn_coeff(m0, eta1) == pytest.approx(
+            -1j * m0.beta_n, rel=1e-13)
 
 
 def test_mode_system_homogeneous_and_linear(ex1_cfg):
@@ -357,6 +362,7 @@ def test_order_table_matches_modes(ex1_cfg, corner_cfg, highfreq_cfg):
             m = spectral.mode(cfg, int(n))
             assert m.alpha_n == table.alpha_n[i]
             for j, beta in enumerate((m.beta_n, m.beta_n_1, m.beta_n_2)):
+                assert table.beta[j, i].tobytes() == np.complex128(beta).tobytes()
                 assert abs(beta) == table.theta[j, i]
                 assert (beta.real > 0) == table.propagating[j, i]
                 assert beta.real == 0 or beta.imag == 0

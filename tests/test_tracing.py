@@ -7,8 +7,8 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
-from fsgrating import (adapt, assembly, config, estimator, mesh, solver,
-                       spectral, vtkio)
+from fsgrating import (PmlConfig, adapt, assembly, config, estimator, mesh,
+                       solver, spectral, vtkio)
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -23,12 +23,17 @@ def _tracing_module():
     return module
 
 
-def test_tracer_wraps_every_layer_of_a_run(ex1_cfg, ex1_pml):
-    tracing = _tracing_module()
+def _installed(tracing):
     tracer = tracing.Tracer()
     tracer.install(SimpleNamespace(
         config=config, spectral=spectral, mesh=mesh, assembly=assembly,
         solver=solver, estimator=estimator, adapt=adapt, vtkio=vtkio))
+    return tracer
+
+
+def test_tracer_wraps_every_layer_of_a_run(ex1_cfg, ex1_pml):
+    tracing = _tracing_module()
+    tracer = _installed(tracing)
     try:
         result = adapt.run(ex1_cfg, ex1_pml, tol=0.0, tau=0.5, max_iter=2,
                            h0=0.3)
@@ -44,3 +49,17 @@ def test_tracer_wraps_every_layer_of_a_run(ex1_cfg, ex1_pml):
     metrics = tracing.layer_metrics(tracer, result.mesh, len(result.records))
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {m["name"] for m in declared} - WORKER_METRICS <= set(metrics)
+
+
+def test_tracer_sees_the_bounds_of_the_pml_search(ex1_cfg):
+    tracer = _installed(_tracing_module())
+    try:
+        config.select_pml_parameters(ex1_cfg, 1e-8,
+                                     PmlConfig(3.0, 3.0, 1 + 1j, 1 + 1j, 2.0))
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    search, *bounds = tracer.spans
+    assert search["name"] == "config.select_pml" and search["parent"] is None
+    assert {s["name"] for s in bounds} == {"spectral.bound_F1", "spectral.bound_F2"}
+    assert all(s["parent"] == search["id"] for s in bounds)
