@@ -25,13 +25,12 @@ __all__ = [
     "ProblemConfig",
     "PmlConfig",
     "DerivedParams",
-    "WoodFinding",
     "OrderTable",
     "derive",
     "mode_window",
     "order_table",
     "validate",
-    "checked_window",
+    "order_window",
     "screen",
     "select_pml_parameters",
 ]
@@ -184,24 +183,11 @@ def mode_window(cfg: ProblemConfig) -> int:
 
 
 @dataclass(frozen=True)
-class WoodFinding:
-    """One diffraction order sitting on a wavenumber circle."""
-
-    n: int
-    wavenumber_name: str  # "kappa", "kappa1" or "kappa2"
-    alpha_n: float
-    wavenumber: float
-
-    def __str__(self):
-        return (f"order n={self.n}: |alpha_n|={abs(self.alpha_n):.12g} "
-                f"collides with {self.wavenumber_name}={self.wavenumber:.12g}")
-
-
-@dataclass(frozen=True)
 class OrderTable:
     """Orders n, alpha_n = alpha + 2*pi*n/period, and one row per wavenumber
     k of WAVENUMBER_NAMES: theta = |k^2 - alpha_n^2|^(1/2), propagating
-    |alpha_n| < k, and wood |alpha_n| on the circle k (WOOD_RTOL)."""
+    |alpha_n| < k, and wood |alpha_n| on the circle k (WOOD_RTOL) or a
+    theta of 0 (k^2 and alpha_n^2 equal or both underflowed)."""
 
     n: np.ndarray
     alpha_n: np.ndarray
@@ -216,15 +202,15 @@ class OrderTable:
         return np.where(self.propagating, self.theta, 1j * self.theta)
 
     def findings(self) -> list:
-        """The Wood rows as findings, wavenumber by wavenumber."""
-        return [WoodFinding(int(self.n[i]), WAVENUMBER_NAMES[j],
-                            float(self.alpha_n[i]), self.wavenumbers[j])
+        """One message per Wood entry, wavenumber by wavenumber."""
+        return [f"order n={self.n[i]}: |alpha_n|={abs(self.alpha_n[i]):.12g} "
+                f"collides with {WAVENUMBER_NAMES[j]}={self.wavenumbers[j]:.12g}"
                 for j, i in zip(*np.nonzero(self.wood))]
 
     def check(self):
         """Raise WoodAnomalyError naming every Wood order; else the table."""
         if self.wood.any():
-            raise WoodAnomalyError("; ".join(map(str, self.findings())))
+            raise WoodAnomalyError("; ".join(self.findings()))
         return self
 
 
@@ -236,27 +222,26 @@ def order_table(cfg: ProblemConfig, ns) -> OrderTable:
     kaps = (cfg.kappa, d.kappa1, d.kappa2)
     k = np.array(kaps)[:, None]
     a = np.abs(alpha_n)
+    theta = np.sqrt(np.abs(k * k - alpha_n * alpha_n))
     return OrderTable(
-        n=ns, alpha_n=alpha_n, wavenumbers=kaps,
-        theta=np.sqrt(np.abs(k * k - alpha_n * alpha_n)),
+        n=ns, alpha_n=alpha_n, wavenumbers=kaps, theta=theta,
         propagating=a < k,
-        wood=np.abs(a - k) <= WOOD_RTOL * np.maximum(k, a))
-
-
-def validate(cfg: ProblemConfig) -> list:
-    """The Wood findings of the window |n| <= mode_window(cfg): orders with
-    |alpha_n| on the kappa, kappa1 or kappa2 circle (WOOD_RTOL); an empty
-    list means the configuration is admissible."""
-    w = mode_window(cfg)
-    return order_table(cfg, np.arange(-w, w + 1)).findings()
+        wood=(np.abs(a - k) <= WOOD_RTOL * np.maximum(k, a)) | (theta == 0))
 
 
 @functools.lru_cache
-def checked_window(cfg: ProblemConfig) -> OrderTable:
-    """The Wood-checked table of the orders |n| <= mode_window(cfg), built
-    once per configuration; a Wood configuration raises on every call."""
+def order_window(cfg: ProblemConfig) -> OrderTable:
+    """The unchecked table of the orders |n| <= mode_window(cfg), built once
+    per configuration; its check() raises on every call for a Wood one."""
     w = mode_window(cfg)
-    return order_table(cfg, np.arange(-w, w + 1)).check()
+    return order_table(cfg, np.arange(-w, w + 1))
+
+
+def validate(cfg: ProblemConfig) -> list:
+    """The Wood messages of order_window(cfg): orders with |alpha_n| on the
+    kappa, kappa1 or kappa2 circle (see OrderTable); an empty list means the
+    configuration is admissible."""
+    return order_window(cfg).findings()
 
 
 def screen(cfg: ProblemConfig, tol: float, tau: float, max_iter: int,
@@ -266,7 +251,7 @@ def screen(cfg: ProblemConfig, tol: float, tau: float, max_iter: int,
     tau outside (0, 1), a max_iter that is not an integer of at least 1 (a
     float such as 2.5, 3.0 or NaN included), dof_cap < 1, and an initial
     mesh size h0 outside (0, inf); h0 is None when no mesh is built from it."""
-    checked_window(cfg)
+    order_window(cfg).check()
     if not tol >= 0:
         raise ConfigError(f"run.tol must be nonnegative, got {tol!r}")
     if not 0 < tau < 1:

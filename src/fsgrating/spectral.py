@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (OrderTable, PmlConfig, ProblemConfig, checked_window, derive,
-                     mode_window, order_table)
+from .config import (OrderTable, PmlConfig, ProblemConfig, derive, order_table,
+                     order_window)
 from .errors import ConfigError, DegenerateModeError, SingularSystemError
 
 __all__ = [
@@ -80,13 +80,18 @@ class ModeData:
         return self.alpha_n ** 2 + self.beta_n_1 * self.beta_n_2
 
 
+def _modes(table: OrderTable) -> list:
+    """The orders of a table that sit on no wavenumber circle, each with its
+    vertical wavenumbers on the outgoing branch, its column of OrderTable.beta."""
+    keep = ~table.wood.any(axis=0)
+    return [ModeData(int(n), float(a), *map(complex, b)) for n, a, b
+            in zip(table.n[keep], table.alpha_n[keep], table.beta[:, keep].T)]
+
+
 def mode(cfg: ProblemConfig, n: int) -> ModeData:
-    """Order n of config.order_table with its vertical wavenumbers on the
-    outgoing branch, the column OrderTable.beta.  Raises WoodAnomalyError
-    if |alpha_n| sits on a wavenumber circle (WOOD_RTOL).
-    """
-    table = order_table(cfg, [n]).check()
-    return ModeData(n, float(table.alpha_n[0]), *map(complex, table.beta[:, 0]))
+    """Order n of config.order_table (see _modes); raises WoodAnomalyError
+    if |alpha_n| sits on a wavenumber circle (WOOD_RTOL)."""
+    return _modes(order_table(cfg, [n]).check())[0]
 
 
 def acoustic_dtn_coeff(m: ModeData) -> complex:
@@ -276,11 +281,11 @@ def bound_F1(cfg: ProblemConfig, pml: PmlConfig) -> float:
 
     max of 2*Theta^i/(e^(2*Im(eta1)*Theta^i) - 1) over propagating orders
     and 2*Theta^e/(e^(2*Re(eta1)*Theta^e) - 1) over evanescent ones, with
-    the minima taken over the window table config.checked_window; an empty
+    the minima taken over the window table config.order_window; an empty
     order family simply drops its term.  Raises WoodAnomalyError if the
     window holds a Wood order.
     """
-    return 2 * _decay_max(checked_window(cfg), (0,), pml_eta(pml).eta1, 2.0)
+    return 2 * _decay_max(order_window(cfg).check(), (0,), pml_eta(pml).eta1, 2.0)
 
 
 def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
@@ -290,7 +295,7 @@ def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
     families of Theta/(e^(Theta*eta2-part/2) - 1) * a polynomial factor in
     kappa1, kappa2.  Raises WoodAnomalyError as bound_F1 does.
     """
-    table = checked_window(cfg)
+    table = order_window(cfg).check()
     _, k1, k2 = table.wavenumbers
     poly = max(6 * k2, k2 ** 2 + 4, 8 * k2 ** 4, 8 * k2 ** 3 / k1 ** 2,
                12 * (k2 ** 2 + 16) ** 2 / k1 ** 2)
@@ -377,11 +382,6 @@ def incident_wave(cfg: ProblemConfig, x):
 # ----------------------------------------------------------------------
 # self-check suite and CSV tabulation used by the command line tool
 
-def _admissible_orders(cfg, limit):
-    table = order_table(cfg, np.arange(-limit, limit + 1))
-    return [mode(cfg, int(n)) for n in table.n[~table.wood.any(axis=0)]]
-
-
 def spectral_selfcheck(cfg: ProblemConfig, pml: PmlConfig) -> list:
     """Run the spectral equivalence suite; returns (name, passed, detail) rows.
 
@@ -391,7 +391,7 @@ def spectral_selfcheck(cfg: ProblemConfig, pml: PmlConfig) -> list:
     layer parameters.
     """
     rng = np.random.default_rng(0)
-    modes = _admissible_orders(cfg, 4)
+    modes = _modes(order_table(cfg, np.arange(-4, 5)))
     results = []
 
     # closed form against the 4x4 solve, exponents kept moderate so the
@@ -449,7 +449,7 @@ def mode_table(cfg: ProblemConfig, pml: PmlConfig) -> list:
     |n| <= mode_window(cfg), one row per order, for CSV export."""
     eta = pml_eta(pml)
     rows = []
-    for m in _admissible_orders(cfg, mode_window(cfg)):
+    for m in _modes(order_window(cfg)):
         w = elastic_dtn_matrix(m, cfg)
         what = elastic_pml_dtn_matrix(m, eta.eta2, cfg)
         row = {

@@ -266,7 +266,8 @@ def test_exit_codes_for_error_families(ex1_ini, tmp_path):
 @pytest.mark.parametrize("override", ["pml.delta=0", "pml.sigma_im=0", "pml.t=0.5",
                                       "run.tau=0", "run.tau=1.5", "run.max_iter=0",
                                       "problem.omega=inf", "problem.period=1e400",
-                                      "problem.h1=inf", "run.dof_cap=inf",
+                                      "problem.h1=inf", "problem.kappa=1e-300",
+                                      "run.dof_cap=inf",
                                       "pml.delta=inf", "pml.sigma_im=inf",
                                       "run.tol=nan", "run.tol=-1",
                                       "run.h0=0", "run.h0=-1", "run.h0=nan",

@@ -354,6 +354,21 @@ def test_mode_table_shape(ex1_cfg, ex1_pml):
     assert all("what11" in r and "w22" in r for r in rows)
 
 
+def test_mode_table_reads_the_window(ex1_cfg, corner_cfg, highfreq_cfg, ex1_pml):
+    wood = tuned_rho(ex1_cfg)
+    assert validate(wood)
+    keys = ("n", "alpha_n", "beta_n", "beta_n_1", "beta_n_2")
+    for cfg in (ex1_cfg, corner_cfg, highfreq_cfg, wood):
+        named = "; ".join(validate(cfg))
+        rows = spectral.mode_table(cfg, ex1_pml)
+        assert [r["n"] for r in rows] == [
+            n for n in window_table(cfg).n if f"order n={n}:" not in named]
+        for r in rows:
+            m = spectral.mode(cfg, r["n"])
+            assert (np.array([r[k] for k in keys], complex).tobytes()
+                    == np.array([getattr(m, k) for k in keys], complex).tobytes())
+
+
 def test_order_table_matches_modes(ex1_cfg, corner_cfg, highfreq_cfg):
     for cfg in (ex1_cfg, corner_cfg, highfreq_cfg):
         table = window_table(cfg)
@@ -372,7 +387,7 @@ def test_order_table_matches_modes(ex1_cfg, corner_cfg, highfreq_cfg):
         findings = validate(cfg)
         assert findings
         for n in window_table(cfg).n:
-            text = "; ".join(str(f) for f in findings if f.n == n)
+            text = "; ".join(f for f in findings if f.startswith(f"order n={n}:"))
             if text:
                 with pytest.raises(WoodAnomalyError) as exc:
                     spectral.mode(cfg, int(n))
