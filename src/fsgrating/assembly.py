@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,50 +69,50 @@ def touches_layers(x2, cfg: ProblemConfig) -> np.ndarray:
     return ((x2 > cfg.h1) | (x2 < cfg.h2)).any(axis=1)
 
 
+_S, _SINV, _CONST = range(3)   # the parts of a law table: weights of s, 1/s and 1
+
+
 @dataclass(frozen=True)
 class Law:
-    """flux(g, s, sinv) maps the gradient g[..., c, d] = d(field_c)/dx_d of
-    a C-component field to its flux of the same shape, affine in s and in
-    sinv = 1/s (both broadcast against g[..., 0, 0]); mass weighs s*field."""
+    """The flux of a C-component field, affine in s and 1/s: entry (c, d) of
+    the flux of the gradient g[k, l] = d(field_k)/dx_l sums
+    (s*parts[_S] + parts[_SINV]/s + parts[_CONST])[c, d, k, l] * g[k, l]
+    over (k, l); mass weighs s*field."""
 
-    side: str          # "fluid" or "solid"
-    components: int    # C
+    side: str            # "fluid" or "solid"
     mass: float
-    flux: Callable
+    parts: np.ndarray    # (3, C, 2, C, 2)
 
-    def parts(self):
-        """(s-part, 1/s-part, constant part), each (C, 2, C, 2): part[c, d, k,
-        l] is flux entry (c, d) of the unit gradient g[k, l] = 1, exactly."""
-        n = self.components
-        unit = np.eye(2 * n).reshape(2 * n, n, 2)
-        const = self.flux(unit, 0.0, 0.0)
-        return tuple(t.reshape(n, 2, n, 2).transpose(2, 3, 0, 1) for t in
-                     (self.flux(unit, 1.0, 0.0) - const,
-                      self.flux(unit, 0.0, 1.0) - const, const))
+    @property
+    def components(self) -> int:
+        return self.parts.shape[1]
+
+    def flux(self, g, s, sinv):
+        """The flux of gradients g (..., C, 2) for scalar s and sinv = 1/s,
+        summed over the nonzero table entries: a dense einsum was 1.3-4.8x
+        slower, and a matmul rounds the stress differently."""
+        table = s * self.parts[_S] + sinv * self.parts[_SINV] + self.parts[_CONST]
+        out = np.zeros(g.shape, dtype=np.result_type(g, table))
+        for c, d, k, l in zip(*np.nonzero(table)):
+            out[..., c, d] += table[c, d, k, l] * g[..., k, l]
+        return out
 
 
 def field_laws(cfg: ProblemConfig) -> tuple:
     """The (pressure, displacement) laws, the one definition that the element
     kernels, the residual, the jumps and the energy norm read: the flux
     (s*dp/dx1, dp/dx2 / s) with mass kappa^2, and the layer-consistent stress
-    (standard where s = 1) with mass omega^2*rho."""
+    (the standard stress where s = 1) with mass omega^2*rho."""
     mu, lam = cfg.mu, cfg.lam
-
-    def pressure_flux(g, s, sinv):
-        s, sinv = np.asarray(s)[..., None], np.asarray(sinv)[..., None]
-        return np.stack([s * g[..., 0], sinv * g[..., 1]], axis=-1)
-
-    def stress(g, s, sinv):
-        g11, g12 = g[..., 0, 0], g[..., 0, 1]
-        g21, g22 = g[..., 1, 0], g[..., 1, 1]
-        f = np.stack([s * ((2 * mu + lam) * g11) + lam * g22,
-                      sinv * (mu * g12) + mu * g21,
-                      s * (mu * g21) + mu * g12,
-                      sinv * ((2 * mu + lam) * g22) + lam * g11], axis=-1)
-        return f.reshape(f.shape[:-1] + (2, 2))
-
-    return (Law("fluid", 1, cfg.kappa ** 2, pressure_flux),
-            Law("solid", 2, cfg.omega ** 2 * cfg.rho, stress))
+    p, u = np.zeros((3, 1, 2, 1, 2)), np.zeros((3, 2, 2, 2, 2))
+    p[_S, 0, 0, 0, 0] = 1.0                                  # s dp/dx1
+    p[_SINV, 0, 1, 0, 1] = 1.0                               # dp/dx2 / s
+    # u[part, c, d, k, l] weighs du_k/dx_l in the stress entry sigma_cd
+    u[_S, 0, 0, 0, 0] = u[_SINV, 1, 1, 1, 1] = 2 * mu + lam  # s du1/dx1, du2/dx2 / s
+    u[_CONST, 0, 0, 1, 1] = u[_CONST, 1, 1, 0, 0] = lam      # du2/dx2, du1/dx1
+    u[_SINV, 0, 1, 0, 1] = u[_S, 1, 0, 1, 0] = mu            # du1/dx2 / s, s du2/dx1
+    u[_CONST, 0, 1, 1, 0] = u[_CONST, 1, 0, 0, 1] = mu       # du2/dx1, du1/dx2
+    return Law("fluid", cfg.kappa ** 2, p), Law("solid", cfg.omega ** 2 * cfg.rho, u)
 
 
 # ----------------------------------------------------------------------
@@ -224,10 +223,9 @@ def element_matrices(corners, law: Law, cfg: ProblemConfig, pml: PmlConfig):
     if (area <= 0).any():
         raise GeometryError(f"degenerate {law.side} element")
     s_avg, sinv_avg, mass = _stretch_sums(corners, cfg, pml)
-    parts = law.parts()
     # the outer products the law uses, (d, l) = (1, 0) as the transpose of (0, 1)
     outer = {}
-    used = {(d, l) for part in parts for _, d, _, l in zip(*np.nonzero(part))}
+    used = {(d, l) for part in law.parts for _, d, _, l in zip(*np.nonzero(part))}
     for d, l in sorted(used):
         outer[d, l] = (outer[l, d].transpose(0, 2, 1) if (l, d) in outer
                        else np.einsum("ei,ej->eij", grads[..., d], grads[..., l]))
@@ -240,7 +238,7 @@ def element_matrices(corners, law: Law, cfg: ProblemConfig, pml: PmlConfig):
             # the weighted parts come first, so the first term is complex
             # whenever any term is; a diagonal block always has s-terms
             terms = ((coef if weight is None else coef * weight) * outer[d, l]
-                     for weight, part in zip(weights, parts)
+                     for weight, part in zip(weights, law.parts)
                      for (d, l), coef in np.ndenumerate(part[c, :, k, :]) if coef)
             block = functools.reduce(operator.iadd, terms)
             if c == k:

@@ -41,6 +41,10 @@ WOOD_RTOL = 1e-9
 WAVENUMBER_NAMES = ("kappa", "kappa1", "kappa2")
 #: sigma doublings select_pml_parameters tries before giving up
 MAX_DOUBLINGS = 60
+#: the int32 range: no input may ask for a window of more orders or an
+#: initial mesh of more unknowns (at most three per node), which the
+#: assembly indexes with int32
+MAX_COUNT = 2 ** 31 - 1
 
 
 @dataclass(frozen=True)
@@ -156,9 +160,13 @@ def derive(cfg: ProblemConfig) -> DerivedParams:
     alpha = kappa*sin(theta), beta = kappa*cos(theta), and the Bloch phase
     exp(i*alpha*period) that the periodic fold of the assembly and the
     periodic jump pairs of the estimator read.  The material constraints
-    guarantee kappa2 > kappa1.
+    guarantee kappa2 > kappa1.  Raises ConfigError where kappa1^4, which
+    the layer bound F2 divides by, underflows to 0.
     """
     kappa1 = cfg.omega * math.sqrt(cfg.rho / (2 * cfg.mu + cfg.lam))
+    if kappa1 < 1 and kappa1 ** 4 == 0:    # ** raises on an overflow
+        raise ConfigError(f"kappa1=omega*sqrt(rho/(2*mu+lam))={kappa1:.3g} is too small "
+                          "for the layer bound F2: kappa1^4 underflows to 0")
     kappa2 = cfg.omega * math.sqrt(cfg.rho / cfg.mu)
     alpha = cfg.kappa * math.sin(cfg.theta)
     return DerivedParams(
@@ -175,10 +183,17 @@ def mode_window(cfg: ProblemConfig) -> int:
 
     Covers every propagating order for all three wavenumbers plus a cushion
     of evanescent orders; minima over the evanescent families are attained
-    next to the wavenumber circles, well inside this window.
+    next to the wavenumber circles, well inside this window.  Raises
+    ConfigError for a window of more than MAX_COUNT orders.
     """
     d = derive(cfg)
     reach = (max(cfg.kappa, d.kappa2) + abs(d.alpha)) * cfg.period / (2 * math.pi)
+    # before ceil, which raises on an infinite reach
+    if not 2 * reach + 21 <= MAX_COUNT:
+        raise ConfigError(
+            f"the order window of kappa={cfg.kappa:g}, kappa2=omega*sqrt(rho/mu)="
+            f"{d.kappa2:g} and period={cfg.period:g} spans {2 * reach + 21:.3g} "
+            f"orders, more than {MAX_COUNT}")
     return int(math.ceil(reach)) + 10
 
 

@@ -141,7 +141,7 @@ def _part_fluxes(law: Law, g, normals):
     one matmul of the products g[k, l] * n[d] with the law's parts."""
     c2 = 2 * law.components
     # [(k, l, d), (part, c)]
-    parts = np.stack(law.parts()).transpose(3, 4, 2, 0, 1).reshape(2 * c2, -1)
+    parts = law.parts.transpose(3, 4, 2, 0, 1).reshape(2 * c2, -1)
     gn = (g.reshape(-1, c2, 1) * normals[:, None, :]).reshape(-1, 2 * c2)
     return (gn @ parts).reshape(len(g), 3, law.components)
 

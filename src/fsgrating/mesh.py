@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PmlConfig, ProblemConfig
+from .config import MAX_COUNT, PmlConfig, ProblemConfig
 from .errors import ConfigError, GeometryError
 
 __all__ = [
@@ -289,21 +289,28 @@ def generate_initial_mesh(cfg: ProblemConfig, pml: PmlConfig, h0: float) -> Mesh
     """
     if not h0 > 0:
         raise ConfigError("h0 must be positive")
-    pts = np.asarray(cfg.profile)
+    x1, x2 = zip(*cfg.profile)
 
-    xs = [np.asarray([pts[0, 0]])]
-    for (xa, ya), (xb, yb) in zip(pts[:-1], pts[1:]):
-        nseg = max(1, int(math.ceil((xb - xa) / h0)))
-        xs.append(np.linspace(xa, xb, nseg + 1)[1:])
-    columns = np.concatenate(xs)
+    def divisions(length):
+        """ceil(length / h0), at least 1, held at MAX_COUNT, past which no
+        mesh is built (ceil raises on the inf of an overflowing ratio)."""
+        return max(1, math.ceil(min(length / h0, MAX_COUNT)))
+
+    nseg = [divisions(b - a) for a, b in zip(x1, x1[1:])]
+    n_bot, n_sol, n_flu, n_top = (divisions(d) for d in (
+        pml.delta2, max(x2) - cfg.h2, cfg.h1 - min(x2), pml.delta1))
+    n_rows, n_cols = n_bot + n_sol + n_flu + n_top + 1, 1 + sum(nseg)
+    if 3 * n_rows * n_cols > MAX_COUNT:
+        raise ConfigError(
+            f"h0={h0!r} divides the cell from h2-delta2={cfg.h2 - pml.delta2!r} to "
+            f"h1+delta1={cfg.h1 + pml.delta1!r} into at least {n_cols:.3g} x "
+            f"{n_rows:.3g} nodes; their unknowns, up to three per node, pass the "
+            f"int32 range ({MAX_COUNT}) of the assembly's indices")
+    columns = np.concatenate([x1[:1]] + [np.linspace(a, b, n + 1)[1:]
+                                         for a, b, n in zip(x1, x1[1:], nseg)])
     f_col = profile_height(cfg.profile, columns)
 
-    n_bot, n_sol, n_flu, n_top = (max(1, int(math.ceil(d / h0))) for d in (
-        pml.delta2, pts[:, 1].max() - cfg.h2, cfg.h1 - pts[:, 1].min(), pml.delta1))
-    n_rows = n_bot + n_sol + n_flu + n_top + 1
-
     # row heights (n_rows, n_cols); array end points match per-column linspace bitwise
-    n_cols = columns.size
     bands = (np.linspace(cfg.h2 - pml.delta2, cfg.h2, n_bot + 1)[:, None],
              np.linspace(cfg.h2, f_col, n_sol + 1)[1:],
              np.linspace(f_col, cfg.h1, n_flu + 1)[1:],
@@ -358,22 +365,15 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     cut = np.zeros(n_edges, dtype=bool)
     cut[elem_edges[marked, 0]] = True
     partner = top.edge_partner
-    cap = n_edges + 10
-    for _ in range(cap):
-        changed = False
+    # a pass that changes nothing ends the loop, and every other pass cuts
+    # at least one more edge, so it ends within n_edges passes
+    while True:
         mirror = (partner >= 0) & cut & ~cut[np.maximum(partner, 0)]
-        if mirror.any():
-            cut[partner[mirror]] = True
-            changed = True
-        has_cut = cut[elem_edges].any(axis=1)
-        need = has_cut & ~cut[elem_edges[:, 0]]
-        if need.any():
-            cut[elem_edges[need, 0]] = True
-            changed = True
-        if not changed:
+        cut[partner[mirror]] = True
+        need = cut[elem_edges].any(axis=1) & ~cut[elem_edges[:, 0]]
+        cut[elem_edges[need, 0]] = True
+        if not (mirror.any() or need.any()):
             break
-    else:
-        raise GeometryError("bisection closure did not terminate")
 
     cut_ids = np.nonzero(cut)[0]
     mid_index = np.full(n_edges, -1, dtype=np.int64)

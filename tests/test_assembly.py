@@ -226,9 +226,28 @@ def test_laws_are_symmetric_without_stretched_x2_column(ex1_cfg):
     # the kernel forms block (k, c) as the transpose of block (c, k), and
     # the residual differentiates only the 1/s-part of the x2 column
     for law in asm.field_laws(ex1_cfg):
-        for part in law.parts():
-            assert np.array_equal(part, part.transpose(2, 3, 0, 1))
-        assert not law.parts()[0][:, 1].any()
+        assert law.parts.shape == (3,) + 2 * (law.components, 2)
+        assert np.array_equal(law.parts, law.parts.transpose(0, 3, 4, 1, 2))
+        assert not law.parts[0][:, 1].any()
+
+
+def test_law_tables_match_textbook_fluxes(ex1_cfg):
+    # independent formulas on random complex gradients: the solid law at
+    # s = 1 is the stress lam*tr(grad u)*I + mu*(grad u + grad u^T), and the
+    # pressure law is (s*dp/dx1, (dp/dx2)/s) for any complex s
+    cfg = ProblemConfig(**{**ex1_cfg.__dict__, "lam": 1.7, "mu": 0.6})
+    fluid_law, solid_law = asm.field_laws(cfg)
+    rng = np.random.default_rng(21)
+    g = rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2))
+    trace = g[:, 0, 0] + g[:, 1, 1]
+    stress = (cfg.lam * trace[:, None, None] * np.eye(2)
+              + cfg.mu * (g + g.transpose(0, 2, 1)))
+    err = np.abs(solid_law.flux(g, 1.0, 1.0) - stress).max()
+    assert err <= 1e-14 * np.abs(stress).max()
+    gp = g[:, :1]
+    for s in rng.normal(size=5) + 1j * rng.normal(size=5):
+        ref = np.stack([s * gp[..., 0], gp[..., 1] / s], axis=-1)
+        assert np.abs(fluid_law.flux(gp, s, 1 / s) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("profile", ["flat", "corner"])

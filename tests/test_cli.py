@@ -280,3 +280,24 @@ def test_exit_codes_for_error_families(ex1_ini, tmp_path):
 def test_inadmissible_pml_exits_config(ex1_ini, tmp_path, subcommand, override):
     assert cli.main([subcommand, "--config", ex1_ini, "--out", str(tmp_path),
                      "--set", override]) == 2
+
+
+# sizes that underflow or pass the int32 range, each raised where it is
+# derived: kappa1^4 in config.derive, the order window, the initial mesh
+@pytest.mark.parametrize("subcommand, override, named", [
+    ("params", "problem.omega=1e-300", "omega"),
+    ("params", "problem.rho=1e-300", "rho"),
+    ("params", "problem.lambda=1e300", "lam"),
+    ("params", "problem.kappa=1e300", "kappa"),
+    ("params", "problem.mu=1e-300", "mu"),
+    ("params", "problem.omega=1e300", "omega"),
+    ("solve", "problem.h1=1e300", "h1"),
+    ("solve", "problem.h2=-1e300", "h2"),
+    ("solve", "run.h0=1e-300", "h0"),
+    ("solve", "run.h0=1e-6", "h0"),
+])
+def test_extreme_sizes_exit_config_naming_the_parameter(ex1_ini, tmp_path, capsys,
+                                                        subcommand, override, named):
+    assert cli.main([subcommand, "--config", ex1_ini, "--out", str(tmp_path),
+                     "--set", override]) == 2
+    assert named in capsys.readouterr().err
