@@ -10,6 +10,12 @@ semi-analytic spectral layer provides transparent-boundary oracles and the
 flat-interface reference solution.
 """
 
+import os
+
+# one BLAS thread, unless the caller set a count, before numpy loads (README, Threads)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .config import (DerivedParams, PmlConfig, ProblemConfig, derive,
                      mode_window, select_pml_parameters, validate)
 from .errors import (BudgetError, ConfigError, DegenerateModeError,

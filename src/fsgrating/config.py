@@ -160,14 +160,18 @@ def derive(cfg: ProblemConfig) -> DerivedParams:
     alpha = kappa*sin(theta), beta = kappa*cos(theta), and the Bloch phase
     exp(i*alpha*period) that the periodic fold of the assembly and the
     periodic jump pairs of the estimator read.  The material constraints
-    guarantee kappa2 > kappa1.  Raises ConfigError where kappa1^4, which
-    the layer bound F2 divides by, underflows to 0.
+    guarantee kappa2 > kappa1.  Raises ConfigError where the layer bound F2
+    cannot be evaluated: kappa1^4 underflows to 0, or the factor of F2 that
+    no layer enters, 34*omega^2*rho/kappa1^4 times its largest polynomial
+    term, overflows.
     """
     kappa1 = cfg.omega * math.sqrt(cfg.rho / (2 * cfg.mu + cfg.lam))
-    if kappa1 < 1 and kappa1 ** 4 == 0:    # ** raises on an overflow
-        raise ConfigError(f"kappa1=omega*sqrt(rho/(2*mu+lam))={kappa1:.3g} is too small "
-                          "for the layer bound F2: kappa1^4 underflows to 0")
     kappa2 = cfg.omega * math.sqrt(cfg.rho / cfg.mu)
+    q1, q2 = kappa1 * kappa1, kappa2 * kappa2   # products overflow to inf, ** raises
+    if not (q1 * q1 > 0 and 34 * cfg.omega * cfg.omega * cfg.rho / (q1 * q1)
+            * max(8 * q2 * q2, 12 * (q2 + 16) * (q2 + 16) / q1) < math.inf):
+        raise ConfigError(f"kappa1=omega*sqrt(rho/(2*mu+lam))={kappa1:.3g}, kappa2=omega*"
+                          f"sqrt(rho/mu)={kappa2:.3g}: the layer bound F2 overflows")
     alpha = cfg.kappa * math.sin(cfg.theta)
     return DerivedParams(
         kappa1=kappa1,

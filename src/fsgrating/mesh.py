@@ -25,7 +25,7 @@ from .errors import ConfigError, GeometryError
 __all__ = [
     "Mesh", "MeshTopology", "generate_initial_mesh", "bisect", "audit",
     "edge_trace", "edge_normals", "interface_edges", "profile_height",
-    "twice_signed_areas", "p1_gradients", "is_fluid",
+    "twice_signed_areas", "p1_gradients", "is_fluid", "prolong",
     "FLUID", "FLUID_PML", "SOLID", "SOLID_PML",
     "INTERIOR", "INTERFACE", "LEFT", "RIGHT", "GAMMA_PLUS", "GAMMA_MINUS",
     "DIRICHLET_TOP", "DIRICHLET_BOTTOM",
@@ -89,12 +89,15 @@ class Mesh:
 
     nodes: (N, 2) coordinates; elems: (M, 3) node ids, counterclockwise,
     peak vertex first (the refinement edge is opposite the peak);
-    regions: (M,) codes in {FLUID, FLUID_PML, SOLID, SOLID_PML}.
+    regions: (M,) codes in {FLUID, FLUID_PML, SOLID, SOLID_PML};
+    parents: (N, 2) end nodes of the edge whose bisection made each node,
+    lower id first (so below the node's id), -1 for the initial nodes.
     """
 
     nodes: np.ndarray
     elems: np.ndarray
     regions: np.ndarray
+    parents: np.ndarray
     period: float
     h1: float
     h2: float
@@ -137,13 +140,9 @@ class Mesh:
     def min_angle(self):
         """Smallest interior angle over all elements, in radians."""
         c = self.at_corners()
-        angles = []
-        for k in range(3):
-            u = c[:, (k + 1) % 3] - c[:, k]
-            v = c[:, (k + 2) % 3] - c[:, k]
-            cosv = (u * v).sum(-1) / np.sqrt((u ** 2).sum(-1) * (v ** 2).sum(-1))
-            angles.append(np.arccos(np.clip(cosv, -1.0, 1.0)))
-        return float(np.min(angles))
+        u, v = np.roll(c, -1, axis=1) - c, np.roll(c, -2, axis=1) - c
+        cosv = (u * v).sum(-1) / np.sqrt((u ** 2).sum(-1) * (v ** 2).sum(-1))
+        return float(np.arccos(np.clip(cosv, -1.0, 1.0)).min())
 
     def node_fields(self):
         """(N, 2) mask of the nodes incident to a fluid-side element (column
@@ -334,6 +333,7 @@ def generate_initial_mesh(cfg: ProblemConfig, pml: PmlConfig, h0: float) -> Mesh
     regions = np.repeat(np.tile(band_of_row, n_cols - 1), 2)
 
     mesh = Mesh(nodes=nodes, elems=elems, regions=regions,
+                parents=np.full((len(nodes), 2), -1, dtype=np.int64),
                 period=cfg.period, h1=cfg.h1, h2=cfg.h2,
                 delta1=pml.delta1, delta2=pml.delta2, profile=cfg.profile)
     if (mesh.areas() <= 0).any():
@@ -378,8 +378,7 @@ def bisect(mesh: Mesh, marked) -> Mesh:
     cut_ids = np.nonzero(cut)[0]
     mid_index = np.full(n_edges, -1, dtype=np.int64)
     mid_index[cut_ids] = mesh.n_nodes + np.arange(cut_ids.size)
-    midpoints = mesh.at_ends(edges=cut_ids).mean(axis=1)
-    new_nodes = np.vstack([mesh.nodes, midpoints])
+    parents = np.vstack([mesh.parents, top.edge_nodes[cut_ids]])
 
     e = mesh.elems
     c = cut[elem_edges]
@@ -398,12 +397,26 @@ def bisect(mesh: Mesh, marked) -> Mesh:
                    rows(twice, mxy, y, m0)]
         regions += [mesh.regions[plain]] + [mesh.regions[twice]] * 2
 
-    new_elems = np.vstack(chunks)
-    new_regions = np.concatenate(regions)
-    return Mesh(nodes=new_nodes, elems=new_elems.astype(np.int64),
-                regions=new_regions.astype(np.int8),
+    return Mesh(nodes=prolong(parents, mesh.nodes), elems=np.vstack(chunks),
+                regions=np.concatenate(regions), parents=parents,
                 period=mesh.period, h1=mesh.h1, h2=mesh.h2,
                 delta1=mesh.delta1, delta2=mesh.delta2, profile=mesh.profile)
+
+
+def prolong(parents, values):
+    """Nodal values (n,) or (n, C) on the first n nodes extended to all nodes,
+    each born node the mean of its parents: P1 prolongation on nested meshes."""
+    n = len(values)
+    if ((parents[n:] < 0) | (parents[n:] >= np.arange(n, len(parents))[:, None])).any():
+        raise ValueError("prolong needs the initial values and parents below their child")
+    out = np.empty((len(parents),) + np.shape(values)[1:], np.result_type(values, 0.5))
+    out[:n] = values
+    while n < len(out):
+        # one generation in id order, up to the first node with a parent inside it
+        end = n + np.argmin(np.append(parents[n:, 1] < n, False))
+        out[n:end] = np.take(out, parents[n:end], axis=0).mean(axis=1)
+        n = end
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -438,18 +451,14 @@ def audit(mesh: Mesh) -> list:
     tol = 1e-9 * scale
     fy = profile_height(mesh.profile, corners[..., 0])
     y = corners[..., 1]
-    lo = {FLUID: None, FLUID_PML: mesh.h1, SOLID: mesh.h2,
-          SOLID_PML: mesh.h2 - mesh.delta2}
-    hi = {FLUID: mesh.h1, FLUID_PML: mesh.h1 + mesh.delta1, SOLID: None,
-          SOLID_PML: mesh.h2}
-    for reg in (FLUID, FLUID_PML, SOLID, SOLID_PML):
-        sel = mesh.regions == reg
-        if not sel.any():
-            continue
-        lo_b = fy[sel] if lo[reg] is None else lo[reg]
-        hi_b = fy[sel] if hi[reg] is None else hi[reg]
-        if (y[sel] < lo_b - tol).any() or (y[sel] > hi_b + tol).any():
-            problems.append(f"region {reg} has elements leaving their band")
+    # the band of each region code; the profile bounds FLUID below and SOLID above
+    reg = mesh.regions[:, None]
+    lo = np.array([np.nan, mesh.h1, mesh.h2, mesh.h2 - mesh.delta2])[reg]
+    hi = np.array([mesh.h1, mesh.h1 + mesh.delta1, np.nan, mesh.h2])[reg]
+    lo, hi = np.where(reg == FLUID, fy, lo), np.where(reg == SOLID, fy, hi)
+    out = ((y < lo - tol) | (y > hi + tol)).any(axis=1)
+    problems += [f"region {code} has elements leaving their band"
+                 for code in np.unique(mesh.regions[out])]
 
     # interface polyline: edges must tile [0, period] in x1 and lie on the profile
     iface = top.edge_tags == INTERFACE

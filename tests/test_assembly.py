@@ -635,7 +635,7 @@ def test_clockwise_element_is_rejected(ex1_cfg, pml_mild, region):
     e = np.nonzero((m.regions == region) & away)[0][0]
     elems = m.elems.copy()
     elems[e] = elems[e, ::-1]
-    flipped = msh.Mesh(nodes=m.nodes, elems=elems, regions=m.regions,
+    flipped = msh.Mesh(nodes=m.nodes, elems=elems, regions=m.regions, parents=m.parents,
                        period=m.period, h1=m.h1, h2=m.h2, delta1=m.delta1,
                        delta2=m.delta2, profile=m.profile)
     assert msh.audit(flipped) == ["1 elements with non-positive area"]

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsgrating
 from fsgrating import adapt, cli, solver
 
 EX1_INI = """\
@@ -282,22 +287,45 @@ def test_inadmissible_pml_exits_config(ex1_ini, tmp_path, subcommand, override):
                      "--set", override]) == 2
 
 
-# sizes that underflow or pass the int32 range, each raised where it is
-# derived: kappa1^4 in config.derive, the order window, the initial mesh
-@pytest.mark.parametrize("subcommand, override, named", [
-    ("params", "problem.omega=1e-300", "omega"),
-    ("params", "problem.rho=1e-300", "rho"),
-    ("params", "problem.lambda=1e300", "lam"),
-    ("params", "problem.kappa=1e300", "kappa"),
-    ("params", "problem.mu=1e-300", "mu"),
-    ("params", "problem.omega=1e300", "omega"),
-    ("solve", "problem.h1=1e300", "h1"),
-    ("solve", "problem.h2=-1e300", "h2"),
-    ("solve", "run.h0=1e-300", "h0"),
-    ("solve", "run.h0=1e-6", "h0"),
-])
+# sizes that underflow, overflow or pass the int32 range, each raised where
+# it is derived: the layer bound F2 in config.derive, the order window, the
+# initial mesh
+@pytest.mark.parametrize("subcommand, overrides, named", [
+    ("params", ("problem.omega=1e-300",), "omega"),
+    ("params", ("problem.rho=1e-300",), "rho"),
+    ("params", ("problem.lambda=1e300",), "lam"),
+    ("params", ("problem.kappa=1e300",), "kappa"),
+    ("params", ("problem.mu=1e-300",), "mu"),
+    ("params", ("problem.omega=1e300",), "omega"),
+    ("solve", ("problem.h1=1e300",), "h1"),
+    ("solve", ("problem.h2=-1e300",), "h2"),
+    ("solve", ("run.h0=1e-300",), "h0"),
+    ("solve", ("run.h0=1e-6",), "h0"),
+    # kappa2^4 overflows; omega^2*rho/kappa1^4 overflows with kappa1^4 > 0
+    ("params", ("problem.period=1e-100", "problem.profile=0:0, 1e-100:0",
+                "problem.omega=1e90"), "kappa2"),
+    ("params", ("problem.period=1e-40", "problem.profile=0:0, 1e-40:0",
+                "problem.omega=1e37", "problem.lambda=1e234"), "kappa1"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
 def test_extreme_sizes_exit_config_naming_the_parameter(ex1_ini, tmp_path, capsys,
-                                                        subcommand, override, named):
-    assert cli.main([subcommand, "--config", ex1_ini, "--out", str(tmp_path),
-                     "--set", override]) == 2
+                                                        subcommand, overrides, named):
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert cli.main([subcommand, "--config", ex1_ini, "--out", str(tmp_path)] + sets) == 2
     assert named in capsys.readouterr().err
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_command_line_defaults_blas_to_one_thread(preset, want):
+    # a fresh interpreter, where the package loads numpy; a count the
+    # caller set stays
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env["PYTHONPATH"] = str(Path(fsgrating.__file__).parents[1])
+    env.update(dict.fromkeys(BLAS_THREADS, preset) if preset else {})
+    probe = ("import os, sys; from fsgrating import cli; assert 'numpy' in sys.modules; "
+             f"print(*(os.environ[k] for k in {BLAS_THREADS!r}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == [want, want]

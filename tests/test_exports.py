@@ -48,9 +48,9 @@ def test_no_private_names_cross_modules():
 
 
 def _reads_at_rows(tree, name):
-    """Lines where an array is read at the rows of the table name (elems or
-    edge_nodes), x[m.name], x[m.name[sel]] or x[name] (also as the first
-    index of a tuple)."""
+    """Lines where an array is read at the rows of the table name (elems,
+    edge_nodes or parents), x[m.name], x[m.name[sel]] or x[name] (also as
+    the first index of a tuple)."""
     def rows(index):
         index = index.elts[0] if isinstance(index, ast.Tuple) else index
         index = index.value if isinstance(index, ast.Subscript) else index
@@ -62,11 +62,12 @@ def _reads_at_rows(tree, name):
 
 
 def test_nodal_arrays_are_gathered_at_corners_in_one_place():
-    # Mesh.at_corners is the one gather of nodal values by element rows and
-    # Mesh.at_ends the one by edge rows; stores such as
-    # mask[self.elems.ravel(), side] = True are not reads
+    # Mesh.at_corners is the one gather of nodal values by element rows,
+    # Mesh.at_ends the one by edge rows and mesh.prolong the one by parent
+    # rows, each with np.take; stores such as mask[self.elems.ravel(), side]
+    # = True are not reads
     found = [f"{path.stem}:{line} {name}"
              for path in sorted(Path(fsgrating.__file__).parent.glob("*.py"))
-             for name in ("elems", "edge_nodes")
+             for name in ("elems", "edge_nodes", "parents")
              for line in _reads_at_rows(ast.parse(path.read_text()), name)]
     assert found == []

@@ -149,6 +149,17 @@ def test_bisect_rejects_bad_input(ex1_cfg, unit_pml):
         msh.bisect(m, [m.n_elems + 3])
 
 
+def _min_angle_by_corner(m):
+    """Reference: the smallest angle, one corner of all elements at a time."""
+    c = m.nodes[m.elems]
+    angles = []
+    for k in range(3):
+        u, v = c[:, (k + 1) % 3] - c[:, k], c[:, (k + 2) % 3] - c[:, k]
+        cosv = (u * v).sum(-1) / np.sqrt((u ** 2).sum(-1) * (v ** 2).sum(-1))
+        angles.append(np.arccos(np.clip(cosv, -1.0, 1.0)))
+    return float(np.min(angles))
+
+
 def test_random_refinement_stays_sound(corner_cfg, unit_pml):
     rng = np.random.default_rng(1)
     m = msh.generate_initial_mesh(corner_cfg, unit_pml, 0.3)
@@ -159,6 +170,7 @@ def test_random_refinement_stays_sound(corner_cfg, unit_pml):
                             replace=False)
         m = msh.bisect(m, marked)
         assert msh.audit(m) == []
+        assert m.min_angle() == _min_angle_by_corner(m)
     assert m.min_angle() >= a0 / 2 - 1e-12
     assert m.areas().sum() == pytest.approx(area, abs=1e-10)
 
@@ -187,7 +199,7 @@ def test_audit_detects_broken_pairing(ex1_cfg, unit_pml):
     right = np.nonzero(np.abs(nodes[:, 0] - ex1_cfg.period) < 1e-12)[0]
     inner = right[(np.abs(nodes[right, 1]) < 0.9)][0]
     nodes[inner, 1] += 1e-6
-    broken = msh.Mesh(nodes=nodes, elems=m.elems, regions=m.regions,
+    broken = msh.Mesh(nodes=nodes, elems=m.elems, regions=m.regions, parents=m.parents,
                       period=m.period, h1=m.h1, h2=m.h2,
                       delta1=m.delta1, delta2=m.delta2, profile=m.profile)
     problems = msh.audit(broken)
@@ -238,10 +250,13 @@ def _third_element_on_interior_edge(m):
                       regions=np.append(m.regions, m.regions[top.edge_elems[e, 0]]))
 
 
-def _fluid_element_as_solid(m):
-    regions = m.regions.copy()
-    regions[np.nonzero(regions == msh.FLUID)[0][0]] = msh.SOLID
-    return _corrupted(m, regions=regions)
+def _relabelled(old, new):
+    """The corruption that relabels the first element of region old as new."""
+    def corrupt(m):
+        regions = m.regions.copy()
+        regions[np.nonzero(regions == old)[0][0]] = new
+        return _corrupted(m, regions=regions)
+    return corrupt
 
 
 def _swap_partners_of_unequal_left_edges(m):
@@ -261,8 +276,15 @@ AUDIT_CASES = [
     ("outer layer boundary edge with two adjacent elements", 1.0, _cap_top_edge),
     ("an edge is shared by more than two elements", 1.0,
      _third_element_on_interior_edge),
+    # an element of one band labelled as another leaves the band of its label
+    (f"region {msh.FLUID} has elements leaving their band", 1.0,
+     _relabelled(msh.FLUID_PML, msh.FLUID)),
+    (f"region {msh.FLUID_PML} has elements leaving their band", 1.0,
+     _relabelled(msh.FLUID, msh.FLUID_PML)),
     (f"region {msh.SOLID} has elements leaving their band", 1.0,
-     _fluid_element_as_solid),
+     _relabelled(msh.FLUID, msh.SOLID)),
+    (f"region {msh.SOLID_PML} has elements leaving their band", 1.0,
+     _relabelled(msh.SOLID, msh.SOLID_PML)),
     ("no interface edges found", 1.0,
      lambda m: _to_fluid_side(m, np.ones(m.n_elems, dtype=bool))),
     ("interface edge off the profile polyline", 1.0,
@@ -339,17 +361,35 @@ def test_mesh_invariants_random_profiles(corner_cfg, inner_x, heights, h0, seed,
     d_peaks = ((x[m.elems[0::2, 0]] - x[m.elems[1::2, 0]]) ** 2).sum(-1)
     assert (d_ref <= d_peaks).all()
 
+    m0 = m
+    _check_parents(m, m0)
+
     rng = np.random.default_rng(seed)
     for frac in fractions:
         m = msh.bisect(m, rng.choice(m.n_elems, size=max(1, int(frac * m.n_elems)),
                                      replace=False))
         _check_invariants(m, area)
+        _check_parents(m, m0)
     # 30 levels at one profile vertex; vertex 0 is the seam at x1 = 0
     vertex = np.nonzero((m.nodes == cfg.profile[corner % (len(xs) - 1)]).all(axis=1))[0]
     assert vertex.size == 1
     for _ in range(30):
         m = msh.bisect(m, np.nonzero((m.elems == vertex[0]).any(axis=1))[0])
         _check_invariants(m, area)
+        _check_parents(m, m0)
+
+
+def _check_parents(m, m0):
+    """Each node born in bisection has two parents below its id, lower id
+    first, the initial nodes of m0 have none, and prolonging m0's
+    coordinates through the parents gives m's, bit for bit."""
+    assert m.parents.shape == (m.n_nodes, 2) and m.parents.dtype == np.int64
+    born = np.arange(m.n_nodes) >= m0.n_nodes
+    assert np.array_equal((m.parents == -1).any(axis=1), ~born)
+    assert np.array_equal((m.parents == -1).all(axis=1), ~born)
+    assert (m.parents[born, 0] < m.parents[born, 1]).all()
+    assert (m.parents[born, 1] < np.nonzero(born)[0]).all()
+    assert _same_bits(msh.prolong(m.parents, m0.nodes), m.nodes)
 
 
 def _centroid_normals(m, edge_ids, elem_ids):
@@ -398,11 +438,49 @@ def test_interface_edges_reject_fluid_element_on_the_edge_line(ex1_cfg, unit_pml
     third = np.setdiff1d(m.elems[efluid[k]], top.edge_nodes[ids[k]])
     nodes = m.nodes.copy()
     nodes[third] = a + 0.3 * (b - a)
-    moved = msh.Mesh(nodes=nodes, elems=m.elems, regions=m.regions,
+    moved = msh.Mesh(nodes=nodes, elems=m.elems, regions=m.regions, parents=m.parents,
                      period=m.period, h1=m.h1, h2=m.h2, delta1=m.delta1,
                      delta2=m.delta2, profile=m.profile)
     with pytest.raises(GeometryError, match="fluid element not on the normal side"):
         msh.interface_edges(moved)
+
+
+@given(corner=st.booleans(), seed=st.integers(0, 2 ** 16),
+       fractions=st.lists(st.floats(0.05, 0.5), min_size=2, max_size=4))
+def test_prolong_is_exact_for_affine_fields(ex1_cfg, corner_cfg, corner, seed, fractions):
+    cfg = corner_cfg if corner else ex1_cfg
+    meshes = [msh.generate_initial_mesh(cfg, PmlConfig(1.0, 1.0, 1 + 1j, 1 + 1j, 2.0), 0.3)]
+    rng = np.random.default_rng(seed)
+    for frac in fractions:
+        m = meshes[-1]
+        meshes.append(msh.bisect(m, rng.choice(m.n_elems, size=max(1, int(frac * m.n_elems)),
+                                               replace=False)))
+    m0, m = meshes[0], meshes[-1]
+    for components in ((), (2,)):
+        a = rng.normal(size=components) + 1j * rng.normal(size=components)
+        b = rng.normal(size=(2,) + components) + 1j * rng.normal(size=(2,) + components)
+        got = msh.prolong(m.parents, a + m0.nodes @ b)
+        # relative to the size of the terms of a + x.b at each node
+        scale = np.abs(a) + np.abs(m.nodes) @ np.abs(b)
+        assert got.shape == (m.n_nodes,) + components
+        assert (np.abs(got - (a + m.nodes @ b)) <= 4 * np.finfo(float).eps * scale).all()
+        # mesh by mesh, one generation per call, as in one call
+        step = a + m0.nodes @ b
+        for mk in meshes[1:]:
+            step = msh.prolong(mk.parents, step)
+        assert _same_bits(step, got)
+
+
+def test_prolong_rejects_values_it_cannot_extend(ex1_cfg, unit_pml):
+    m0 = msh.generate_initial_mesh(ex1_cfg, unit_pml, 0.5)
+    m = msh.bisect(m0, np.arange(m0.n_elems))
+    with pytest.raises(ValueError, match="initial values"):
+        msh.prolong(m.parents, m0.nodes[:-1])
+    # a node as its own parent, which no generation order can reach
+    parents = m.parents.copy()
+    parents[-1, 1] = m.n_nodes - 1
+    with pytest.raises(ValueError, match="parents below their child"):
+        msh.prolong(parents, m0.nodes)
 
 
 def test_edge_trace_matches_per_edge_interpolation(corner_cfg, unit_pml):
