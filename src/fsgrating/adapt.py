@@ -57,6 +57,8 @@ def run(cfg: ProblemConfig, pml: PmlConfig, tol: float, tau: float,
     h0 : target size of the initial structured mesh, in (0, inf) (ignored
         when an initial mesh is passed in).
     dof_cap : stop refining once the free-dof count reaches this; at least 1.
+        It is checked after each solve: a system below the cap is refined
+        once more, so the last solve can have about twice the cap.
     exact : optional analytic evaluators; when given, every record carries
         the energy-norm error over the physical bands.
     mesh : optional initial mesh; its period, h1, h2, delta1, delta2 and

@@ -24,8 +24,6 @@ terms use the 7-point degree-5 triangle rule; interface integrals use
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +75,7 @@ class Law:
     """The flux of a C-component field, affine in s and 1/s: entry (c, d) of
     the flux of the gradient g[k, l] = d(field_k)/dx_l sums
     (s*parts[_S] + parts[_SINV]/s + parts[_CONST])[c, d, k, l] * g[k, l]
-    over (k, l); mass weighs s*field."""
+    over (k, l); mass weighs s*field.  Only this module reads the tables."""
 
     side: str            # "fluid" or "solid"
     mass: float
@@ -88,14 +86,22 @@ class Law:
         return self.parts.shape[1]
 
     def flux(self, g, s, sinv):
-        """The flux of gradients g (..., C, 2) for scalar s and sinv = 1/s,
-        summed over the nonzero table entries: a dense einsum was 1.3-4.8x
-        slower, and a matmul rounds the stress differently."""
+        """The flux of gradients g (..., C, 2) for scalar s and sinv = 1/s:
+        one matmul of the flattened gradients with the summed table."""
+        c2 = 2 * self.components
         table = s * self.parts[_S] + sinv * self.parts[_SINV] + self.parts[_CONST]
-        out = np.zeros(g.shape, dtype=np.result_type(g, table))
-        for c, d, k, l in zip(*np.nonzero(table)):
-            out[..., c, d] += table[c, d, k, l] * g[..., k, l]
-        return out
+        return (g.reshape(-1, c2) @ table.reshape(c2, c2).T).reshape(g.shape)
+
+    def normal_fluxes(self, g, normals):
+        """The normal fluxes (E, C) of the s-, 1/s- and constant parts, in
+        that order, for constant gradients g (E, C, 2) and unit normals
+        (E, 2) or one (1, 2): one matmul of the products g[k, l] * n[d]
+        with the tables."""
+        c2 = 2 * self.components
+        # [(k, l, d), (part, c)]
+        table = self.parts.transpose(3, 4, 2, 0, 1).reshape(2 * c2, -1)
+        gn = (g.reshape(-1, c2, 1) * normals[:, None, :]).reshape(-1, 2 * c2)
+        return tuple((gn @ table).reshape(len(g), 3, self.components).transpose(1, 0, 2))
 
 
 def field_laws(cfg: ProblemConfig) -> tuple:
@@ -223,24 +229,18 @@ def element_matrices(corners, law: Law, cfg: ProblemConfig, pml: PmlConfig):
     if (area <= 0).any():
         raise GeometryError(f"degenerate {law.side} element")
     s_avg, sinv_avg, mass = _stretch_sums(corners, cfg, pml)
-    # the outer products the law uses, (d, l) = (1, 0) as the transpose of (0, 1)
-    outer = {}
     used = {(d, l) for part in law.parts for _, d, _, l in zip(*np.nonzero(part))}
-    for d, l in sorted(used):
-        outer[d, l] = (outer[l, d].transpose(0, 2, 1) if (l, d) in outer
-                       else np.einsum("ei,ej->eij", grads[..., d], grads[..., l]))
+    outer = {(d, l): np.einsum("ei,ej->eij", grads[..., d], grads[..., l])
+             for d, l in sorted(used)}
     # the constant part integrates exactly to the area and stays real
-    weights = (s_avg[:, None, None], sinv_avg[:, None, None], None)
+    weights = (s_avg[:, None, None], sinv_avg[:, None, None], 1.0)
     n = law.components
     blocks = {}
     for c in range(n):
         for k in range(c, n):
-            # the weighted parts come first, so the first term is complex
-            # whenever any term is; a diagonal block always has s-terms
-            terms = ((coef if weight is None else coef * weight) * outer[d, l]
-                     for weight, part in zip(weights, law.parts)
-                     for (d, l), coef in np.ndenumerate(part[c, :, k, :]) if coef)
-            block = functools.reduce(operator.iadd, terms)
+            block = sum(coef * weight * outer[d, l]
+                        for weight, part in zip(weights, law.parts)
+                        for (d, l), coef in np.ndenumerate(part[c, :, k, :]) if coef)
             if c == k:
                 block -= law.mass * mass
             blocks[c, k] = area[:, None, None] * block

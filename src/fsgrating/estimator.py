@@ -19,13 +19,14 @@ The stretch is paid for inside the layers only.  On an element with no
 vertex strictly outside [h2, h1], s = 1 and R is mass times the P1 field,
 whose L2 norm is closed form from the P1 mass matrix; layer elements take
 the 7-point rule, with s and ds/dx2 from one call of assembly.stretch and
-the P1 values from the barycentric map quadrature.triangle_points.  One
-matmul, _part_fluxes, gives the normal fluxes of the law's s-, 1/s- and
-constant parts per element or edge: the residual's divergence term is
-d(1/s)/dx2 times the 1/s-part flux along e2, and a jump's normal flux
-weighs the parts of the gradient jump by s and 1/s at the 4 points of the
-edge rule on edges with an endpoint strictly inside a layer, and by s = 1
-at one point elsewhere, where the flux is one constant per edge.  Nodal
+the P1 values from the barycentric map quadrature.triangle_points.  The
+law gives the normal fluxes of its s-, 1/s- and constant parts per
+element or edge (Law.normal_fluxes), and this module reads them part by
+part: the residual's divergence term is d(1/s)/dx2 times the 1/s-part
+flux along e2, a jump's normal flux weighs the parts of the gradient jump
+by s and 1/s at the 4 points of the edge rule on edges with an endpoint
+strictly inside a layer, and by s = 1 at one point elsewhere, where the
+flux is one constant per edge, and the interface adds the parts.  Nodal
 values are read at element corners by Mesh.at_corners and along edges by
 mesh.edge_trace; _quad_norm is the one L2 norm from quadrature points.
 
@@ -58,7 +59,7 @@ import numpy as np
 
 from . import quadrature as quad
 from . import spectral
-from .assembly import Law, field_laws, stretch, touches_layers
+from .assembly import field_laws, stretch, touches_layers
 from .config import PmlConfig, ProblemConfig, derive
 from .errors import GeometryError
 from .mesh import (FLUID, GAMMA_MINUS, GAMMA_PLUS, INTERIOR, LEFT, SOLID,
@@ -129,21 +130,10 @@ def element_residuals(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
         s, ds = stretch(x2, cfg, pml)
         v = mesh.at_corners(nodal, on)
         g, vq = _p1_gradient(v, p1_gradients(corners[on])[0]), quad.triangle_points(v)
-        sinv_flux = _part_fluxes(law, g, np.array([[0.0, 1.0]]))[:, None, 1]
-        r = (-ds / s ** 2)[..., None] * sinv_flux + law.mass * s[..., None] * vq
+        _, f_sinv, _ = law.normal_fluxes(g, np.array([[0.0, 1.0]]))
+        r = (-ds / s ** 2)[..., None] * f_sinv[:, None] + law.mass * s[..., None] * vq
         out[on] = _quad_norm(area[on], quad.TRI5_W, r)
     return out
-
-
-def _part_fluxes(law: Law, g, normals):
-    """Normal fluxes (E, 3, C) of the law's s-, 1/s- and constant parts for
-    constant gradients g (E, C, 2) and unit normals (E, 2) or one (1, 2):
-    one matmul of the products g[k, l] * n[d] with the law's parts."""
-    c2 = 2 * law.components
-    # [(k, l, d), (part, c)]
-    parts = law.parts.transpose(3, 4, 2, 0, 1).reshape(2 * c2, -1)
-    gn = (g.reshape(-1, c2, 1) * normals[:, None, :]).reshape(-1, 2 * c2)
-    return (gn @ parts).reshape(len(g), 3, law.components)
 
 
 def _p1_gradient(nodal, grads):
@@ -203,8 +193,8 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
         e, n, lay = ids[on], normals[on], layer[on]
         s_lay = stretch(edge_trace(mesh, e[lay], mesh.nodes[:, 1], tq), cfg, pml)[0]
         for sub, s, w in ((~lay, 1.0, _ONE), (lay, s_lay[..., None], wq)):
-            fn = _part_fluxes(law, jump[sub], n[sub])[:, None]     # (E, 1, 3, C)
-            flux = s * fn[..., 0, :] + (1.0 / s) * fn[..., 1, :] + fn[..., 2, :]
+            f_s, f_sinv, f_c = (f[:, None] for f in law.normal_fluxes(jump[sub], n[sub]))
+            flux = s * f_s + (1.0 / s) * f_sinv + f_c
             norm[e[sub]] = _quad_norm(lengths[e[sub]], w, flux)
     norms[:, mates] = norms[:, left]
 
@@ -216,13 +206,13 @@ def edge_jumps(mesh: Mesh, state: SystemState, cfg: ProblemConfig,
     pin, gin = spectral.incident_wave(cfg, pts)
     dn_in = (gin * n[:, None, :]).sum(-1)
     (p_law, _, gp), (u_law, _, gu) = fields
-    dn_ph = _part_fluxes(p_law, gp[ef], n).sum(1)[:, None, 0]
+    dn_ph = sum(p_law.normal_fluxes(gp[ef], n))[:, None, 0]
     un = (edge_trace(mesh, ids, state.u, tq) * n[:, None, :]).sum(-1)
     jf = 2.0 * (dn_in + dn_ph - cfg.rho_f * cfg.omega ** 2 * un)
     norms[0, ids] = _quad_norm(lengths[ids], wq, jf)
 
     p_tot = pin + edge_trace(mesh, ids, state.p, tq)
-    tr = _part_fluxes(u_law, gu[es], n).sum(1)[:, None]
+    tr = sum(u_law.normal_fluxes(gu[es], n))[:, None]
     norms[1, ids] = _quad_norm(lengths[ids], wq,
                                -2.0 * (p_tot[..., None] * n[:, None] + tr))
     return EdgeJumps(*norms)

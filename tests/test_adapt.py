@@ -208,3 +208,20 @@ def test_near_wood_inputs_solve_with_checked_residual(ex1_cfg, circle, eps):
     assert res.records[-1].report.residual <= solver.RESIDUAL_RTOL
     assert math.isfinite(res.records[0].eps_f)
     assert math.isfinite(res.records[0].eps_p)
+
+
+def test_period_doubled_cell_is_its_half_twice(corner_cfg):
+    # the full cell holds the corner peak twice: its initial mesh is the
+    # half cell's tiled, and maximum marking treats both halves alike, so
+    # at every iteration it has twice the unknowns and sqrt(2) times eps_f;
+    # one fixed layer for both (the PML search reads each cell's own order
+    # window), and no eps_p check, since the full window holds odd orders
+    full = replace(corner_cfg, period=2.0,
+                   profile=[(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (1.5, 0.5), (2.0, 0.0)])
+    pml = PmlConfig(1.0, 1.0, 4 + 4j, 4 + 4j, 2.0)
+    half_run, full_run = (adapt.run(cfg, pml, tol=0.0, tau=0.5, max_iter=6, h0=0.25)
+                          for cfg in (corner_cfg, full))
+    assert len(half_run.records) == len(full_run.records) == 6
+    for h, f in zip(half_run.records, full_run.records):
+        assert f.dof == 2 * h.dof
+        assert f.eps_f == pytest.approx(math.sqrt(2) * h.eps_f, rel=1e-12, abs=0)

@@ -329,3 +329,14 @@ def test_command_line_defaults_blas_to_one_thread(preset, want):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == [want, want]
+
+
+def test_readme_example_config_runs(tmp_path):
+    # the configuration README.md offers to start from converges within
+    # twelve iterations
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.ini"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    code = cli.main(["adapt", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--set", "run.max_iter=12"])
+    assert code == 0

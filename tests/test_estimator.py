@@ -543,6 +543,44 @@ def test_apriori_error_constant_field_hand_value(ex1_cfg, pml_mild):
     assert got == pytest.approx(0.5, rel=1e-12)
 
 
+class _ZeroOracle:
+    """Zero values and gradients of both fields: apriori_error against it
+    is the energy norm of the discrete state."""
+
+    def pressure(self, x):
+        return np.zeros(x.shape[:-1]), np.zeros(x.shape)
+
+    def displacement(self, x):
+        return np.zeros(x.shape), np.zeros(x.shape + (2,))
+
+
+@pytest.mark.parametrize("name", ["ex1_cfg", "corner_cfg"])
+def test_energy_norm_is_the_kernel_form(name, pml_mild, request):
+    # the two readers of the law tables agree: Law.flux (apriori_error) and
+    # the element kernel give one energy norm of a P1 field, since on the
+    # physical bands (s = 1) K + (mass + 1) M is its Gram matrix
+    cfg = request.getfixturevalue(name)
+    m = msh.generate_initial_mesh(cfg, pml_mild, 0.25)
+    rng = np.random.default_rng(12)
+    m = msh.bisect(m, rng.choice(m.n_elems, m.n_elems // 4, replace=False))
+    state = solver.SystemState.zeros(m)
+    state.p[:] = rng.normal(size=m.n_nodes) + 1j * rng.normal(size=m.n_nodes)
+    state.u[:] = rng.normal(size=(m.n_nodes, 2)) + 1j * rng.normal(size=(m.n_nodes, 2))
+    total = 0.0
+    for law, region, nodal in zip(asm.field_laws(cfg), (msh.FLUID, msh.SOLID),
+                                  (state.p[:, None], state.u)):
+        rows = m.regions == region
+        corners = m.at_corners(rows=rows)
+        v = m.at_corners(nodal, rows).reshape(rows.sum(), -1)     # row C*i + c
+        # the P1 mass area/12 * (1 + delta_ij) of each component
+        p1_mass = np.kron(np.ones((3, 3)) + np.eye(3), np.eye(law.components))
+        p1_mass = (0.5 * msh.twice_signed_areas(corners) / 12)[:, None, None] * p1_mass
+        gram = asm.element_matrices(corners, law, cfg, pml_mild) + (law.mass + 1) * p1_mass
+        total += np.einsum("ei,eij,ej->", v.conj(), gram, v).real
+    got = est.apriori_error(m, state, _ZeroOracle(), cfg) ** 2
+    assert got == pytest.approx(total, rel=1e-12, abs=0)
+
+
 def test_effectivity_sanity_band(ex1_cfg, ex1_pml):
     # measured effectivity of the raw indicator against the physical-band
     # energy error sits near 24 across resolutions (the indicator carries

@@ -71,3 +71,14 @@ def test_nodal_arrays_are_gathered_at_corners_in_one_place():
              for name in ("elems", "edge_nodes", "parents")
              for line in _reads_at_rows(ast.parse(path.read_text()), name)]
     assert found == []
+
+
+def test_only_assembly_reads_the_law_tables():
+    # Law.flux, Law.normal_fluxes and element_matrices contract the tables;
+    # every other module asks the law for its fluxes
+    found = [f"{path.stem}:{node.lineno}"
+             for path in sorted(Path(fsgrating.__file__).parent.glob("*.py"))
+             if path.stem != "assembly"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "parts"]
+    assert found == []
