@@ -5,15 +5,19 @@ quasi-periodic field on the cell splits into diffraction orders with
 horizontal wavenumbers alpha_n = alpha + 2*pi*n/period; each order carries
 a vertical wavenumber beta_n = sqrt(kappa^2 - alpha_n^2) taken on the
 branch with nonnegative real and imaginary parts, and likewise beta_n^(1),
-beta_n^(2) for the compressional/shear elastic wavenumbers.  From these the
-module builds
+beta_n^(2) for the compressional/shear elastic wavenumbers.  These are the
+columns of a config.OrderTable, the one per-order record; every coefficient
+below takes a table of K orders and returns an array over them.  From these
+the module builds
 
 * the exact transparent-boundary coefficients: i*beta_n for the acoustic
   half space and the 2x2 matrix W_n for the elastic half space,
 * their absorbing-layer counterparts: the coth-damped acoustic coefficient
   and the 2x2 matrix What_n obtained by solving a 4x4 mode system in the
   layer (both the printed closed forms and a brute-force solve are
-  implemented; their agreement is a standing self check),
+  implemented; their agreement is a standing self check), written with the
+  decaying exponentials exp(i*beta_n^(j)*eta2) only, so no order of any
+  layer overflows,
 * the decay bounds F1, F2 that control the layer truncation error, and
 * the single-order analytic solution for a flat interface used as the
   verification oracle for the finite element pipeline.
@@ -21,7 +25,6 @@ module builds
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -32,9 +35,7 @@ from .config import (OrderTable, PmlConfig, ProblemConfig, derive, order_table,
 from .errors import ConfigError, DegenerateModeError, SingularSystemError
 
 __all__ = [
-    "ModeData",
     "PmlEta",
-    "mode",
     "acoustic_dtn_coeff",
     "elastic_dtn_matrix",
     "pml_eta",
@@ -52,63 +53,47 @@ __all__ = [
     "mode_table",
 ]
 
-#: above this real exponent the layer coefficients are replaced by their limits
-COTH_LIMIT_EXPONENT = 40.0
+
+def _degenerate(t: OrderTable, bad: np.ndarray, what: str):
+    """Raise DegenerateModeError naming the first order of t where bad holds."""
+    if bad.any():
+        raise DegenerateModeError(f"order n={t.n[bad.argmax()]}: {what}")
 
 
-def _coth(y: complex) -> complex:
-    """coth(y) = (e^2y + 1)/(e^2y - 1); e^2y cannot overflow below the limit."""
-    if y.real > COTH_LIMIT_EXPONENT:
-        return 1.0 + 0.0j
-    e2 = cmath.exp(2.0 * y)
-    return (e2 + 1.0) / (e2 - 1.0)
+def _coth(y):
+    """coth(y) from e^(-2|Re y|) with the sign of Re y, which cannot overflow."""
+    sign = np.where(y.real < 0, -1.0, 1.0)
+    q = np.exp(-2.0 * sign * y)
+    return sign * (1.0 + q) / (1.0 - q)
 
 
-@dataclass(frozen=True)
-class ModeData:
-    """Wavenumber data of one diffraction order."""
-
-    n: int
-    alpha_n: float
-    beta_n: complex
-    beta_n_1: complex
-    beta_n_2: complex
-
-    @property
-    def chi(self) -> complex:
-        """chi_n = alpha_n^2 + beta_n^(1)*beta_n^(2), the mode-coupling factor."""
-        return self.alpha_n ** 2 + self.beta_n_1 * self.beta_n_2
+def _chi(t: OrderTable) -> np.ndarray:
+    """chi_n = alpha_n^2 + beta_n^(1)*beta_n^(2), the mode-coupling factor."""
+    a, (_, b1, b2) = t.alpha_n, t.beta
+    chi = a * a + b1 * b2
+    _degenerate(t, np.abs(chi) < 1e-14 * np.maximum(1.0, a * a), "chi_n vanishes")
+    return chi
 
 
-def _modes(table: OrderTable) -> list:
-    """The orders of a table that sit on no wavenumber circle, each with its
-    vertical wavenumbers on the outgoing branch, its column of OrderTable.beta."""
-    keep = ~table.wood.any(axis=0)
-    return [ModeData(int(n), float(a), *map(complex, b)) for n, a, b
-            in zip(table.n[keep], table.alpha_n[keep], table.beta[:, keep].T)]
+def _stack(rows) -> np.ndarray:
+    """The (K, ...) stack of per-order matrices given as nested rows of
+    (K,) entries."""
+    return np.moveaxis(np.array(rows), -1, 0)
 
 
-def mode(cfg: ProblemConfig, n: int) -> ModeData:
-    """Order n of config.order_table (see _modes); raises WoodAnomalyError
-    if |alpha_n| sits on a wavenumber circle (WOOD_RTOL)."""
-    return _modes(order_table(cfg, [n]).check())[0]
+def acoustic_dtn_coeff(t: OrderTable) -> np.ndarray:
+    """Half-space Dirichlet-to-Neumann coefficients i*beta_n, shape (K,)."""
+    return 1j * t.beta[0]
 
 
-def acoustic_dtn_coeff(m: ModeData) -> complex:
-    """Half-space Dirichlet-to-Neumann coefficient i*beta_n of one order."""
-    return 1j * m.beta_n
-
-
-def elastic_dtn_matrix(m: ModeData, cfg: ProblemConfig) -> np.ndarray:
-    """Half-space traction-to-displacement 2x2 matrix W_n of one order."""
+def elastic_dtn_matrix(t: OrderTable, cfg: ProblemConfig) -> np.ndarray:
+    """Half-space traction-to-displacement matrices W_n, shape (K, 2, 2)."""
     w2r = cfg.omega ** 2 * cfg.rho
-    a, b1, b2 = m.alpha_n, m.beta_n_1, m.beta_n_2
-    chi = m.chi
-    if abs(chi) < 1e-14 * max(1.0, a * a):
-        raise DegenerateModeError(f"order n={m.n}: chi_n vanishes")
-    return (1j / chi) * np.array(
+    a, (_, b1, b2) = t.alpha_n, t.beta
+    chi = _chi(t)
+    return (1j / chi[:, None, None]) * _stack(
         [[w2r * b1, -2 * cfg.mu * a * chi + w2r * a],
-         [2 * cfg.mu * a * chi - w2r * a, w2r * b2]], dtype=complex)
+         [2 * cfg.mu * a * chi - w2r * a, w2r * b2]])
 
 
 @dataclass(frozen=True)
@@ -131,134 +116,120 @@ def pml_eta(pml: PmlConfig) -> PmlEta:
     return PmlEta(eta1=eta1, eta2=eta2)
 
 
-def acoustic_pml_dtn_coeff(m: ModeData, eta1: complex) -> complex:
-    """Layer-damped acoustic boundary coefficient i*beta_n*coth(-i*beta_n*eta1).
-
-    Converges to acoustic_dtn_coeff as the layer absorbs more; for large
-    real exponents the limit i*beta_n is returned directly to avoid
-    overflow.
-    """
-    y = -1j * m.beta_n * complex(eta1)
-    if y == 0:
-        raise DegenerateModeError("beta_n*eta1 = 0 in layer coefficient")
-    return 1j * m.beta_n * _coth(y)
+def acoustic_pml_dtn_coeff(t: OrderTable, eta1: complex) -> np.ndarray:
+    """Layer-damped acoustic boundary coefficients i*beta_n*coth(-i*beta_n*eta1),
+    shape (K,); they converge to acoustic_dtn_coeff as the layer absorbs more."""
+    y = -1j * t.beta[0] * eta1
+    _degenerate(t, y == 0, "beta_n*eta1 = 0 in layer coefficient")
+    return 1j * t.beta[0] * _coth(y)
 
 
-def _mode_aux(m: ModeData, eta2: complex):
-    """Bounded auxiliaries of the layer mode algebra for one order."""
-    a, b1, b2 = m.alpha_n, m.beta_n_1, m.beta_n_2
-    e1p, e1m = cmath.exp(1j * b1 * eta2), cmath.exp(-1j * b1 * eta2)
-    e2p, e2m = cmath.exp(1j * b2 * eta2), cmath.exp(-1j * b2 * eta2)
-    varsigma1 = _coth(-1j * b1 * eta2) - 1.0
-    num = e2p - e1p
-    xi1 = num / (e1m - e1p)
-    xi2 = num / (e2m - e2p)
-    vartheta = (e1m - e1p) / (e2m - e2p)
-    chi = m.chi
+def _mode_aux(t: OrderTable, eta2):
+    """Bounded auxiliaries of the layer mode algebra from the decaying
+    exponentials d_j = exp(i*beta_n^(j)*eta2) alone, |d_j| <= 1 on an
+    admissible layer: varsigma1 = coth(-i*beta_n^(1)*eta2) - 1, xi1, xi2,
+    sv = varsigma1*vartheta, chi and chi_hat.  vartheta = sinh y1/sinh y2 is
+    unbounded; it enters the closed forms only as sv and through
+    xi1*vartheta = xi2.  eta2 is a scalar or one value per order."""
+    a, (_, b1, b2) = t.alpha_n, t.beta
+    d1, d2 = np.exp(1j * t.beta[1:] * eta2)
+    g1, g2 = 1.0 - d1 * d1, 1.0 - d2 * d2
+    varsigma1 = 2 * d1 * d1 / g1
+    xi1 = (d2 - d1) * d1 / g1
+    xi2 = (d2 - d1) * d2 / g2
+    sv = 2 * d1 * d2 / g2
+    chi = _chi(t)
     chi_hat = chi + 4 * a * a * b1 * b2 * (xi2 - xi1 - xi1 * xi2) / chi
-    if abs(chi_hat) < 1e-14 * max(1.0, abs(chi)):
-        raise DegenerateModeError(f"order n={m.n}: chi_hat vanishes")
-    return varsigma1, xi1, xi2, vartheta, chi, chi_hat
+    _degenerate(t, np.abs(chi_hat) < 1e-14 * np.maximum(1.0, np.abs(chi)),
+                "chi_hat vanishes")
+    return varsigma1, xi1, xi2, sv, chi, chi_hat
 
 
-def elastic_pml_mode_system(m: ModeData, eta2: complex,
+def elastic_pml_mode_system(t: OrderTable, eta2: complex,
                             u_n: np.ndarray) -> np.ndarray:
-    """Solve the 4x4 layer mode system for (M1, N1, M2, N2) directly.
+    """Solve the 4x4 layer mode systems for (M1, N1, M2, N2), shape (K, 4).
 
     The four unknowns weight the up/down compressional and shear potentials
     in the solid layer; the first two equations match the displacement
-    trace at the layer top, the last two enforce the homogeneous condition
-    at the outer layer boundary.  Solved with partial-pivoting elimination;
-    the printed closed forms (elastic_pml_closed_form) must agree.
+    trace u_n (shape (2,) or (K, 2)) at the layer top, the last two enforce
+    the homogeneous condition at the outer layer boundary.  The unknowns
+    N1/d1 and N2/d2 leave only the decaying exponentials d_j of _mode_aux
+    in the matrix; partial-pivoting elimination.  The printed closed forms
+    (elastic_pml_closed_form) must agree.
     """
-    a, b1, b2 = m.alpha_n, m.beta_n_1, m.beta_n_2
-    eta2 = complex(eta2)
-    e1p, e1m = cmath.exp(1j * b1 * eta2), cmath.exp(-1j * b1 * eta2)
-    e2p, e2m = cmath.exp(1j * b2 * eta2), cmath.exp(-1j * b2 * eta2)
-    A = np.array([
-        [a, a, -b2, b2],
-        [-b1, b1, -a, -a],
-        [a * e1p, a * e1m, -b2 * e2p, b2 * e2m],
-        [-b1 * e1p, b1 * e1m, -a * e2p, -a * e2m],
-    ], dtype=complex)
-    rhs = np.array([-1j * u_n[0], -1j * u_n[1], 0.0, 0.0], dtype=complex)
+    a, (_, b1, b2) = t.alpha_n, t.beta
+    d1, d2 = np.exp(1j * t.beta[1:] * eta2)
+    A = _stack([[a, a * d1, -b2, b2 * d2],
+                [-b1, b1 * d1, -a, -a * d2],
+                [a * d1, a, -b2 * d2, b2],
+                [-b1 * d1, b1, -a * d2, -a]])
+    rhs = np.zeros(a.shape + (4,), dtype=complex)
+    rhs[:, :2] = -1j * np.asarray(u_n)
     try:
-        sol = np.linalg.solve(A, rhs)
+        sol = np.linalg.solve(A, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"layer mode system singular: {exc}") from exc
-    return sol
+    return np.stack([sol[:, 0], sol[:, 1] * d1, sol[:, 2], sol[:, 3] * d2], axis=-1)
 
 
-def elastic_pml_closed_form(m: ModeData, eta2: complex,
+def elastic_pml_closed_form(t: OrderTable, eta2: complex,
                             u_n: np.ndarray) -> np.ndarray:
-    """Closed-form (M1, N1, M2, N2) of the layer mode system."""
-    varsigma1, xi1, xi2, vartheta, chi, chi_hat = _mode_aux(m, complex(eta2))
-    a, b1, b2 = m.alpha_n, m.beta_n_1, m.beta_n_2
-    u1, u2 = complex(u_n[0]), complex(u_n[1])
+    """Closed-form (M1, N1, M2, N2) of the layer mode systems, shape (K, 4)."""
+    varsigma1, xi1, xi2, sv, chi, chi_hat = _mode_aux(t, eta2)
+    a, (_, b1, b2) = t.alpha_n, t.beta
+    u1, u2 = np.moveaxis(np.asarray(u_n), -1, 0)
     pref = 1j / (chi * chi_hat)
     m1 = pref * (-(chi / 2) * (varsigma1 + 2) * (a * u1 - b2 * u2)
-                 + (varsigma1 + 2 * xi1) * (xi2 - vartheta + 1)
+                 + ((varsigma1 + 2 * xi1) * (xi2 + 1) - sv - 2 * xi2)
                  * (a * b1 * b2 * u1 - a * a * b2 * u2))
     n1 = pref * ((chi * varsigma1 / 2) * (a * u1 + b2 * u2)
                  + (varsigma1 * xi2 + 2 * xi1 * xi2 + 2 * xi1)
                  * (a * b1 * b2 * u1 + a * a * b2 * u2))
-    m2 = pref * ((chi / 2) * (varsigma1 * vartheta - 2 * (varsigma1 + 1) * (xi2 + 1))
+    m2 = pref * ((chi / 2) * (sv - 2 * (varsigma1 + 1) * (xi2 + 1))
                  * (-b1 * u1 - a * u2)
-                 + varsigma1 * (xi2 - vartheta + 1)
+                 + (varsigma1 * (xi2 + 1) - sv)
                  * (-(b1 ** 2) * b2 * u1 - a ** 3 * u2))
-    n2 = pref * ((chi / 2) * (2 * xi2 * (varsigma1 + 1) - varsigma1 * vartheta)
+    n2 = pref * ((chi / 2) * (2 * xi2 * (varsigma1 + 1) - sv)
                  * (-b1 * u1 + a * u2)
                  - xi2 * (varsigma1 + 2)
                  * (-(b1 ** 2) * b2 * u1 + a ** 3 * u2))
-    return np.array([m1, n1, m2, n2], dtype=complex)
+    return np.stack([m1, n1, m2, n2], axis=-1)
 
 
-def elastic_pml_dtn_matrix(m: ModeData, eta2: complex,
+def elastic_pml_dtn_matrix(t: OrderTable, eta2: complex,
                            cfg: ProblemConfig) -> np.ndarray:
-    """Layer-damped elastic boundary 2x2 matrix What_n of one order.
-
-    Converges to elastic_dtn_matrix as both parts of eta2 grow; for very
-    large exponents the limit W_n is returned directly.
-    """
-    a, b1, b2 = m.alpha_n, m.beta_n_1, m.beta_n_2
-    eta2 = complex(eta2)
-    exponents = [abs((1j * b * eta2).real) for b in (b1, b2)]
-    if min(exponents) > 200.0:
-        return elastic_dtn_matrix(m, cfg)
-    varsigma1, xi1, xi2, vartheta, chi, chi_hat = _mode_aux(m, eta2)
-    w2r = cfg.omega ** 2 * cfg.rho
-    mu = cfg.mu
+    """Layer-damped elastic boundary matrices What_n, shape (K, 2, 2); they
+    converge to elastic_dtn_matrix as both parts of eta2 grow."""
+    varsigma1, xi1, xi2, sv, chi, chi_hat = _mode_aux(t, eta2)
+    a, (_, b1, b2) = t.alpha_n, t.beta
+    w2r, mu = cfg.omega ** 2 * cfg.rho, cfg.mu
     cc = chi * chi_hat
+    off = varsigma1 * (2 * xi2 + 1) - sv
     w11 = (1j / cc) * (w2r * b1 * chi
-                       + w2r * b1 * (varsigma1 * a * a
-                                     + (varsigma1 * vartheta + 2 * xi2) * b1 * b2))
+                       + w2r * b1 * (varsigma1 * a * a + (sv + 2 * xi2) * b1 * b2))
     w12 = (1j * a / cc) * (-2 * mu * cc + w2r * chi
-                           + w2r * b1 * b2 * (varsigma1 * (2 * xi2 - vartheta + 1)
-                                              + 2 * xi2))
+                           + w2r * b1 * b2 * (off + 2 * xi2))
     w21 = (1j * a / cc) * (2 * mu * cc - w2r * chi
-                           + w2r * b1 * b2 * (varsigma1 * (2 * xi2 - vartheta + 1)
-                                              + 4 * xi1 * (xi2 + 1) - 2 * xi2))
+                           + w2r * b1 * b2 * (off + 4 * xi1 * (xi2 + 1) - 2 * xi2))
     w22 = (1j / cc) * (w2r * b2 * chi
-                       + w2r * b2 * ((varsigma1 * vartheta + 2 * xi2) * a * a
-                                     + varsigma1 * b1 * b2))
-    return np.array([[w11, w12], [w21, w22]], dtype=complex)
+                       + w2r * b2 * ((sv + 2 * xi2) * a * a + varsigma1 * b1 * b2))
+    return _stack([[w11, w12], [w21, w22]])
 
 
-def layer_traction_of_modes(m: ModeData, coeffs: np.ndarray,
+def layer_traction_of_modes(t: OrderTable, coeffs: np.ndarray,
                             cfg: ProblemConfig) -> np.ndarray:
-    """Boundary traction at the layer top of the modal field (M1, N1, M2, N2).
-
-    Independent reconstruction used to cross check What_n: differentiates
-    the four-potential layer field and applies the boundary traction
-    operator at the interface height, where the stretch equals one.
-    """
-    m1, n1, m2, n2 = coeffs
-    a, b1, b2 = m.alpha_n, m.beta_n_1, m.beta_n_2
+    """Boundary traction (K, 2) at the layer top of the modal fields
+    (M1, N1, M2, N2) of shape (K, 4): the independent reconstruction that
+    cross checks What_n.  It differentiates the four-potential layer field
+    and applies the traction operator at the interface height, where the
+    stretch equals one."""
+    m1, n1, m2, n2 = np.moveaxis(coeffs, -1, 0)
+    a, (_, b1, b2) = t.alpha_n, t.beta
     mu, lam = cfg.mu, cfg.lam
     t1 = -mu * (2 * a * b1 * (m1 - n1) + (a * a - b2 * b2) * (m2 + n2))
     t2 = (((2 * mu + lam) * b1 * b1 + lam * a * a) * (m1 + n1)
           + 2 * mu * a * b2 * (m2 - n2))
-    return np.array([t1, t2], dtype=complex)
+    return np.stack([t1, t2], axis=-1)
 
 
 def _decay_max(table: OrderTable, rows, eta: complex, c: float) -> float:
@@ -307,7 +278,7 @@ def bound_F2(cfg: ProblemConfig, pml: PmlConfig) -> float:
 class FlatSolution:
     """Analytic single-order solution for a flat interface at x2 = 0.
 
-    order is the order-0 record (alpha, beta, beta1, beta2).  The scattered
+    order is the checked one-order table of order 0.  The scattered
     pressure is the outgoing plane wave q1*exp(i(alpha*x1 + beta*x2)); the
     transmitted displacement adds the downgoing compressional wave
     q2*(alpha, -beta1) and shear wave q3*(beta2, alpha), with wave vectors
@@ -318,16 +289,16 @@ class FlatSolution:
     q1: complex
     q2: complex
     q3: complex
-    order: ModeData
+    order: OrderTable
 
     def pressure(self, x):
         """Scattered pressure (...) and its gradient (..., 2)."""
-        return _plane_wave(x, self.q1, self.order.alpha_n, self.order.beta_n)
+        return _plane_wave(x, self.q1, self.order.alpha_n[0], self.order.beta[0, 0])
 
     def displacement(self, x):
         """Transmitted displacement (..., 2) and its Jacobian d u_i / d x_j
         (..., 2, 2)."""
-        a, b1, b2 = self.order.alpha_n, self.order.beta_n_1, self.order.beta_n_2
+        a, (_, b1, b2) = self.order.alpha_n[0], self.order.beta[:, 0]
         u1, g1 = _plane_wave(x, self.q2 * np.array([a, -b1]), a, -b1)
         u2, g2 = _plane_wave(x, self.q3 * np.array([b2, a]), a, -b2)
         return u1 + u2, g1 + g2
@@ -343,8 +314,8 @@ def flat_interface_solution(cfg: ProblemConfig) -> FlatSolution:
     if any(abs(y) > 1e-12 for _, y in cfg.profile):
         raise ConfigError("the flat-interface solution needs the profile x2 = 0")
     d = derive(cfg)
-    m0 = mode(cfg, 0)
-    a, b0, b1, b2 = d.alpha, m0.beta_n, m0.beta_n_1, m0.beta_n_2
+    order = order_table(cfg, [0]).check()
+    a, (b0, b1, b2) = d.alpha, order.beta[:, 0]
     w2, mu, lam = cfg.omega ** 2, cfg.mu, cfg.lam
     A = np.array([
         [1j * b0, w2 * cfg.rho_f * b1, -w2 * cfg.rho_f * a],
@@ -360,7 +331,7 @@ def flat_interface_solution(cfg: ProblemConfig) -> FlatSolution:
     if not res <= 1e-12:
         raise SingularSystemError(
             f"flat-interface system nearly singular (residual {res:.2e})")
-    return FlatSolution(q1=q[0], q2=q[1], q3=q[2], order=m0)
+    return FlatSolution(q1=q[0], q2=q[1], q3=q[2], order=order)
 
 
 def _plane_wave(x, amplitude, k1, k2):
@@ -391,33 +362,29 @@ def spectral_selfcheck(cfg: ProblemConfig, pml: PmlConfig) -> list:
     layer parameters.
     """
     rng = np.random.default_rng(0)
-    modes = _modes(order_table(cfg, np.arange(-4, 5)))
+    nine = order_table(cfg, np.arange(-4, 5))
+    ns = nine.n[~nine.wood.any(axis=0)]
     results = []
 
-    # closed form against the 4x4 solve, exponents kept moderate so the
-    # brute-force system stays well conditioned
-    worst = 0.0
-    for _ in range(100):
-        m = modes[rng.integers(len(modes))]
-        scale = 4.0 / max(abs(m.beta_n_1), abs(m.beta_n_2), 1.0)
-        eta2 = (rng.uniform(0.3, 1.0) + 1j * rng.uniform(0.3, 1.0)) * scale
-        u_n = rng.normal(size=2) + 1j * rng.normal(size=2)
-        direct = elastic_pml_mode_system(m, eta2, u_n)
-        closed = elastic_pml_closed_form(m, eta2, u_n)
-        rel = np.max(np.abs(closed - direct)) / max(np.max(np.abs(direct)), 1e-300)
-        worst = max(worst, rel)
+    # closed form against the 4x4 solve on 100 random orders, exponents
+    # kept moderate so the brute-force system stays well conditioned
+    t = order_table(cfg, ns[rng.integers(ns.size, size=100)])
+    scale = 4.0 / np.maximum(np.abs(t.beta[1:]).max(axis=0), 1.0)
+    eta2 = (rng.uniform(0.3, 1.0, 100) + 1j * rng.uniform(0.3, 1.0, 100)) * scale
+    u_n = rng.normal(size=(100, 2)) + 1j * rng.normal(size=(100, 2))
+    direct = elastic_pml_mode_system(t, eta2, u_n)
+    closed = elastic_pml_closed_form(t, eta2, u_n)
+    worst = float((np.abs(closed - direct).max(axis=1)
+                   / np.maximum(np.abs(direct).max(axis=1), 1e-300)).max())
     results.append(("closed-form vs 4x4 solve", worst <= 1e-10,
                     f"max relative deviation {worst:.3e}"))
 
     # What -> W decay under doubling of eta2
-    m0 = modes[len(modes) // 2]
-    w_exact = elastic_dtn_matrix(m0, cfg)
-    start = 3.0 / min(abs(m0.beta_n_1), abs(m0.beta_n_2))
-    errs = []
-    for k in range(3):
-        eta2 = start * 2 ** k * (1 + 1j)
-        errs.append(np.max(np.abs(
-            elastic_pml_dtn_matrix(m0, eta2, cfg) - w_exact)))
+    t0 = order_table(cfg, ns[[ns.size // 2]])
+    w_exact = elastic_dtn_matrix(t0, cfg)
+    start = 3.0 / np.abs(t0.beta[1:]).min()
+    errs = [np.abs(elastic_pml_dtn_matrix(t0, start * 2 ** k * (1 + 1j), cfg)
+                   - w_exact).max() for k in range(3)]
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1) if errs[i + 1] > 0]
     decay_ok = all(r >= 10 for r in ratios) and errs[-1] < errs[0]
     results.append(("What -> W exponential decay", decay_ok,
@@ -445,25 +412,17 @@ def spectral_selfcheck(cfg: ProblemConfig, pml: PmlConfig) -> list:
 
 
 def mode_table(cfg: ProblemConfig, pml: PmlConfig) -> list:
-    """Wavenumbers and boundary matrices of the admissible orders
-    |n| <= mode_window(cfg), one row per order, for CSV export."""
+    """Wavenumbers and boundary matrices of the orders |n| <= mode_window(cfg)
+    that are no Wood order, one row per order, for CSV export."""
+    window = order_window(cfg)
+    t = order_table(cfg, window.n[~window.wood.any(axis=0)])
     eta = pml_eta(pml)
-    rows = []
-    for m in _modes(order_window(cfg)):
-        w = elastic_dtn_matrix(m, cfg)
-        what = elastic_pml_dtn_matrix(m, eta.eta2, cfg)
-        row = {
-            "n": m.n,
-            "alpha_n": m.alpha_n,
-            "beta_n": m.beta_n,
-            "beta_n_1": m.beta_n_1,
-            "beta_n_2": m.beta_n_2,
-            "acoustic_dtn": acoustic_dtn_coeff(m),
-            "acoustic_pml_dtn": acoustic_pml_dtn_coeff(m, eta.eta1),
-        }
-        for i in range(2):
-            for j in range(2):
-                row[f"w{i+1}{j+1}"] = w[i, j]
-                row[f"what{i+1}{j+1}"] = what[i, j]
-        rows.append(row)
-    return rows
+    w, what = elastic_dtn_matrix(t, cfg), elastic_pml_dtn_matrix(t, eta.eta2, cfg)
+    columns = {"n": t.n, "alpha_n": t.alpha_n, "beta_n": t.beta[0],
+               "beta_n_1": t.beta[1], "beta_n_2": t.beta[2],
+               "acoustic_dtn": acoustic_dtn_coeff(t),
+               "acoustic_pml_dtn": acoustic_pml_dtn_coeff(t, eta.eta1)}
+    for i, j in np.ndindex(2, 2):
+        columns[f"w{i+1}{j+1}"] = w[:, i, j]
+        columns[f"what{i+1}{j+1}"] = what[:, i, j]
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]

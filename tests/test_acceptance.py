@@ -20,6 +20,7 @@ from fsgrating import assembly as asm
 from fsgrating import estimator as est
 from fsgrating import mesh as msh
 from fsgrating import solver
+from fsgrating.config import order_table
 
 TAU = 0.25
 H0 = 0.15
@@ -153,38 +154,34 @@ def test_c03_pml_thickness_robustness(flat_runs):
 
 def test_c04_spectral_oracle_equivalence(ex1_cfg):
     rng = np.random.default_rng(42)
-    orders = [spectral.mode(ex1_cfg, n) for n in range(-4, 5)]
-    worst = 0.0
-    disagreements = []
-    for k in range(100):
-        m = orders[rng.integers(len(orders))]
-        scale = 4.0 / max(abs(m.beta_n_1), abs(m.beta_n_2), 1.0)
-        eta2 = (rng.uniform(0.3, 1.0) + 1j * rng.uniform(0.3, 1.0)) * scale
-        u_n = rng.normal(size=2) + 1j * rng.normal(size=2)
-        direct = spectral.elastic_pml_mode_system(m, eta2, u_n)
-        closed = spectral.elastic_pml_closed_form(m, eta2, u_n)
-        rel = np.max(np.abs(closed - direct)) / np.max(np.abs(direct))
-        worst = max(worst, rel)
-        if rel > 1e-10:
-            disagreements.append((m.n, eta2, rel))
+    draws = [(rng.integers(9), rng.uniform(0.3, 1.0) + 1j * rng.uniform(0.3, 1.0),
+              rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(100)]
+    picks, eta2, u_n = map(np.array, zip(*draws))
+    t = order_table(ex1_cfg, np.arange(-4, 5)[picks]).check()
+    eta2 = eta2 * (4.0 / np.maximum(np.abs(t.beta[1:]).max(axis=0), 1.0))
+    direct = spectral.elastic_pml_mode_system(t, eta2, u_n)
+    closed = spectral.elastic_pml_closed_form(t, eta2, u_n)
+    rel = np.abs(closed - direct).max(axis=1) / np.abs(direct).max(axis=1)
+    worst = rel.max()
+    disagreements = [(n, e, r) for n, e, r in zip(t.n, eta2, rel) if r > 1e-10]
     if disagreements:
         print("systematic disagreement against the 4x4 ground truth:")
-        for n, eta2, rel in disagreements[:5]:
-            print(f"  order {n}, eta2 {eta2:.3f}: rel {rel:.3e}")
+        for n, e, r in disagreements[:5]:
+            print(f"  order {n}, eta2 {e:.3f}: rel {r:.3e}")
     _report(4, not disagreements,
             f"closed form vs 4x4 solve over 100 samples: worst rel "
             f"{worst:.3e} (cap 1e-10)")
 
 
 def test_c05_exponential_layer_convergence(ex1_cfg):
-    m0 = spectral.mode(ex1_cfg, 0)
-    w_exact = spectral.elastic_dtn_matrix(m0, ex1_cfg)
-    start = 3.0 / min(abs(m0.beta_n_1), abs(m0.beta_n_2))
+    t0 = order_table(ex1_cfg, [0]).check()
+    w_exact = spectral.elastic_dtn_matrix(t0, ex1_cfg)
+    start = 3.0 / np.abs(t0.beta[1:]).min()
     errs = []
     for k in range(3):
         eta2 = start * 2 ** k * (1 + 1j)
         errs.append(float(np.max(np.abs(
-            spectral.elastic_pml_dtn_matrix(m0, eta2, ex1_cfg) - w_exact))))
+            spectral.elastic_pml_dtn_matrix(t0, eta2, ex1_cfg) - w_exact))))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     ok = all(r >= 10 for r in ratios)
 

@@ -331,12 +331,32 @@ def test_command_line_defaults_blas_to_one_thread(preset, want):
     assert out.split() == [want, want]
 
 
-def test_readme_example_config_runs(tmp_path):
-    # the configuration README.md offers to start from converges within
-    # twelve iterations
+def readme_config(tmp_path):
+    """The configuration block of README.md, written to tmp_path/readme.ini."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     path = tmp_path / "readme.ini"
     path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    return path
+
+
+def test_readme_example_config_runs(tmp_path):
+    # the configuration README.md offers to start from converges within
+    # twelve iterations
+    path = readme_config(tmp_path)
     code = cli.main(["adapt", "--config", str(path), "--out", str(tmp_path / "out"),
                      "--set", "run.max_iter=12"])
     assert code == 0
+
+
+def test_readme_spectral_check_at_omega_13(tmp_path, capsys):
+    # order 2 has one layer exponent past the float range and one not: every
+    # coefficient stays finite and all three checks pass
+    out = tmp_path / "out"
+    code = cli.main(["spectral-check", "--config", str(readme_config(tmp_path)),
+                     "--out", str(out), "--set", "problem.omega=13"])
+    assert code == 0
+    _, *rows = (out / "modes.csv").read_text().splitlines()
+    assert rows and all(np.isfinite(complex(cell))
+                        for row in rows for cell in row.split(","))
+    printed = capsys.readouterr().out
+    assert printed.count("[PASS]") == 3 and "[FAIL]" not in printed
